@@ -8,15 +8,6 @@ flip reads off the expansion in powers of 1/(x - x0 + 1); closed-form partial
 sums provide an independent route when the companion series converges beyond
 radius 1.
 """
-from .combinatorics import (
-    alternating_binom_sum,
-    binom,
-    binom_tail_sum,
-    double_binom_sum,
-    geom_power_coeff,
-    hockey_stick_sum,
-    partial_telescope_sides,
-)
 from .continuation import (
     DEFAULT_DIGITS,
     ContinuationState,
@@ -35,6 +26,7 @@ from .continuation import (
 from .conversion import (
     DirectSumTrace,
     PlainExpansion,
+    binom,
     direct_coeff0_partial,
     direct_coeffk_partial,
     direct_trace,

@@ -4,7 +4,8 @@ closed-form partial sums of the shifted-expansion coefficients.
 A function with Taylor coefficients c_n at x0 may expand, as x -> infinity,
 either in powers of 1/(x - x0 + 1) ("shifted" form, coefficients v_n) or in
 powers of 1/(x - x0) ("plain" form, coefficients q_n).  The two coefficient
-sets are related by triangular binomial sums:
+sets are related by the two triangular binomial sums of
+:func:`asymser.transform.binomial_transform`:
 
     q_0 = v_0,   q_n = sum_{k=1..n} (-1)**(n+k) * C(n-1, k-1) * v_k,
     v_0 = q_0,   v_n = sum_{s=1..n} C(n-1, s-1) * q_s.
@@ -22,14 +23,25 @@ applicability is a property of the input, not a gate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combinatorics import binom
 from .continuation import ShiftedExpansion
-from .transform import TaylorSeries
+from .transform import TaylorSeries, binomial_transform
+
+
+def binom(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k) for n >= 0, zero outside 0 <= k <= n.
+
+    The zero convention is load-bearing: the direct partial sums below let
+    out-of-range terms vanish instead of trimming their index ranges.
+    """
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -61,20 +73,11 @@ def shifted_to_plain(shifted: ShiftedExpansion) -> PlainExpansion:
 
     Exact on exact input; triangular, so q_n needs only v_0..v_n.
     """
-    v = shifted.coeffs
-    if not v:
+    if not shifted.coeffs:
         raise ValueError("expansion has no coefficients")
-    out = [v[0]]
-    for n in range(1, len(v)):
-        acc = 0
-        comb = 1  # C(n-1, k-1) for k = 1
-        for k in range(1, n + 1):
-            if v[k]:
-                term = comb * v[k]
-                acc = acc + term if (n + k) % 2 == 0 else acc - term
-            comb = comb * (n - k) // k if k < n else 0
-        out.append(acc)
-    return PlainExpansion(coeffs=tuple(out), center=shifted.center)
+    return PlainExpansion(
+        coeffs=binomial_transform(shifted.coeffs, alternating=True), center=shifted.center
+    )
 
 
 def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
@@ -83,19 +86,9 @@ def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
     Inverse of :func:`shifted_to_plain`; the inverse map is the same
     triangular binomial sum without the alternating signs.
     """
-    q = plain.coeffs
-    if not q:
+    if not plain.coeffs:
         raise ValueError("expansion has no coefficients")
-    out = [q[0]]
-    for n in range(1, len(q)):
-        acc = 0
-        comb = 1
-        for s in range(1, n + 1):
-            if q[s]:
-                acc = acc + comb * q[s]
-            comb = comb * (n - s) // s if s < n else 0
-        out.append(acc)
-    return ShiftedExpansion(coeffs=tuple(out), center=plain.center)
+    return ShiftedExpansion(coeffs=binomial_transform(plain.coeffs), center=plain.center)
 
 
 def direct_coeff0_partial(taylor: TaylorSeries, m: int):

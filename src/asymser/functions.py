@@ -175,9 +175,12 @@ def load_coeffs(
             if not isinstance(item, str):
                 raise CoefficientParseError(f"entry {i} is not a string")
             try:
-                coeffs.append(to_decimal(item, digits))
+                value = to_decimal(item, digits)
             except ArithmeticError as e:
                 raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
+            if not value.is_finite():
+                raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
+            coeffs.append(value)
         return TaylorSeries(coeffs=tuple(coeffs), center=0)
     raise ValueError(f"unknown format {fmt!r}")
 

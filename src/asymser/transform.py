@@ -13,12 +13,22 @@ Analyticity of u at x = 1 guarantees that f admits an expansion in powers of
 1/(x - x0 + 1) as x -> infinity, which is why this transform is the entry
 point of the whole pipeline.
 
-The transform is arithmetic-agnostic: Fraction coefficients stay exact,
-Decimal coefficients are computed in the ambient decimal context.
+One integer kernel, :func:`binomial_transform`, serves the companion
+transform, its inverse (the same sum with alternating signs) and both
+shifted/plain conversions in :mod:`asymser.conversion`.  Fraction input
+stays exact.  Decimal results are the exact transform of the given decimals,
+rounded once in the ambient decimal context; the rounding already in the
+input is still amplified by the sum of absolute terms (about 2**(n-1)/n for
+the arctan companion), so a 19-digit arctan prefix gives garbage past
+n ~ 120.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from typing import Optional
 
 
@@ -71,24 +81,41 @@ class RadiusEstimate:
     limit_guess: Optional[float] = None
 
 
-def associated(series: TaylorSeries) -> AssociatedSeries:
-    """Transform Taylor coefficients into the companion-function coefficients.
+def binomial_transform(coeffs, alternating: bool = False) -> tuple:
+    """The triangular binomial transform shared by all four series maps.
 
-    Exact on exact input.  The inner sum runs up to s = n inclusive so that
-    the diagonal term C(n-1, n-1) * c_n is kept; dropping it would make the
-    transform disagree with direct substitution of x/(1-x).
+    out_0 = c_0 and, for n >= 1,
+
+        out_n = sum_{s=1..n} C(n-1, s-1) * c_s                 (plain)
+        out_n = sum_{s=1..n} (-1)**(n-s) * C(n-1, s-1) * c_s   (alternating)
+
+    The two are inverse to each other.  Every input is scaled to an integer
+    over one common denominator and the sums are built as a Pascal triangle
+    of integer additions (differences when alternating): row 0 holds
+    c_1..c_m, each next row pairs neighbours, and out_n is the head of row
+    n-1.  Exact input gives exact Fractions.  Input containing a Decimal
+    gives Decimals, each the exact transform of the given decimals rounded
+    once in the ambient context.  Floats are rejected.
     """
-    c = series.coeffs
-    out = [c[0]]
-    for n in range(1, len(c)):
-        acc = 0
-        comb = 1  # C(n-1, 0), updated incrementally; exact integer division
-        for s in range(1, n + 1):
-            if c[s]:
-                acc = acc + comb * c[s]
-            comb = comb * (n - s) // s if s < n else 0
-        out.append(acc)
-    return AssociatedSeries(tuple(out))
+    if any(isinstance(c, float) for c in coeffs):
+        raise TypeError("pass exact values (int, Fraction, Decimal), not float")
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*(d for _, d in ratios))
+    row = [n * (den // d) for n, d in ratios]
+    out, row = row[:1], row[1:]
+    pair = operator.sub if alternating else operator.add
+    while row:
+        out.append(row[0])
+        row = list(map(pair, row[1:], row))
+    if any(isinstance(c, Decimal) for c in coeffs):
+        return tuple(Decimal(n) / den for n in out)
+    return tuple(Fraction(n, den) for n in out)
+
+
+def associated(series: TaylorSeries) -> AssociatedSeries:
+    """Transform Taylor coefficients into the companion-function coefficients
+    w_n = sum_{s=1..n} C(n-1, s-1) * c_s, with w_0 = c_0."""
+    return AssociatedSeries(binomial_transform(series.coeffs))
 
 
 def associated_inverse(assoc: AssociatedSeries) -> tuple:
@@ -97,21 +124,8 @@ def associated_inverse(assoc: AssociatedSeries) -> tuple:
     Closed form of the inverse (composition with y/(1+y)):
 
         c_n = sum_{s=1..n} (-1)**(n-s) * C(n-1, s-1) * w_s.
-
-    Exact inverse of :func:`associated` on exact input.
     """
-    w = assoc.coeffs
-    out = [w[0]]
-    for n in range(1, len(w)):
-        acc = 0
-        comb = 1
-        for s in range(1, n + 1):
-            if w[s]:
-                term = comb * w[s]
-                acc = acc + term if (n - s) % 2 == 0 else acc - term
-            comb = comb * (n - s) // s if s < n else 0
-        out.append(acc)
-    return tuple(out)
+    return binomial_transform(assoc.coeffs, alternating=True)
 
 
 def estimate_radius(

@@ -34,15 +34,16 @@ from asymser import (
     pole_coeffs,
     shifted_to_plain,
 )
-from asymser.combinatorics import (
+from asymser import binom
+from helpers import (
     alternating_binom_sum,
-    binom,
     binom_tail_sum,
+    compose_with_geom_map,
     double_binom_sum,
     hockey_stick_sum,
     partial_telescope_sides,
+    random_fraction_vector,
 )
-from helpers import compose_with_geom_map, random_fraction_vector
 
 F = Fraction
 D = Decimal

@@ -210,3 +210,11 @@ class TestExitCodes:
     def test_unknown_input_spec(self, tmp_path):
         assert main(["transform", "--input", "tan", "--count", "4",
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+    def test_non_finite_decimals_exit_3(self, tmp_path):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(["0", "1", "Infinity", "NaN"]))
+        assert main(["transform", "--input", f"file:{src}", "--count", "4",
+                     "--out", str(tmp_path / "t.csv")]) == 3
+        assert main(["continue", "--input", f"file:{src}", "--m", "4", "--dx", "0.25",
+                     "--alpha", "0.1", "--out", str(tmp_path / "c.json")]) == 3

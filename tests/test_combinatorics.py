@@ -6,16 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from asymser.combinatorics import (
+from asymser import binom
+from helpers import (
     alternating_binom_sum,
-    binom,
     binom_tail_sum,
     double_binom_sum,
+    geom_map_series,
     geom_power_coeff,
     hockey_stick_sum,
     partial_telescope_sides,
+    series_pow,
 )
-from helpers import series_pow, geom_map_series
 
 
 class TestBinom:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymser import (
+    AssociatedSeries,
     PlainExpansion,
     SchemeConfig,
     ShiftedExpansion,
     TaylorSeries,
     associated,
+    associated_inverse,
     continue_to_one,
     direct_coeff0_partial,
     direct_coeffk_partial,
@@ -70,6 +72,12 @@ class TestPlainToShifted:
         shifted = ShiftedExpansion(coeffs=tuple(vec))
         back = plain_to_shifted(shifted_to_plain(shifted))
         assert back.coeffs == shifted.coeffs
+        # the conversions are the companion transform and its inverse
+        vec = tuple(vec)
+        assert plain_to_shifted(PlainExpansion(coeffs=vec)).coeffs == associated(
+            TaylorSeries(coeffs=vec)).coeffs
+        assert shifted_to_plain(ShiftedExpansion(coeffs=vec)).coeffs == associated_inverse(
+            AssociatedSeries(coeffs=vec))
 
     @given(fraction_vectors)
     @settings(max_examples=50)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,14 +10,21 @@ from hypothesis import given, settings, strategies as st
 from asymser import (
     AssociatedSeries,
     DegenerateRatiosError,
+    PlainExpansion,
+    ShiftedExpansion,
     TaylorSeries,
+    arctan_coeffs,
     associated,
     associated_inverse,
     estimate_radius,
+    plain_to_shifted,
+    shifted_to_plain,
+    to_decimal,
 )
 from helpers import compose_with_geom_map, random_fraction_vector
 
 F = Fraction
+D = Decimal
 
 fraction_vectors = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=30),
@@ -103,6 +110,40 @@ class TestAssociatedInverse:
         for _ in range(50):
             vec = random_fraction_vector(rng, rng.randint(1, 30))
             assert associated_inverse(associated(TaylorSeries(coeffs=vec))) == vec
+
+
+# The four public maps, each reduced to its coefficient vector.
+FOUR_MAPS = {
+    "associated": lambda v: associated(TaylorSeries(coeffs=v)).coeffs,
+    "associated_inverse": lambda v: associated_inverse(AssociatedSeries(coeffs=v)),
+    "shifted_to_plain": lambda v: shifted_to_plain(ShiftedExpansion(coeffs=v)).coeffs,
+    "plain_to_shifted": lambda v: plain_to_shifted(PlainExpansion(coeffs=v)).coeffs,
+}
+
+
+class TestKernelContract:
+    @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
+    def test_decimal_result_is_exact_transform_rounded_once(self, name):
+        apply = FOUR_MAPS[name]
+        prefix = tuple(to_decimal(c, 19) for c in arctan_coeffs(60).coeffs)
+        exact = apply(tuple(F(d) for d in prefix))
+        expected = tuple(to_decimal(w, 19) for w in exact)
+        with localcontext() as ctx:
+            ctx.prec = 19
+            got = apply(prefix)
+        assert all(type(g) is Decimal for g in got)
+        assert got == expected
+
+    @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
+    def test_vanishing_decimal_sums_stay_decimal(self, name):
+        got = FOUR_MAPS[name]((D(1), D(0), D(0)))
+        assert got == (D(1), D(0), D(0))
+        assert all(type(g) is Decimal for g in got)
+
+    @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
+    def test_float_rejected(self, name):
+        with pytest.raises(TypeError):
+            FOUR_MAPS[name]((1.0, 0.5, 0.25))
 
 
 class TestEstimateRadius:
