@@ -14,6 +14,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from decimal import Decimal
@@ -73,7 +74,7 @@ def full_grid(outdir: Path) -> None:
         "sweep", "--input", "arctan",
         "--m", "98,201,301,401,501,601,701,801,901,1001",
         "--dx", "0.125,0.25,0.5", "--alpha", "0.1,0.01",
-        "--digits", "19", "--jobs", "4", "--out", str(out),
+        "--digits", "19", "--jobs", str(min(4, os.cpu_count() or 1)), "--out", str(out),
     ])
     if code != 0:
         sys.exit(code)

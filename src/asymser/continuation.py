@@ -18,17 +18,21 @@ iteration usable on a finite, possibly divergent-at-1 prefix:
 The per-step count of carried coefficients therefore shrinks along the path;
 the final state exposes how many leading coefficients are trustworthy.
 
-All arithmetic runs in base-10 floating point (decimal.Decimal) at a
-configurable number of significant digits, 19 by default.
+Each recentering is the exact shift of the given decimal coefficients, done
+in integer arithmetic and rounded once per output coefficient to a
+configurable number of significant digits (19 by default).  Rounding
+therefore enters only between steps, and in the input prefix itself.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Union
 
-from .transform import AssociatedSeries
+from .transform import AssociatedSeries, scale_to_integers
 
 DEFAULT_DIGITS = 19
 
@@ -90,7 +94,7 @@ class SchemeConfig:
     step    -- center increment dx; 1/dx must be a whole number so the path
                lands exactly on 1 (0.125, 0.25 and 0.5 all qualify)
     alpha   -- convergence threshold for trailing terms
-    digits  -- significant decimal digits of working arithmetic
+    digits  -- significant decimal digits kept between steps
     """
 
     m: int
@@ -166,17 +170,16 @@ def recenter_step(
 ) -> ContinuationState:
     """Advance the expansion center by `step`, summing all available terms.
 
-    For each output index k the full sum over available n is taken; k is
-    flagged converged when the trailing terms satisfy |term| < alpha:
+    Each output b_k = sum_{n>=k} a_n * C(n, k) * step**(n-k) is the exact
+    shift of the given coefficients, rounded once to `digits` significant
+    digits.  With step = p/q and the inputs over one common denominator den,
+    the integers A_n = a_n * den * p**n * q**(m-1-n) turn the sums into a unit
+    Taylor shift B_k = sum_{n>=k} C(n, k) * A_n, built by k+1 passes of
+    suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
+    b_k = B_k / (den * p**k * q**(m-1-k)).
 
-    * no terms beyond n = k: the single diagonal term itself must be < alpha;
-    * an all-zero tail, or a run of >= 2 trailing zero terms, converges
-      (a finished polynomial tail); a *single* trailing zero is treated as a
-      sampled zero of an oscillating sequence and the test falls back to the
-      last nonzero term.
-
-    converged_count is the length of the leading all-converged block.  The
-    output keeps the full input length; callers decide what to carry forward.
+    The convergence flags are those of :func:`_converged_prefix`.  The output
+    keeps the full input length; callers decide what to carry forward.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
@@ -184,45 +187,66 @@ def recenter_step(
     if dx <= 0:
         raise ValueError("step must be positive")
     thr = _exact_decimal(alpha, "alpha")
+    coeffs = state.coeffs
+    m = len(coeffs)
+    p, q = dx.as_integer_ratio()
+    nums, den, _ = scale_to_integers(coeffs)
+    ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
+    qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
+    # kept reversed, so that each pass of running sums ends on B_k
+    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
+    shifted = []
+    while row:
+        row = list(accumulate(row))
+        shifted.append(row.pop())
     with localcontext() as ctx:
         ctx.prec = digits
-        coeffs = state.coeffs
-        m = len(coeffs)
-        dxpow = [Decimal(1)]
-        for _ in range(m):
-            dxpow.append(dxpow[-1] * dx)
-        sums = []
-        conv = []
-        for k in range(m):
-            comb = 1
-            acc = +coeffs[k]
-            last_nz = None
-            zero_run = 0
-            tail_len = m - 1 - k
-            for n in range(k + 1, m):
-                comb = comb * n // (n - k)
-                if coeffs[n]:
-                    t = coeffs[n] * comb * dxpow[n - k]
-                    acc += t
-                    last_nz = t
-                    zero_run = 0
-                else:
-                    zero_run += 1
-            sums.append(acc)
-            if tail_len == 0:
-                ok = abs(coeffs[k]) < thr
-            elif last_nz is None or zero_run >= 2:
-                ok = True
-            else:
-                ok = abs(last_nz) < thr
-            conv.append(ok)
-        prefix = 0
-        while prefix < m and conv[prefix]:
-            prefix += 1
+        sums = tuple(
+            Decimal(b) / (den * ppow[k] * qpow[m - 1 - k]) for k, b in enumerate(shifted)
+        )
         new_center = state.center + dx
     return ContinuationState(
-        center=new_center, coeffs=tuple(sums), converged_count=prefix
+        center=new_center,
+        coeffs=sums,
+        converged_count=_converged_prefix(coeffs, dx, thr, digits),
     )
+
+
+def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> int:
+    """Length of the leading block of recentering sums that count as converged.
+
+    Output k is flagged converged when the trailing terms of its sum satisfy
+    |term| < thr:
+
+    * no terms beyond n = k: the single diagonal term itself must be < thr;
+    * an all-zero tail, or a run of >= 2 trailing zero terms, converges
+      (a finished polynomial tail); a *single* trailing zero is treated as a
+      sampled zero of an oscillating sequence and the test falls back to the
+      last nonzero term.
+
+    The last nonzero term of every sum comes from the last nonzero input
+    index L, so the flags need no sums: the term is
+    coeffs[L] * C(L, k) * dx**(L-k), evaluated at `digits` digits.
+    """
+    m = len(coeffs)
+    last = max((n for n, c in enumerate(coeffs) if c), default=-1)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        dxpow = [Decimal(1)]
+        for _ in range(last):
+            dxpow.append(dxpow[-1] * dx)
+        comb = 1  # C(last, k)
+        for k in range(m):
+            if k == m - 1:
+                ok = abs(coeffs[k]) < thr
+            elif last <= k or m - 1 - last >= 2:
+                ok = True
+            else:
+                ok = abs(coeffs[last] * comb * dxpow[last - k]) < thr
+            if not ok:
+                return k
+            comb = comb * (last - k) // (k + 1)
+    return m
 
 
 def continue_to_one_with_steps(

@@ -24,13 +24,19 @@ applicability is a property of the input, not a gate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .continuation import ShiftedExpansion
-from .transform import TaylorSeries, binomial_transform
+from .transform import (
+    TaylorSeries,
+    binomial_transform,
+    exact_quotient,
+    scale_to_integers,
+)
 
 
 def binom(n: int, k: int) -> int:
@@ -93,19 +99,20 @@ def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
 
 def direct_coeff0_partial(taylor: TaylorSeries, m: int):
     """m-th partial sum of the zeroth shifted coefficient:
-    sum_{s=0..m} c_s * C(m, s).  Exact on exact input."""
+    sum_{s=0..m} c_s * C(m, s).
+
+    Summed in integers over one common denominator: exact on exact input,
+    and on input containing a Decimal the exact sum of the given decimals
+    rounded once in the ambient context.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
     c = taylor.coeffs
     if len(c) < m + 1:
         raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(c)}")
-    acc = 0
-    comb = 1  # C(m, 0)
-    for s in range(m + 1):
-        if c[s]:
-            acc = acc + comb * c[s]
-        comb = comb * (m - s) // (s + 1)
-    return acc
+    nums, den, decimal = scale_to_integers(c[: m + 1])
+    acc = sum(math.comb(m, s) * n for s, n in enumerate(nums) if n)
+    return exact_quotient(acc, den, decimal)
 
 
 def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
@@ -114,7 +121,9 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
         (-1)**k * sum_{s=1..m} c_s *
             sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n)
 
-    Exact on exact input.  Each Taylor coefficient enters exactly once.
+    Each Taylor coefficient enters exactly once.  Summed in integers over one
+    common denominator, with the same result types as
+    :func:`direct_coeff0_partial`.
     """
     if k < 1:
         raise ValueError("k must be >= 1; use direct_coeff0_partial for k = 0")
@@ -123,16 +132,14 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
     c = taylor.coeffs
     if len(c) < m + 1:
         raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(c)}")
+    nums, den, decimal = scale_to_integers(c[: m + 1])
+    weights = [(-1) ** (k + n) * binom(m - n, k - n) for n in range(k + 1)]
+    row = [binom(m, j) for j in range(m + k + 1)]  # C(m, s+n), zero past m
     acc = 0
     for s in range(1, m + 1):
-        if not c[s]:
-            continue
-        inner = 0
-        for n in range(k + 1):
-            w = binom(m - n, k - n) * binom(m, s + n)
-            inner = inner + w if n % 2 == 0 else inner - w
-        acc = acc + c[s] * inner
-    return acc if k % 2 == 0 else -acc
+        if nums[s]:
+            acc += nums[s] * sum(map(operator.mul, weights, row[s : s + k + 1]))
+    return exact_quotient(acc, den, decimal)
 
 
 def tail_agreement(values: Sequence, tol: float) -> bool:

@@ -81,6 +81,28 @@ class RadiusEstimate:
     limit_guess: Optional[float] = None
 
 
+def scale_to_integers(values) -> tuple[list, int, bool]:
+    """Numerators of `values` over their least common denominator.
+
+    Returns (numerators, denominator, decimal), where decimal tells whether
+    any value is a Decimal, i.e. whether results built from these integers
+    should come back as Decimals (see :func:`exact_quotient`).  Floats are
+    rejected: binary artifacts must not enter the exact kernels.
+    """
+    if any(isinstance(c, float) for c in values):
+        raise TypeError("pass exact values (int, Fraction, Decimal), not float")
+    ratios = [c.as_integer_ratio() for c in values]
+    den = math.lcm(*(d for _, d in ratios))
+    decimal = any(isinstance(c, Decimal) for c in values)
+    return [n * (den // d) for n, d in ratios], den, decimal
+
+
+def exact_quotient(num: int, den: int, decimal: bool):
+    """num/den as an exact Fraction, or as a Decimal rounded once in the
+    ambient decimal context."""
+    return Decimal(num) / den if decimal else Fraction(num, den)
+
+
 def binomial_transform(coeffs, alternating: bool = False) -> tuple:
     """The triangular binomial transform shared by all four series maps.
 
@@ -97,19 +119,13 @@ def binomial_transform(coeffs, alternating: bool = False) -> tuple:
     gives Decimals, each the exact transform of the given decimals rounded
     once in the ambient context.  Floats are rejected.
     """
-    if any(isinstance(c, float) for c in coeffs):
-        raise TypeError("pass exact values (int, Fraction, Decimal), not float")
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    den = math.lcm(*(d for _, d in ratios))
-    row = [n * (den // d) for n, d in ratios]
+    row, den, decimal = scale_to_integers(coeffs)
     out, row = row[:1], row[1:]
     pair = operator.sub if alternating else operator.add
     while row:
         out.append(row[0])
         row = list(map(pair, row[1:], row))
-    if any(isinstance(c, Decimal) for c in coeffs):
-        return tuple(Decimal(n) / den for n in out)
-    return tuple(Fraction(n, den) for n in out)
+    return tuple(exact_quotient(n, den, decimal) for n in out)
 
 
 def associated(series: TaylorSeries) -> AssociatedSeries:

@@ -143,3 +143,55 @@ def alternating_binom_sum(m: int, k: int, s: int) -> int:
     return sum(
         (-1) ** z * binom(m - z, k - z) * binom(m, s + z) for z in range(k + 1)
     )
+
+
+# Exact oracles for one recentering step.
+
+def exact_recenter(coeffs, step):
+    """b_k = sum_{n>=k} a_n * C(n, k) * step**(n-k) in exact rationals,
+    term by term (no integer scaling, no suffix sums)."""
+    import math
+
+    a = [Fraction(c) for c in coeffs]
+    dx = Fraction(step)
+    return [
+        sum((a[n] * math.comb(n, k) * dx ** (n - k) for n in range(k, len(a))), Fraction(0))
+        for k in range(len(a))
+    ]
+
+
+def reference_converged_count(coeffs, step, alpha, digits):
+    """The per-term convergence-flag loop: every trailing term of every sum
+    is built as a Decimal product at `digits` digits, and output k is
+    flagged by the last nonzero one (see recenter_step for the rules)."""
+    from decimal import Decimal, localcontext
+
+    dx, thr = Decimal(step), Decimal(alpha)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        m = len(coeffs)
+        dxpow = [Decimal(1)]
+        for _ in range(m):
+            dxpow.append(dxpow[-1] * dx)
+        count = 0
+        for k in range(m):
+            comb = 1
+            last_nz = None
+            zero_run = 0
+            for n in range(k + 1, m):
+                comb = comb * n // (n - k)
+                if coeffs[n]:
+                    last_nz = coeffs[n] * comb * dxpow[n - k]
+                    zero_run = 0
+                else:
+                    zero_run += 1
+            if k == m - 1:
+                ok = abs(coeffs[k]) < thr
+            elif last_nz is None or zero_run >= 2:
+                ok = True
+            else:
+                ok = abs(last_nz) < thr
+            if not ok:
+                return count
+            count += 1
+        return count

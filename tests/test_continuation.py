@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ from asymser import (
     continue_to_one,
     continue_to_one_with_steps,
     extract_shifted,
+    arctan_coeffs,
+    associated,
     recenter_step,
     to_decimal,
 )
+from helpers import exact_recenter, reference_converged_count
 
 D = Decimal
 F = Fraction
@@ -103,6 +107,62 @@ class TestRecenterStep:
         a = recenter_step(state, "0.125", "0.01")
         b = recenter_step(state, "0.125", "0.01")
         assert a == b
+
+
+def assert_exact_step(state, step, alpha, digits=19):
+    """recenter_step must give the exact shift of its input decimals, each
+    coefficient rounded once, and the per-term loop's convergence flags."""
+    out = recenter_step(state, step, alpha, digits)
+    exact = exact_recenter(state.coeffs, D(step))
+    for k, (got, want) in enumerate(zip(out.coeffs, exact)):
+        assert got.as_tuple() == to_decimal(want, digits).as_tuple(), (k, got, want)
+    assert len(out.coeffs) == len(state.coeffs)
+    assert out.converged_count == reference_converged_count(
+        state.coeffs, step, alpha, digits
+    )
+    return out
+
+
+class TestRecenterOracle:
+    @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "0.3"])
+    def test_arctan_companion_prefix(self, step):
+        assoc = associated(arctan_coeffs(120))
+        state = make_state([to_decimal(c, 19) for c in assoc.coeffs])
+        for alpha in ("0.1", "1e-6"):
+            assert_exact_step(state, step, alpha)
+
+    def test_random_vectors_with_zeros(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            values = [
+                "0" if rng.random() < 0.25
+                else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-30, 5)}"
+                for _ in range(rng.randint(1, 40))
+            ]
+            step = rng.choice(["0.125", "0.25", "0.5", "0.3", "1", "0.05"])
+            alpha = rng.choice(["0.1", "1e-9", "1e6"])
+            assert_exact_step(make_state(values), step, alpha)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["0", "0", "0"],  # all-zero
+            ["1", "2", "300", "0"],  # single trailing zero
+            ["1", "2", "300", "0", "0"],  # double trailing zero
+            ["1", "0", "0", "0"],  # only the diagonal term is nonzero
+            ["0.05"],  # m = 1, below alpha
+            ["5"],  # m = 1, above alpha
+            ["0"],
+        ],
+    )
+    def test_tail_rules(self, values):
+        for step in ("0.25", "0.5"):
+            assert_exact_step(make_state(values), step, "0.1")
+
+    def test_higher_precision(self):
+        assoc = associated(arctan_coeffs(60))
+        state = make_state([to_decimal(c, 40) for c in assoc.coeffs])
+        assert_exact_step(state, "0.25", "0.01", digits=40)
 
 
 class TestContinueToOne:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -143,6 +143,27 @@ class TestDirectPartials:
                 assert direct_coeffk_partial(series, k, m) == double_sum_form(
                     coeffs, k, m
                 ), (coeffs, k, m)
+
+    def test_decimal_input_is_exact_sum_rounded_once(self):
+        # same contract as binomial_transform: the exact partial of the given
+        # decimals, rounded once in the ambient context
+        rng = random.Random(99)
+        coeffs = tuple(
+            D(rng.randint(-10**12, 10**12)).scaleb(-rng.randint(0, 14)) for _ in range(31)
+        )
+        series = TaylorSeries(coeffs=coeffs)
+        exact = TaylorSeries(coeffs=tuple(F(c) for c in coeffs))
+        with localcontext() as ctx:
+            ctx.prec = 7
+            for m in (4, 30):
+                pairs = [(direct_coeff0_partial(series, m), direct_coeff0_partial(exact, m))]
+                pairs += [
+                    (direct_coeffk_partial(series, k, m), direct_coeffk_partial(exact, k, m))
+                    for k in (1, 2, 5)
+                ]
+                for got, want in pairs:
+                    assert isinstance(got, Decimal)
+                    assert got == D(want.numerator) / want.denominator, (m, got, want)
 
     def test_argument_validation(self):
         series = pole_coeffs(2, 5)
