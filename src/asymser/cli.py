@@ -23,7 +23,8 @@ from .continuation import (
     ShiftedExpansion,
     continue_to_one_with_steps,
     extract_shifted,
-    to_decimal,
+    shared_first_step,
+    to_decimals,
 )
 from .conversion import (
     PlainExpansion,
@@ -260,32 +261,47 @@ def cmd_direct(args) -> int:
 
 # -------------------------------------------------------------------- sweep
 
-def _run_cell(payload):
-    (coeff_strs, m, dx_str, alpha_str, digits, with_reference) = payload
+def _run_pair(payload):
+    """The sweep rows of one (m, dx) pair, one per alpha, in alpha order.
+
+    The pair's first step is shifted once, for all its alphas.
+    """
+    assoc, configs, with_reference = payload
     try:
-        assoc = AssociatedSeries(tuple(Decimal(s) for s in coeff_strs[:m]))
-        config = SchemeConfig(m=m, step=dx_str, alpha=alpha_str, digits=digits)
-        state, records = continue_to_one_with_steps(assoc, config)
+        first_sums = shared_first_step(assoc, configs)
+    except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
+        return [_error_row(config, e) for config in configs]
+    return [_run_cell(assoc, config, with_reference, first_sums) for config in configs]
+
+
+def _run_cell(assoc, config, with_reference, first_sums):
+    """The sweep row of one (m, dx, alpha) cell."""
+    try:
+        state, records = continue_to_one_with_steps(assoc, config, _first_sums=first_sums)
         c0 = state.coeffs[0] if len(state.coeffs) >= 1 else None
         c1 = state.coeffs[1] if len(state.coeffs) >= 2 else None
         err0 = err1 = ""
         if with_reference:
             with localcontext() as ctx:
-                ctx.prec = digits + 8
+                ctx.prec = config.digits + 8
                 if c0 is not None:
                     err0 = format_decimal(abs(c0 - +_HALF_PI), 10)
                 if c1 is not None:
                     err1 = format_decimal(abs(c1 - 1), 10)
         status = "converged" if state.converged_count >= 2 else "unconverged"
         return [
-            m, dx_str, alpha_str, digits, config.steps,
+            config.m, str(config.step), str(config.alpha), config.digits, config.steps,
             str(c0) if c0 is not None else "unconverged",
             str(c1) if c1 is not None else "unconverged",
             err0, err1, state.converged_count, status,
         ]
     except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
-        return [m, dx_str, alpha_str, digits, "", "unconverged", "unconverged",
-                "", "", 0, f"error:{type(e).__name__}"]
+        return _error_row(config, e)
+
+
+def _error_row(config, error):
+    return [config.m, str(config.step), str(config.alpha), config.digits, "",
+            "unconverged", "unconverged", "", "", 0, f"error:{type(error).__name__}"]
 
 
 SWEEP_HEADER = [
@@ -310,23 +326,30 @@ def cmd_sweep(args) -> int:
     alpha_list = sorted({str(Decimal(v)) for v in _as_str_list(merged["alpha"])}, key=Decimal)
     digits = int(merged["digits"])
     jobs = int(merged["jobs"])
-    max_m = max(m_list)
-    spec = parse_generator(args.input, max_m, digits)
+    # every cell's parameters are checked before any work starts
+    configs = [
+        SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)
+        for m in m_list for dx in dx_list for alpha in alpha_list
+    ]
+    spec = parse_generator(args.input, max(m_list), digits)
     series = build_series(spec)
     with localcontext() as ctx:
         ctx.prec = digits
         assoc = associated(series)
-    coeff_strs = tuple(str(to_decimal(c, digits)) for c in assoc.coeffs)
+    coeffs = to_decimals(assoc.coeffs, digits)
     with_reference = args.input == "arctan"
-    cells = [
-        (coeff_strs, m, dx, alpha, digits, with_reference)
-        for m in m_list for dx in dx_list for alpha in alpha_list
+    # one task per (m, dx) pair: its alphas share the first step
+    per_pair = len(alpha_list)
+    pairs = [
+        (AssociatedSeries(coeffs[: group[0].m]), group, with_reference)
+        for group in (configs[i : i + per_pair] for i in range(0, len(configs), per_pair))
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, cells))
+            row_groups = list(pool.map(_run_pair, pairs))
     else:
-        rows = [_run_cell(cell) for cell in cells]
+        row_groups = [_run_pair(pair) for pair in pairs]
+    rows = [row for group in row_groups for row in group]
     _write_rows(args.out, SWEEP_HEADER, rows)
     return EXIT_OK
 

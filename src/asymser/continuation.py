@@ -21,7 +21,12 @@ the final state exposes how many leading coefficients are trustworthy.
 Each recentering is the exact shift of the given decimal coefficients, done
 in integer arithmetic and rounded once per output coefficient to a
 configurable number of significant digits (19 by default).  Rounding
-therefore enters only between steps, and in the input prefix itself.
+therefore enters only between steps, and in the input prefix itself.  The
+convergence flags depend only on a step's input, so they are decided first,
+and a step that is not the last computes only the block it carries.
+
+Continuations that differ only in alpha share their first step: see
+:func:`shared_first_step`.
 """
 from __future__ import annotations
 
@@ -56,13 +61,24 @@ def to_decimal(value: CoeffLike, digits: int = DEFAULT_DIGITS) -> Decimal:
 
     Floats are rejected: binary artifacts must not enter the decimal pipeline.
     """
-    if isinstance(value, float):
-        raise TypeError("pass exact values (int, str, Fraction, Decimal), not float")
+    return to_decimals((value,), digits)[0]
+
+
+def to_decimals(values, digits: int = DEFAULT_DIGITS) -> tuple:
+    """:func:`to_decimal` of every value, rounded in one decimal context."""
     with localcontext() as ctx:
         ctx.prec = digits
-        if isinstance(value, Fraction):
-            return Decimal(value.numerator) / Decimal(value.denominator)
-        return +Decimal(value)
+        return tuple(_rounded(v) for v in values)
+
+
+def _rounded(value: CoeffLike) -> Decimal:
+    if isinstance(value, Decimal):
+        return +value
+    if isinstance(value, float):
+        raise TypeError("pass exact values (int, str, Fraction, Decimal), not float")
+    if isinstance(value, Fraction):
+        return Decimal(value.numerator) / Decimal(value.denominator)
+    return +Decimal(value)
 
 
 def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
@@ -111,6 +127,10 @@ class SchemeConfig:
             raise ValueError("m must be >= 1")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
+        if not self.step.is_finite():
+            raise NonIntegralPathError(f"step {self.step} is not finite")
+        if self.alpha.is_nan():
+            raise ValueError("alpha must be a number")
         if self.step <= 0:
             raise NonIntegralPathError("step must be positive")
         if self.alpha <= 0:
@@ -167,6 +187,7 @@ def recenter_step(
     step: CoeffLike,
     alpha: CoeffLike,
     digits: int = DEFAULT_DIGITS,
+    carried_only: bool = False,
 ) -> ContinuationState:
     """Advance the expansion center by `step`, summing all available terms.
 
@@ -178,8 +199,13 @@ def recenter_step(
     suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
     b_k = B_k / (den * p**k * q**(m-1-k)).
 
-    The convergence flags are those of :func:`_converged_prefix`.  The output
-    keeps the full input length; callers decide what to carry forward.
+    The convergence flags are those of :func:`_converged_prefix`; they need
+    only the input, so they are decided before the sums.  By default the
+    output keeps the full input length.  With `carried_only` it holds only
+    the block a next step carries -- the converged block, or the whole vector
+    when nothing converged -- and the passes stop after that block, so the
+    step costs sum_{k<K} (m-k) additions for K kept outputs instead of about
+    m**2/2.  Every kept coefficient is the same either way.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
@@ -187,7 +213,13 @@ def recenter_step(
     if dx <= 0:
         raise ValueError("step must be positive")
     thr = _exact_decimal(alpha, "alpha")
-    coeffs = state.coeffs
+    count, length = _output_length(state.coeffs, dx, thr, digits, carried_only)
+    return _next_state(state, dx, digits, _shift(state.coeffs, dx, digits, length), count)
+
+
+def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
+    """The first `length` outputs of the exact shift of `coeffs` by dx, each
+    rounded once to `digits` digits (see :func:`recenter_step`)."""
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
     nums, den, _ = scale_to_integers(coeffs)
@@ -196,20 +228,32 @@ def recenter_step(
     # kept reversed, so that each pass of running sums ends on B_k
     row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
     shifted = []
-    while row:
+    for _ in range(length):
         row = list(accumulate(row))
         shifted.append(row.pop())
     with localcontext() as ctx:
         ctx.prec = digits
-        sums = tuple(
+        return tuple(
             Decimal(b) / (den * ppow[k] * qpow[m - 1 - k]) for k, b in enumerate(shifted)
         )
-        new_center = state.center + dx
-    return ContinuationState(
-        center=new_center,
-        coeffs=sums,
-        converged_count=_converged_prefix(coeffs, dx, thr, digits),
-    )
+
+
+def _output_length(
+    coeffs: tuple, dx: Decimal, thr: Decimal, digits: int, carried_only: bool
+) -> tuple[int, int]:
+    """The converged count of the step from `coeffs`, and how many of its
+    outputs are needed: the carried block with `carried_only`, else all."""
+    count = _converged_prefix(coeffs, dx, thr, digits)
+    return count, count if carried_only and count >= 1 else len(coeffs)
+
+
+def _next_state(
+    state: ContinuationState, dx: Decimal, digits: int, sums: tuple, count: int
+) -> ContinuationState:
+    with localcontext() as ctx:
+        ctx.prec = digits
+        center = state.center + dx
+    return ContinuationState(center=center, coeffs=sums, converged_count=count)
 
 
 def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> int:
@@ -229,7 +273,7 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> 
     coeffs[L] * C(L, k) * dx**(L-k), evaluated at `digits` digits.
     """
     m = len(coeffs)
-    last = max((n for n, c in enumerate(coeffs) if c), default=-1)
+    last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
     with localcontext() as ctx:
         ctx.prec = digits
         dxpow = [Decimal(1)]
@@ -250,32 +294,33 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> 
 
 
 def continue_to_one_with_steps(
-    assoc: AssociatedSeries, config: SchemeConfig
+    assoc: AssociatedSeries, config: SchemeConfig, *, _first_sums: tuple | None = None
 ) -> tuple[ContinuationState, list[StepRecord]]:
     """Run the full 0 -> 1 continuation, returning per-step diagnostics.
 
     Between steps the state is truncated to its converged block; when nothing
     converged the full vector is kept instead, so that exactly representable
     inputs (polynomials with alpha below every term) continue losslessly.
+    Every step but the last computes only that block (`carried_only`).
+
+    `_first_sums`, from :func:`shared_first_step`, stands in for the first
+    step's sums; the run is the same as without it.
     """
-    if len(assoc.coeffs) < config.m:
-        raise ValueError(
-            f"need at least m={config.m} coefficients, got {len(assoc.coeffs)}"
-        )
-    coeffs = tuple(to_decimal(c, config.digits) for c in assoc.coeffs[: config.m])
-    state = ContinuationState(
-        center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs)
-    )
+    state = _initial_state(assoc, config.m, config.digits)
     records: list[StepRecord] = []
     nsteps = config.steps
     for i in range(nsteps):
-        state = recenter_step(state, config.step, config.alpha, config.digits)
-        if i < nsteps - 1:
-            keep = state.converged_count if state.converged_count >= 1 else len(state.coeffs)
-            state = ContinuationState(
-                center=state.center,
-                coeffs=state.coeffs[:keep],
-                converged_count=min(state.converged_count, keep),
+        carried_only = i < nsteps - 1
+        if i == 0 and _first_sums is not None:
+            count, length = _output_length(
+                state.coeffs, config.step, config.alpha, config.digits, carried_only
+            )
+            if len(_first_sums) < length:
+                raise ValueError(f"shared first step has {len(_first_sums)} sums, need {length}")
+            state = _next_state(state, config.step, config.digits, _first_sums[:length], count)
+        else:
+            state = recenter_step(
+                state, config.step, config.alpha, config.digits, carried_only=carried_only
             )
         records.append(
             StepRecord(
@@ -285,6 +330,39 @@ def continue_to_one_with_steps(
             )
         )
     return state, records
+
+
+def shared_first_step(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> tuple:
+    """The first step's sums for continuations that differ only in alpha.
+
+    The first step does not depend on alpha, except in how many of its
+    outputs are carried.  The sums reach as far as the longest block any of
+    `configs` needs: the largest converged block, or the whole vector when
+    some alpha converges nothing or the path is a single step.  Each run
+    takes its own prefix of them through
+    ``continue_to_one_with_steps(assoc, config, _first_sums=...)``.
+    """
+    m, step, digits = configs[0].m, configs[0].step, configs[0].digits
+    if any((c.m, c.step, c.digits) != (m, step, digits) for c in configs):
+        raise ValueError("configs must share m, step and digits")
+    state = _initial_state(assoc, m, digits)
+    carried_only = configs[0].steps > 1
+    # The converged block never shrinks as alpha grows, so the smallest alpha
+    # needs the whole vector if it converges nothing, and else the largest
+    # alpha needs the longest block.
+    by_alpha = sorted(configs, key=lambda c: c.alpha)
+    _, length = _output_length(state.coeffs, step, by_alpha[0].alpha, digits, carried_only)
+    widest = by_alpha[0] if length == m else by_alpha[-1]
+    # through recenter_step, so that whatever wraps it sees the shared step too
+    return recenter_step(state, step, widest.alpha, digits, carried_only=carried_only).coeffs
+
+
+def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> ContinuationState:
+    """The first m coefficients at center 0, rounded to `digits` digits."""
+    if len(assoc.coeffs) < m:
+        raise ValueError(f"need at least m={m} coefficients, got {len(assoc.coeffs)}")
+    coeffs = to_decimals(assoc.coeffs[:m], digits)
+    return ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
 
 
 def continue_to_one(assoc: AssociatedSeries, config: SchemeConfig) -> ContinuationState:

@@ -195,3 +195,27 @@ def reference_converged_count(coeffs, step, alpha, digits):
                 return count
             count += 1
         return count
+
+
+def reference_continue(assoc, config):
+    """The step loop with full-length steps: every step is a full
+    recenter_step, truncated afterwards to its converged block (or kept whole
+    when nothing converged) unless it is the last."""
+    from decimal import Decimal
+
+    from asymser import ContinuationState, StepRecord, recenter_step, to_decimal
+
+    coeffs = tuple(to_decimal(c, config.digits) for c in assoc.coeffs[: config.m])
+    state = ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
+    records = []
+    for i in range(config.steps):
+        state = recenter_step(state, config.step, config.alpha, config.digits)
+        if i < config.steps - 1:
+            keep = state.converged_count if state.converged_count >= 1 else len(state.coeffs)
+            state = ContinuationState(
+                center=state.center,
+                coeffs=state.coeffs[:keep],
+                converged_count=min(state.converged_count, keep),
+            )
+        records.append(StepRecord(state.center, len(state.coeffs), state.converged_count))
+    return state, records

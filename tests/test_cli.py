@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from asymser import arctan_assoc_coeff, arctan_coeffs, save_coeffs
+from asymser import arctan_assoc_coeff, arctan_coeffs, continuation, save_coeffs
+from asymser import cli
 from asymser.cli import main
 
 F = Fraction
@@ -202,7 +203,74 @@ class TestSweepCommand:
         assert rows[0]["status"] == "converged"
 
 
+class TestSweepGrouping:
+    """Alphas of one (m, dx) pair share a task and its first step; the rows
+    must be those of separate one-alpha sweeps."""
+
+    ALPHAS = ["0.001", "0.01", "0.1", "0.5"]
+
+    def sweep(self, tmp_path, name, alphas, jobs, m="98,201", dx="0.125,0.25,0.5"):
+        out = tmp_path / name
+        assert main(["sweep", "--input", "arctan", "--m", m, "--dx", dx,
+                     "--alpha", ",".join(alphas), "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+        return read_csv(out)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_equals_one_alpha_sweeps(self, tmp_path, jobs):
+        grid = self.sweep(tmp_path, "grid.csv", self.ALPHAS, jobs)
+        single = [self.sweep(tmp_path, f"a{i}.csv", [a], jobs)
+                  for i, a in enumerate(self.ALPHAS)]
+        # every pair's rows in alpha order, as the grid lists them
+        merged = [row for pair in zip(*single) for row in pair]
+        assert [(r["m"], r["dx"], r["alpha"]) for r in grid] == [
+            (m, dx, a) for m in ("98", "201") for dx in ("0.125", "0.25", "0.5")
+            for a in self.ALPHAS
+        ]
+        assert grid == merged
+
+    def test_arithmetic_error_spoils_only_its_cell(self, tmp_path, monkeypatch):
+        alphas = ["0.01", "0.1", "0.5"]
+        clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
+        recenter = continuation.recenter_step
+
+        def failing(state, step, alpha, *args, **kwargs):
+            if state.center == Decimal("0.25") and Decimal(alpha) == Decimal("0.1"):
+                raise ArithmeticError("injected in the second step")
+            return recenter(state, step, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(continuation, "recenter_step", failing)
+        rows = self.sweep(tmp_path, "spoilt.csv", alphas, 1, m="98", dx="0.25,0.5")
+        assert len(rows) == len(clean) == 6
+        for got, want in zip(rows, clean):
+            if (got["dx"], got["alpha"]) == ("0.25", "0.1"):
+                assert got["status"] == "error:ArithmeticError"
+                assert want["status"] != got["status"]
+            else:
+                assert got == want
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "dx, alpha, code, message",
+        [
+            ("0.25,0.3", "0.1", 4, "error: 1/step = 10/3 is not an integer"),
+            ("0.25", "0.1,0", 3, "error: alpha must be positive"),
+            ("0.25", "nan", 3, "error: alpha must be a number"),
+            ("inf", "0.1", 4, "error: step Infinity is not finite"),
+        ],
+    )
+    def test_sweep_grid_checked_up_front(self, monkeypatch, capsys, jobs, dx, alpha,
+                                         code, message):
+        started = []
+        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
+        assert main(["sweep", "--input", "arctan", "--m", "30", "--dx", dx,
+                     "--alpha", alpha, "--jobs", jobs]) == code
+        assert capsys.readouterr().err.strip() == message
+        assert started == []
+
     def test_usage_error(self):
         assert main([]) == 2
         assert main(["continue"]) == 2  # missing required --input

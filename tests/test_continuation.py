@@ -21,7 +21,8 @@ from asymser import (
     recenter_step,
     to_decimal,
 )
-from helpers import exact_recenter, reference_converged_count
+from asymser.continuation import shared_first_step
+from helpers import exact_recenter, reference_continue, reference_converged_count
 
 D = Decimal
 F = Fraction
@@ -51,6 +52,13 @@ class TestSchemeConfig:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             SchemeConfig(m=10, step="0.25", alpha="0")
+
+    def test_non_finite_rejected(self):
+        for step in ("NaN", "Infinity"):
+            with pytest.raises(NonIntegralPathError):
+                SchemeConfig(m=10, step=step, alpha="0.1")
+        with pytest.raises(ValueError):
+            SchemeConfig(m=10, step="0.25", alpha="NaN")
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
@@ -220,6 +228,79 @@ class TestContinueToOne:
         a = continue_to_one(assoc, config)
         b = continue_to_one(assoc, config)
         assert a == b
+
+
+def run_key(state, records):
+    """Everything a continuation reports, down to each coefficient's digits
+    and exponent."""
+    return (
+        [c.as_tuple() for c in state.coeffs],
+        str(state.center),
+        state.converged_count,
+        [(str(r.center), r.carried, r.converged_count) for r in records],
+    )
+
+
+class TestPrefixOnlyContinuation:
+    """Steps that compute only the carried block, alone or from a first step
+    shared across alphas, must equal full-length steps truncated afterwards."""
+
+    # 1e-300 converges nothing on the first step, so the whole vector is kept
+    ALPHAS = ("1e-300", "1e-6", "0.1")
+
+    @pytest.mark.parametrize("m", [120, 301])
+    @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
+    def test_arctan_prefix(self, arctan_assoc_701, m, step):
+        configs = [SchemeConfig(m=m, step=step, alpha=a) for a in self.ALPHAS]
+        first_sums = shared_first_step(arctan_assoc_701, configs)
+        for config in configs:
+            want = run_key(*reference_continue(arctan_assoc_701, config))
+            assert run_key(*continue_to_one_with_steps(arctan_assoc_701, config)) == want
+            shared = continue_to_one_with_steps(
+                arctan_assoc_701, config, _first_sums=first_sums
+            )
+            assert run_key(*shared) == want
+        # the shared sums reach the longest carried block, here the whole vector
+        assert len(first_sums) == m
+
+    def test_first_step_keeps_everything_when_nothing_converges(self, arctan_assoc_701):
+        config = SchemeConfig(m=120, step="0.25", alpha="1e-300")
+        _, records = continue_to_one_with_steps(arctan_assoc_701, config)
+        assert (records[0].carried, records[0].converged_count) == (120, 0)
+
+    def test_shared_sums_stop_at_the_largest_block(self, arctan_assoc_701):
+        configs = [SchemeConfig(m=301, step="0.25", alpha=a) for a in ("0.01", "0.1")]
+        first_sums = shared_first_step(arctan_assoc_701, configs)
+        _, records = continue_to_one_with_steps(arctan_assoc_701, configs[1])
+        assert len(first_sums) == records[0].carried < 301
+        with pytest.raises(ValueError):
+            shared_first_step(
+                arctan_assoc_701, configs + [SchemeConfig(m=301, step="0.5", alpha="0.1")]
+            )
+
+    def test_random_vectors_and_alpha_sets(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            values = [
+                "0" if rng.random() < 0.25
+                else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-30, 5)}"
+                for _ in range(rng.randint(1, 40))
+            ]
+            assoc = AssociatedSeries(coeffs=tuple(D(v) for v in values))
+            step = rng.choice(["0.125", "0.25", "0.5", "1"])
+            alphas = rng.sample(["1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
+            configs = [SchemeConfig(m=len(values), step=step, alpha=a) for a in alphas]
+            first_sums = shared_first_step(assoc, configs)
+            for config in configs:
+                shared = continue_to_one_with_steps(assoc, config, _first_sums=first_sums)
+                assert run_key(*shared) == run_key(*reference_continue(assoc, config))
+
+    def test_higher_precision(self, arctan_assoc_701):
+        for alpha in ("1e-300", "1e-12"):
+            config = SchemeConfig(m=301, step="0.25", alpha=alpha, digits=38)
+            assert run_key(*continue_to_one_with_steps(arctan_assoc_701, config)) == run_key(
+                *reference_continue(arctan_assoc_701, config)
+            )
 
 
 class TestExtractShifted:
