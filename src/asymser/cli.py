@@ -21,6 +21,7 @@ from .continuation import (
     NonIntegralPathError,
     SchemeConfig,
     ShiftedExpansion,
+    _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
     shared_first_step,
@@ -316,14 +317,24 @@ def _as_str_list(value) -> list[str]:
     return [p for p in str(value).split(",") if p]
 
 
+def _decimal_list(value, what) -> list[str]:
+    """The distinct numbers of a comma list in ascending order.  A NaN,
+    which cannot be compared, goes last for SchemeConfig to reject."""
+    def nan_last(text):
+        d = Decimal(text)
+        return (True, 0) if d.is_nan() else (False, d)
+
+    return sorted({str(_exact_decimal(v, what)) for v in _as_str_list(value)}, key=nan_last)
+
+
 def cmd_sweep(args) -> int:
     merged = _merge_config(
         args, {"m": None, "dx": None, "alpha": None, "digits": DEFAULT_DIGITS, "jobs": 1}
     )
     _require(merged, ["m", "dx", "alpha"])
     m_list = sorted({int(v) for v in _as_str_list(merged["m"])})
-    dx_list = sorted({str(Decimal(v)) for v in _as_str_list(merged["dx"])}, key=Decimal)
-    alpha_list = sorted({str(Decimal(v)) for v in _as_str_list(merged["alpha"])}, key=Decimal)
+    dx_list = _decimal_list(merged["dx"], "step")
+    alpha_list = _decimal_list(merged["alpha"], "alpha")
     digits = int(merged["digits"])
     jobs = int(merged["jobs"])
     # every cell's parameters are checked before any work starts
@@ -344,8 +355,10 @@ def cmd_sweep(args) -> int:
         (AssociatedSeries(coeffs[: group[0].m]), group, with_reference)
         for group in (configs[i : i + per_pair] for i in range(0, len(configs), per_pair))
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # with fork, the pool starts all its workers at once: start no idle ones
+    workers = min(jobs, len(pairs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             row_groups = list(pool.map(_run_pair, pairs))
     else:
         row_groups = [_run_pair(pair) for pair in pairs]

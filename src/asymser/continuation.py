@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Union
@@ -99,7 +99,10 @@ def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
             raise exc(f"{what} {value} has no terminating decimal representation")
         # num/den == num * 5**two * 2**five / 10**(two+five), exactly
         return Decimal(num * 5**two * 2**five).scaleb(-(two + five))
-    return Decimal(value)
+    try:
+        return Decimal(value)
+    except InvalidOperation:
+        raise ValueError(f"{what} {value!r} is not a number") from None
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,8 @@ def direct_trace(
     ms = list(m_values)
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("m_values must be strictly increasing")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol {tol} is not finite")
     partials = []
     for m in ms:
         if k == 0:

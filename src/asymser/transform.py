@@ -15,8 +15,12 @@ point of the whole pipeline.
 
 One integer kernel, :func:`binomial_transform`, serves the companion
 transform, its inverse (the same sum with alternating signs) and both
-shifted/plain conversions in :mod:`asymser.conversion`.  Fraction input
-stays exact.  Decimal results are the exact transform of the given decimals,
+shifted/plain conversions in :mod:`asymser.conversion`.  By the identity
+C(n-1, s-1) = (s/n) * C(n, s) it sums the index-weighted coefficients
+s * c_s, whose common denominator is far smaller than that of the c_s when
+denominators divide the index (for arctan, 1 instead of an lcm of about
+1.44*m bits), so the m**2/2 integer additions carry far smaller integers.  Fraction input stays
+exact.  Decimal results are the exact transform of the given decimals,
 rounded once in the ambient decimal context; the rounding already in the
 input is still amplified by the sum of absolute terms (about 2**(n-1)/n for
 the arctan companion), so a 19-digit arctan prefix gives garbage past
@@ -81,6 +85,20 @@ class RadiusEstimate:
     limit_guess: Optional[float] = None
 
 
+def _integer_ratios(values) -> tuple[list, bool]:
+    """(numerator, denominator) of each value in lowest terms, and whether
+    any value is a Decimal; floats are rejected."""
+    if any(isinstance(c, float) for c in values):
+        raise TypeError("pass exact values (int, Fraction, Decimal), not float")
+    decimal = any(isinstance(c, Decimal) for c in values)
+    return [c.as_integer_ratio() for c in values], decimal
+
+
+def _over_common_denominator(ratios) -> tuple[list, int]:
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
 def scale_to_integers(values) -> tuple[list, int, bool]:
     """Numerators of `values` over their least common denominator.
 
@@ -89,12 +107,8 @@ def scale_to_integers(values) -> tuple[list, int, bool]:
     should come back as Decimals (see :func:`exact_quotient`).  Floats are
     rejected: binary artifacts must not enter the exact kernels.
     """
-    if any(isinstance(c, float) for c in values):
-        raise TypeError("pass exact values (int, Fraction, Decimal), not float")
-    ratios = [c.as_integer_ratio() for c in values]
-    den = math.lcm(*(d for _, d in ratios))
-    decimal = any(isinstance(c, Decimal) for c in values)
-    return [n * (den // d) for n, d in ratios], den, decimal
+    ratios, decimal = _integer_ratios(values)
+    return (*_over_common_denominator(ratios), decimal)
 
 
 def exact_quotient(num: int, den: int, decimal: bool):
@@ -111,21 +125,40 @@ def binomial_transform(coeffs, alternating: bool = False) -> tuple:
         out_n = sum_{s=1..n} C(n-1, s-1) * c_s                 (plain)
         out_n = sum_{s=1..n} (-1)**(n-s) * C(n-1, s-1) * c_s   (alternating)
 
-    The two are inverse to each other.  Every input is scaled to an integer
-    over one common denominator and the sums are built as a Pascal triangle
-    of integer additions (differences when alternating): row 0 holds
-    c_1..c_m, each next row pairs neighbours, and out_n is the head of row
-    n-1.  Exact input gives exact Fractions.  Input containing a Decimal
-    gives Decimals, each the exact transform of the given decimals rounded
-    once in the ambient context.  Floats are rejected.
+    The two are inverse to each other.  Since C(n-1, s-1) = (s/n) * C(n, s),
+
+        out_n = (1/n) * sum_{s=1..n} (+-1)**(n-s) * C(n, s) * d_s,
+
+    a plain binomial sum of the index-weighted coefficients d_s = s * c_s.
+    The d_s are scaled to integers over their least common denominator and
+    the sums are built as a Pascal triangle of integer additions
+    (differences when alternating): row 0 holds d_0 = 0, d_1, ..., each next
+    row pairs neighbours, and out_n is the head of row n divided by n times
+    that denominator.
+
+    The weighting is what keeps the integers small: coefficients whose
+    denominators divide their index, such as the arctangent's +-1/s or its
+    companion's +-2**(s//2)/s, become integers, so the common denominator
+    drops from the lcm of the odd numbers below m, about 1.44*m bits, to 1,
+    and every addition of the triangle carries that many fewer bits.
+    Denominators that share nothing with the index gain nothing and cost at
+    most log2(m) bits.
+
+    Exact input gives exact Fractions.  Input containing a Decimal gives
+    Decimals, each the exact transform of the given decimals rounded once in
+    the ambient context.  Floats are rejected.
     """
-    row, den, decimal = scale_to_integers(coeffs)
-    out, row = row[:1], row[1:]
+    ratios, decimal = _integer_ratios(coeffs)
+    # s * n/d in lowest terms is n * (s/g) / (d/g) with g = gcd(s, d)
+    weighted = [(n * (s // g), d // g) for s, (n, d) in enumerate(ratios)
+                for g in (math.gcd(s, d),)]
+    row, den = _over_common_denominator(weighted)
+    out = [exact_quotient(*ratios[0], decimal)]
     pair = operator.sub if alternating else operator.add
-    while row:
-        out.append(row[0])
+    for n in range(1, len(row)):
         row = list(map(pair, row[1:], row))
-    return tuple(exact_quotient(n, den, decimal) for n in out)
+        out.append(exact_quotient(row[0], n * den, decimal))
+    return tuple(out)
 
 
 def associated(series: TaylorSeries) -> AssociatedSeries:

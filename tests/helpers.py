@@ -75,6 +75,21 @@ def random_fraction_vector(rng: random.Random, length: int, bound: int = 50):
     )
 
 
+def reference_binomial_transform(coeffs, alternating=False):
+    """out_0 = c_0, out_n = sum_{s=1..n} (+-1)**(n-s) * C(n-1, s-1) * c_s in
+    exact rationals, term by term with math.comb (no integer scaling, no
+    index weighting, no Pascal triangle)."""
+    import math
+
+    c = [Fraction(x) for x in coeffs]
+    sign = -1 if alternating else 1
+    return [c[0]] + [
+        sum((sign ** (n - s) * math.comb(n - 1, s - 1) * c[s] for s in range(1, n + 1)),
+            Fraction(0))
+        for n in range(1, len(c))
+    ]
+
+
 # The paper's proof identities, each evaluated by direct summation so the
 # tests can check them against closed forms and against the library sums.
 

@@ -203,6 +203,38 @@ class TestSweepCommand:
         assert rows[0]["status"] == "converged"
 
 
+class TestSweepPool:
+    @pytest.mark.parametrize(
+        "dx, jobs, started_with",
+        [("0.25,0.5", "2", [2]), ("0.25,0.5", "64", [4]), ("0.25", "64", [2])],
+    )
+    def test_pool_capped_at_task_count(self, tmp_path, monkeypatch, dx, jobs, started_with):
+        grid = ["sweep", "--input", "arctan", "--m", "22,26", "--dx", dx,
+                "--alpha", "0.01,0.1"]  # one task per (m, dx) pair
+        serial = tmp_path / "serial.csv"
+        assert main(grid + ["--jobs", "1", "--out", str(serial)]) == 0
+        started = []
+
+        class RecordingPool:  # runs the tasks in-process, starts no worker
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "pooled.csv"
+        assert main(grid + ["--jobs", jobs, "--out", str(out)]) == 0
+        assert started == started_with
+        assert out.read_text() == serial.read_text()
+
+
 class TestSweepGrouping:
     """Alphas of one (m, dx) pair share a task and its first step; the rows
     must be those of separate one-alpha sweeps."""
@@ -259,6 +291,9 @@ class TestExitCodes:
             ("0.25", "0.1,0", 3, "error: alpha must be positive"),
             ("0.25", "nan", 3, "error: alpha must be a number"),
             ("inf", "0.1", 4, "error: step Infinity is not finite"),
+            ("zz", "0.1", 3, "error: step 'zz' is not a number"),
+            ("0.25", "0.1,nan", 3, "error: alpha must be a number"),
+            ("0.25,nan", "0.1", 4, "error: step NaN is not finite"),
         ],
     )
     def test_sweep_grid_checked_up_front(self, monkeypatch, capsys, jobs, dx, alpha,
@@ -270,6 +305,22 @@ class TestExitCodes:
                      "--alpha", alpha, "--jobs", jobs]) == code
         assert capsys.readouterr().err.strip() == message
         assert started == []
+
+    @pytest.mark.parametrize(
+        "dx, alpha, message",
+        [("abc", "0.1", "error: step 'abc' is not a number"),
+         ("0.25", "xyz", "error: alpha 'xyz' is not a number")],
+    )
+    def test_non_numeric_continue_parameters_exit_3(self, capsys, dx, alpha, message):
+        assert main(["continue", "--input", "arctan", "--m", "20", "--dx", dx,
+                     "--alpha", alpha]) == 3
+        assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_direct_tolerance_exits_3(self, capsys, tol):
+        assert main(["direct", "--input", "pole:2", "--k", "0",
+                     "--schedule", "5..10", "--tol", tol]) == 3
+        assert capsys.readouterr().err.strip() == f"error: tol {tol} is not finite"
 
     def test_usage_error(self):
         assert main([]) == 2

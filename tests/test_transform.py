@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,15 +14,22 @@ from asymser import (
     PlainExpansion,
     ShiftedExpansion,
     TaylorSeries,
+    arctan_assoc_coeff,
     arctan_coeffs,
     associated,
     associated_inverse,
+    build_series,
     estimate_radius,
+    parse_generator,
     plain_to_shifted,
     shifted_to_plain,
     to_decimal,
 )
-from helpers import compose_with_geom_map, random_fraction_vector
+from helpers import (
+    compose_with_geom_map,
+    random_fraction_vector,
+    reference_binomial_transform,
+)
 
 F = Fraction
 D = Decimal
@@ -121,6 +129,72 @@ FOUR_MAPS = {
 }
 
 
+ALTERNATING_MAPS = {"associated_inverse", "shifted_to_plain"}
+
+
+def _valuation(n, p):
+    """The exponent of the prime p in n >= 1 (0 for n = 0)."""
+    k = 0
+    while n and n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _random_with_zeros(seed, length, c0):
+    rng = random.Random(seed)
+    return (c0,) + tuple(
+        F(rng.randint(-99, 99), rng.randint(1, 99)) if rng.random() < 0.6 else F(0)
+        for _ in range(length - 1)
+    )
+
+
+# Inputs for the oracle check, each built once.  In the first three every
+# denominator divides its index (arctan, log(1+x)) or shares factors with it
+# (1/s**2); in the rest the index weighting gains little or nothing:
+# gcd(6s+1, s) = 1, the pole's denominators are powers of 3, and the random
+# denominators mostly miss the index.
+ORACLE_INPUTS = {
+    "arctan_401": lambda: arctan_coeffs(401).coeffs,
+    "log1p_201": lambda: (F(0),) + tuple(F((-1) ** (s + 1), s) for s in range(1, 201)),
+    "inverse_squares_201": lambda: (F(0),) + tuple(F(1, s * s) for s in range(1, 201)),
+    "one_over_6s_plus_1_201": lambda: (F(1),) + tuple(F(1, 6 * s + 1) for s in range(1, 201)),
+    "pole_3_2_120": lambda: build_series(parse_generator("pole:3/2", 120, 19)).coeffs,
+    "random_zeros_c0_60": lambda: _random_with_zeros(1, 60, F(-7, 3)),
+    "random_zeros_no_c0_60": lambda: _random_with_zeros(2, 60, F(0)),
+    "length_1": lambda: (F(3, 7),),
+    "length_2": lambda: (F(-5, 6), F(7, 4)),
+}
+
+
+@functools.cache
+def oracle_case(case, alternating):
+    vec = ORACLE_INPUTS[case]()
+    return vec, reference_binomial_transform(vec, alternating)
+
+
+class TestKernelOracle:
+    """The four maps against the term-by-term Fraction sum, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
+    @pytest.mark.parametrize("case", list(ORACLE_INPUTS))
+    def test_matches_term_by_term_sum(self, case, name):
+        vec, want = oracle_case(case, name in ALTERNATING_MAPS)
+        got = FOUR_MAPS[name](vec)
+        assert all(type(g) is Fraction for g in got)
+        assert list(got) == want
+
+    def test_arctan_oracle_is_the_companion_closed_form(self):
+        _, want = oracle_case("arctan_401", False)
+        assert want == [arctan_assoc_coeff(n) for n in range(401)]
+
+    def test_companion_closed_form_inverts_to_arctan(self):
+        w = tuple(arctan_assoc_coeff(n) for n in range(401))
+        got = associated_inverse(AssociatedSeries(coeffs=w))
+        assert list(got) == reference_binomial_transform(w, alternating=True)
+        assert got == arctan_coeffs(401).coeffs
+
+
 class TestKernelContract:
     @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
     def test_decimal_result_is_exact_transform_rounded_once(self, name):
@@ -133,6 +207,27 @@ class TestKernelContract:
             got = apply(prefix)
         assert all(type(g) is Decimal for g in got)
         assert got == expected
+
+    @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
+    def test_index_divisible_decimals_rounded_once(self, name):
+        # c_s = N_s / (the 2- and 5-part of s): exact decimals of at most 19
+        # digits whose denominators divide their index, so every s * c_s is
+        # an integer
+        rng = random.Random(11)
+        prefix = tuple(
+            D(rng.randint(-10**12, 10**12))
+            / (2 ** _valuation(s, 2) * 5 ** _valuation(s, 5))
+            for s in range(60)
+        )
+        assert all(len(d.as_tuple().digits) <= 19 for d in prefix)
+        exact = reference_binomial_transform(prefix, name in ALTERNATING_MAPS)
+        expected = tuple(to_decimal(w, 19) for w in exact)
+        with localcontext() as ctx:
+            ctx.prec = 19
+            got = FOUR_MAPS[name](prefix)
+        assert all(type(g) is Decimal for g in got)
+        assert got == expected
+        assert [g.as_tuple() for g in got] == [e.as_tuple() for e in expected]
 
     @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
     def test_vanishing_decimal_sums_stay_decimal(self, name):
