@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -51,6 +50,14 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """A concurrent.futures.ProcessPoolExecutor.  It is imported here, so
+    that only a sweep that starts a pool pays for importing multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
 
 
 def _open_out(path):
@@ -318,13 +325,19 @@ def _as_str_list(value) -> list[str]:
 
 
 def _decimal_list(value, what) -> list[str]:
-    """The distinct numbers of a comma list in ascending order.  A NaN,
-    which cannot be compared, goes last for SchemeConfig to reject."""
+    """The distinct numbers of a comma list in ascending order, each in the
+    first spelling given.  A NaN, which cannot be compared, goes last for
+    SchemeConfig to reject."""
     def nan_last(text):
         d = Decimal(text)
         return (True, 0) if d.is_nan() else (False, d)
 
-    return sorted({str(_exact_decimal(v, what)) for v in _as_str_list(value)}, key=nan_last)
+    first = {}
+    for text in _as_str_list(value):
+        d = _exact_decimal(text, what)
+        # a NaN equals nothing (and a signalling one cannot be hashed): key it by its text
+        first.setdefault(str(d) if d.is_nan() else d, str(d))
+    return sorted(first.values(), key=nan_last)
 
 
 def cmd_sweep(args) -> int:

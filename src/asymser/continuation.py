@@ -31,17 +31,15 @@ Continuations that differ only in alpha share their first step: see
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Union
 
-from .transform import AssociatedSeries, scale_to_integers
+from .transform import AssociatedSeries, Value, scale_to_integers
 
 DEFAULT_DIGITS = 19
 
-CoeffLike = Union[int, str, Fraction, Decimal]
+CoeffLike = int | str | Fraction | Decimal
 
 
 class EmptyStateError(ValueError):
@@ -105,8 +103,7 @@ def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
         raise ValueError(f"{what} {value!r} is not a number") from None
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(Value):
     """Parameters of one continuation run.
 
     m       -- how many leading companion coefficients to feed in
@@ -116,73 +113,57 @@ class SchemeConfig:
     digits  -- significant decimal digits kept between steps
     """
 
-    m: int
-    step: Decimal
-    alpha: Decimal
-    digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "step", _exact_decimal(self.step, "step", NonIntegralPathError)
-        )
-        object.__setattr__(self, "alpha", _exact_decimal(self.alpha, "alpha"))
-        if self.m < 1:
+    def __init__(self, m: int, step: CoeffLike, alpha: CoeffLike, digits: int = DEFAULT_DIGITS):
+        step = _exact_decimal(step, "step", NonIntegralPathError)
+        alpha = _exact_decimal(alpha, "alpha")
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.digits < 1:
+        if digits < 1:
             raise ValueError("digits must be >= 1")
-        if not self.step.is_finite():
-            raise NonIntegralPathError(f"step {self.step} is not finite")
-        if self.alpha.is_nan():
+        if not step.is_finite():
+            raise NonIntegralPathError(f"step {step} is not finite")
+        if alpha.is_nan():
             raise ValueError("alpha must be a number")
-        if self.step <= 0:
+        if step <= 0:
             raise NonIntegralPathError("step must be positive")
-        if self.alpha <= 0:
+        if alpha <= 0:
             raise ValueError("alpha must be positive")
-        inv = Fraction(1) / Fraction(self.step)
+        inv = Fraction(1) / Fraction(step)
         if inv.denominator != 1:
             raise NonIntegralPathError(f"1/step = {inv} is not an integer")
+        self._set(m=m, step=step, alpha=alpha, digits=digits)
 
     @property
     def steps(self) -> int:
         return int(Fraction(1) / Fraction(self.step))
 
 
-@dataclass(frozen=True)
-class ContinuationState:
+class ContinuationState(Value):
     """Coefficient vector of u at some center, with convergence bookkeeping.
 
     converged_count is the length of the leading block whose recentering sums
     settled below alpha (rather than simply running out of coefficients).
     """
 
-    center: Decimal
-    coeffs: tuple
-    converged_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not 0 <= self.converged_count <= len(self.coeffs):
+    def __init__(self, center: Decimal, coeffs, converged_count: int):
+        coeffs = tuple(coeffs)
+        if not 0 <= converged_count <= len(coeffs):
             raise ValueError("converged_count out of range")
+        self._set(center=center, coeffs=coeffs, converged_count=converged_count)
 
 
-@dataclass(frozen=True)
-class ShiftedExpansion:
+class ShiftedExpansion(Value):
     """Coefficients of the expansion of f in powers of 1/(x - center + 1)."""
 
-    coeffs: tuple
-    center: object = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs, center=0):
+        self._set(coeffs=tuple(coeffs), center=center)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Value):
     """Per-step diagnostics: new center, carried length, converged count."""
 
-    center: Decimal
-    carried: int
-    converged_count: int
+    def __init__(self, center: Decimal, carried: int, converged_count: int):
+        self._set(center=center, carried=carried, converged_count=converged_count)
 
 
 def recenter_step(

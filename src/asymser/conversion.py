@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .continuation import ShiftedExpansion
 from .transform import (
     TaylorSeries,
+    Value,
     binomial_transform,
     exact_quotient,
     scale_to_integers,
@@ -50,24 +50,19 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class PlainExpansion:
+class PlainExpansion(Value):
     """Coefficients of the expansion of f in powers of 1/(x - center)."""
 
-    coeffs: tuple
-    center: object = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs, center=0):
+        self._set(coeffs=tuple(coeffs), center=center)
 
 
-@dataclass(frozen=True)
-class DirectSumTrace:
+class DirectSumTrace(Value):
     """Partial sums of one shifted coefficient over increasing m."""
 
-    k: int
-    partials: tuple = field(default_factory=tuple)  # (m, value) pairs
-    limit_guess: Optional[object] = None
+    def __init__(self, k: int, partials: tuple = (), limit_guess: object | None = None):
+        # partials holds (m, value) pairs
+        self._set(k=k, partials=partials, limit_guess=limit_guess)
 
     @property
     def converged(self) -> bool:
@@ -168,6 +163,8 @@ def direct_trace(
     limit_guess is the last partial when the final three partials agree per
     :func:`tail_agreement`; otherwise None ("not converged").
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     ms = list(m_values)
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("m_values must be strictly increasing")

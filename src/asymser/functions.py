@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import os
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Union
 
 from .continuation import DEFAULT_DIGITS, to_decimal
-from .transform import TaylorSeries
+from .transform import TaylorSeries, Value
 
 
 class DegeneratePoleError(ValueError):
@@ -29,27 +27,28 @@ class CoefficientParseError(ValueError):
     """Malformed coefficient file."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """What to generate: a builtin function or a coefficient file.
 
     kind is one of "arctan", "pole" (f = 1/(pole + x)), "altgeom"
     (f = 1/(1 + x)) or "file".
     """
 
-    kind: str
-    count: int
-    pole: Optional[Fraction] = None
-    path: Optional[str] = None
-    digits: int = DEFAULT_DIGITS
-
-    def __post_init__(self):
-        if self.kind not in ("arctan", "pole", "altgeom", "file"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.count < 1:
+    def __init__(
+        self,
+        kind: str,
+        count: int,
+        pole: Fraction | None = None,
+        path: str | None = None,
+        digits: int = DEFAULT_DIGITS,
+    ):
+        if kind not in ("arctan", "pole", "altgeom", "file"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if count < 1:
             raise ValueError("count must be >= 1")
-        if self.kind == "pole" and self.pole == 0:
+        if kind == "pole" and pole == 0:
             raise DegeneratePoleError("pole parameter must be nonzero")
+        self._set(kind=kind, count=count, pole=pole, path=path, digits=digits)
 
 
 def arctan_coeffs(count: int) -> TaylorSeries:
@@ -76,7 +75,7 @@ def arctan_assoc_coeff(n: int) -> Fraction:
     return Fraction((-1) ** (n // 4) * 2 ** (n // 2), n)
 
 
-def pole_coeffs(a: Union[int, Fraction], count: int) -> TaylorSeries:
+def pole_coeffs(a: int | Fraction, count: int) -> TaylorSeries:
     """Taylor coefficients of f = 1/(a + x) at 0: c_n = (-1)**n / a**(n+1)."""
     a = Fraction(a)
     if a == 0:
@@ -128,8 +127,8 @@ def parse_generator(text: str, count: int, digits: int = DEFAULT_DIGITS) -> Gene
 
 
 def load_coeffs(
-    path: Union[str, Path],
-    fmt: Optional[str] = None,
+    path: str | os.PathLike,
+    fmt: str | None = None,
     digits: int = DEFAULT_DIGITS,
 ) -> TaylorSeries:
     """Load coefficients from a CSV (exact rationals) or JSON (decimals) file.
@@ -137,10 +136,11 @@ def load_coeffs(
     Format is inferred from the extension when not given.  CSV rows must be
     indexed 0, 1, 2, ... in order.
     """
-    path = Path(path)
+    path = os.fspath(path)
     if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    text = path.read_text()
+        fmt = "json" if os.path.splitext(path)[1].lower() == ".json" else "csv"
+    with open(path) as fh:
+        text = fh.read()
     if fmt == "csv":
         coeffs = []
         reader = csv.DictReader(text.splitlines())
@@ -185,13 +185,14 @@ def load_coeffs(
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def save_coeffs(series: TaylorSeries, path: Union[str, Path], fmt: Optional[str] = None) -> None:
+def save_coeffs(series: TaylorSeries, path: str | os.PathLike, fmt: str | None = None) -> None:
     """Write coefficients to CSV (Fraction series) or JSON (Decimal series)."""
-    path = Path(path)
+    path = os.fspath(path)
     if fmt is None:
-        if path.suffix.lower() == ".json":
+        suffix = os.path.splitext(path)[1].lower()
+        if suffix == ".json":
             fmt = "json"
-        elif path.suffix.lower() == ".csv":
+        elif suffix == ".csv":
             fmt = "csv"
         else:
             fmt = "csv" if isinstance(series.coeffs[0], (Fraction, int)) else "json"

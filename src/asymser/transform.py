@@ -25,54 +25,85 @@ rounded once in the ambient decimal context; the rounding already in the
 input is still amplified by the sum of absolute terms (about 2**(n-1)/n for
 the arctan companion), so a 19-digit arctan prefix gives garbage past
 n ~ 120.
+
+The module also holds :class:`Value`, the base of every result and
+parameter type of the package: a plain class whose fields compare, hash and
+print as a tuple and cannot be reassigned.  It gives what frozen dataclasses
+would, without importing :mod:`dataclasses` (and :mod:`inspect`) on every
+start of the command line.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
 
 
 class DegenerateRatiosError(ValueError):
     """Every candidate coefficient pair for the ratio test hit a zero."""
 
 
-@dataclass(frozen=True)
-class TaylorSeries:
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass validates its arguments in __init__ and stores its fields
+    with :meth:`_set`, in the order its repr lists them.  Two instances are
+    equal when they are of the same class with equal fields; an instance
+    hashes and prints as its fields, and raises AttributeError on assignment
+    or deletion.  The fields live in the instance __dict__, so pickling and
+    copying work as for any plain object.
+    """
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return tuple(self.__dict__.values()) == tuple(other.__dict__.values())
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TaylorSeries(Value):
     """Finite prefix of Taylor coefficients c_0..c_m around a real center."""
 
-    coeffs: tuple
-    center: object = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs, center=0):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least one coefficient")
+        self._set(coeffs=coeffs, center=center)
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class AssociatedSeries:
+class AssociatedSeries(Value):
     """Coefficients of the companion function u around 0."""
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least one coefficient")
+        self._set(coeffs=coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(Value):
     """Lagged ratio-test estimates of a convergence radius.
 
     values[i] is (|w_n| / |w_{n+lag}|)**(1/lag) for the i-th index n where
@@ -80,9 +111,8 @@ class RadiusEstimate:
     final estimates have stabilised, None when they still oscillate.
     """
 
-    lag: int
-    values: tuple = field(default_factory=tuple)
-    limit_guess: Optional[float] = None
+    def __init__(self, lag: int, values: tuple = (), limit_guess: float | None = None):
+        self._set(lag=lag, values=values, limit_guess=limit_guess)
 
 
 def _integer_ratios(values) -> tuple[list, bool]:

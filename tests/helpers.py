@@ -6,8 +6,11 @@ agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from asymser import binom
 
@@ -234,3 +237,22 @@ def reference_continue(assoc, config):
             )
         records.append(StepRecord(state.center, len(state.coeffs), state.converged_count))
     return state, records
+
+
+def assert_value_contract(value, same, other, text):
+    """The contract of the package's value types.  `same` is the value built
+    another way (keywords, explicit defaults) and must equal `value`; `other`
+    differs in its class or in a field; `text` is the repr of `value`."""
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other and other != value and not value == other
+    assert repr(value) == repr(same) == text
+    for name in (*vars(value), "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for name in list(vars(value)):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == same and repr(value) == text  # unchanged by the attempts
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value and repr(back) == text

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from asymser import cli
 from asymser.cli import main
 
 F = Fraction
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def read_csv(path):
@@ -193,6 +197,30 @@ class TestSweepCommand:
         assert main(self.GRID + ["--jobs", "2", "--out", str(par)]) == 0
         assert seq.read_text() == par.read_text()
 
+    @pytest.mark.parametrize(
+        "dx, alpha, want",
+        [("0.25,0.250", "0.1", [("0.25", "0.1")]),
+         ("0.250,0.25", "0.10,0.1", [("0.250", "0.10")]),
+         ("0.5,0.25,0.50,0.250", "0.1", [("0.25", "0.1"), ("0.5", "0.1")])],
+    )
+    def test_equal_values_give_one_row_in_first_spelling(self, tmp_path, dx, alpha, want):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--input", "arctan", "--m", "20", "--dx", dx,
+                     "--alpha", alpha, "--out", str(out)]) == 0
+        assert [(r["dx"], r["alpha"]) for r in read_csv(out)] == want
+
+    def test_equal_values_independent_of_hash_seed(self):
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from asymser.cli import main; "
+                "sys.exit(main(['sweep', '--input', 'arctan', '--m', '20', "
+                "'--dx', '0.25,0.250,0.5', '--alpha', '0.1,0.10', '--jobs', '1']))")
+        outputs = [
+            subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": str(seed)}, timeout=120).stdout
+            for seed in range(1, 5)
+        ]
+        assert outputs[0].count(b"\n") == 3  # header, dx 0.25 and dx 0.5
+        assert outputs == [outputs[0]] * 4
+
     def test_non_arctan_input_has_no_reference_errors(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--input", "pole:2", "--m", "30", "--dx", "0.25",
@@ -322,6 +350,11 @@ class TestExitCodes:
                      "--schedule", "5..10", "--tol", tol]) == 3
         assert capsys.readouterr().err.strip() == f"error: tol {tol} is not finite"
 
+    def test_negative_direct_index_exits_3(self, capsys):
+        assert main(["direct", "--input", "pole:2", "--k", "-1",
+                     "--schedule", "5..10"]) == 3
+        assert capsys.readouterr().err.strip() == "error: k must be >= 0"
+
     def test_usage_error(self):
         assert main([]) == 2
         assert main(["continue"]) == 2  # missing required --input
@@ -337,3 +370,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert main(["continue", "--input", f"file:{src}", "--m", "4", "--dx", "0.25",
                      "--alpha", "0.1", "--out", str(tmp_path / "c.json")]) == 3
+
+
+class TestImportGraph:
+    def test_start_imports_no_pool_and_no_annotation_machinery(self, tmp_path):
+        """A fresh `continue` run loads neither the process pool nor
+        dataclasses, inspect, pathlib or typing."""
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import asymser, asymser.cli
+code = asymser.cli.main(["continue", "--input", "arctan", "--m", "40", "--dx", "0.25",
+                         "--alpha", "0.01", "--count", "1", "--out", sys.argv[2]])
+print(code, *sorted(set(sys.argv[3:]) & set(sys.modules)))
+"""
+        heavy = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+                 "pathlib", "typing"]
+        out = tmp_path / "c.json"
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC, str(out), *heavy],
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert proc.stdout.split() == ["0"]
+        assert json.loads(out.read_text())["converged_count"] >= 1

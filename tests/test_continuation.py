@@ -12,7 +12,10 @@ from asymser import (
     EmptyStateError,
     InsufficientConvergedError,
     NonIntegralPathError,
+    PlainExpansion,
     SchemeConfig,
+    ShiftedExpansion,
+    StepRecord,
     continue_to_one,
     continue_to_one_with_steps,
     extract_shifted,
@@ -22,7 +25,12 @@ from asymser import (
     to_decimal,
 )
 from asymser.continuation import shared_first_step
-from helpers import exact_recenter, reference_continue, reference_converged_count
+from helpers import (
+    assert_value_contract,
+    exact_recenter,
+    reference_continue,
+    reference_converged_count,
+)
 
 D = Decimal
 F = Fraction
@@ -348,3 +356,36 @@ class TestStateInvariants:
 
     def test_to_decimal_rounds_fraction(self):
         assert to_decimal(F(2, 3), 5) == D("0.66667")
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "value, same, other, text",
+        [
+            (SchemeConfig(5, "0.25", "0.1"),
+             SchemeConfig(m=5, step=D("0.25"), alpha=D("0.1"), digits=19),
+             SchemeConfig(5, "0.25", "0.1", 20),
+             "SchemeConfig(m=5, step=Decimal('0.25'), alpha=Decimal('0.1'), digits=19)"),
+            (SchemeConfig(5, F(1, 8), D("1e-3"), 30),
+             SchemeConfig(digits=30, alpha="0.001", step="0.125", m=5),
+             SchemeConfig(5, "0.125", "0.01", 30),
+             "SchemeConfig(m=5, step=Decimal('0.125'), alpha=Decimal('0.001'), digits=30)"),
+            (ContinuationState(D(0), [D("1.5")], 1),
+             ContinuationState(center=D(0), coeffs=(D("1.5"),), converged_count=1),
+             ContinuationState(D(0), [D("1.5")], 0),
+             "ContinuationState(center=Decimal('0'), coeffs=(Decimal('1.5'),), "
+             "converged_count=1)"),
+            (ShiftedExpansion([D(1), D("-0.5")]),
+             ShiftedExpansion(coeffs=(D(1), D("-0.5")), center=0),
+             PlainExpansion((D(1), D("-0.5"))),
+             "ShiftedExpansion(coeffs=(Decimal('1'), Decimal('-0.5')), center=0)"),
+            (ShiftedExpansion((1,), 2), ShiftedExpansion(center=2, coeffs=[1]),
+             ShiftedExpansion((1,)), "ShiftedExpansion(coeffs=(1,), center=2)"),
+            (StepRecord(D("0.25"), 10, 7),
+             StepRecord(center=D("0.25"), carried=10, converged_count=7),
+             StepRecord(D("0.25"), 10, 6),
+             "StepRecord(center=Decimal('0.25'), carried=10, converged_count=7)"),
+        ],
+    )
+    def test_value_contract(self, value, same, other, text):
+        assert_value_contract(value, same, other, text)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from asymser import (
     AssociatedSeries,
+    DirectSumTrace,
     PlainExpansion,
     SchemeConfig,
     ShiftedExpansion,
@@ -24,7 +25,7 @@ from asymser import (
     pole_coeffs,
     shifted_to_plain,
 )
-from helpers import double_sum_form, random_fraction_vector
+from helpers import assert_value_contract, double_sum_form, random_fraction_vector
 
 F = Fraction
 D = Decimal
@@ -34,6 +35,20 @@ fraction_vectors = st.lists(
     min_size=1,
     max_size=30,
 )
+
+
+class TestPlainExpansion:
+    @pytest.mark.parametrize(
+        "value, same, other, text",
+        [
+            (PlainExpansion([F(1, 2)]), PlainExpansion(coeffs=(F(1, 2),), center=0),
+             ShiftedExpansion((F(1, 2),)), "PlainExpansion(coeffs=(Fraction(1, 2),), center=0)"),
+            (PlainExpansion((1, 2), 3), PlainExpansion(center=3, coeffs=[1, 2]),
+             PlainExpansion((1, 2)), "PlainExpansion(coeffs=(1, 2), center=3)"),
+        ],
+    )
+    def test_value_contract(self, value, same, other, text):
+        assert_value_contract(value, same, other, text)
 
 
 class TestShiftedToPlain:
@@ -196,6 +211,26 @@ class TestDirectTrace:
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError):
             direct_trace(pole_coeffs(2, 25), 0, [5, 5, 10])
+
+    @pytest.mark.parametrize("schedule", [[], [5, 10]])
+    def test_negative_index_rejected(self, schedule):
+        with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+            direct_trace(pole_coeffs(2, 25), -1, schedule)
+
+    @pytest.mark.parametrize(
+        "value, same, other, text",
+        [
+            (DirectSumTrace(0), DirectSumTrace(k=0, partials=(), limit_guess=None),
+             DirectSumTrace(1), "DirectSumTrace(k=0, partials=(), limit_guess=None)"),
+            (DirectSumTrace(2, ((5, F(1, 64)),), F(1, 64)),
+             DirectSumTrace(limit_guess=F(1, 64), partials=((5, F(1, 64)),), k=2),
+             DirectSumTrace(2, ((5, F(1, 64)),)),
+             "DirectSumTrace(k=2, partials=((5, Fraction(1, 64)),), "
+             "limit_guess=Fraction(1, 64))"),
+        ],
+    )
+    def test_value_contract(self, value, same, other, text):
+        assert_value_contract(value, same, other, text)
 
 
 def _closed_shifted(a: int, count: int) -> tuple:

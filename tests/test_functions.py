@@ -22,6 +22,8 @@ from asymser import (
     save_coeffs,
 )
 
+from helpers import assert_value_contract
+
 F = Fraction
 D = Decimal
 
@@ -180,3 +182,22 @@ class TestGeneratorSpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             GeneratorSpec(kind="cosine", count=3)
+
+    @pytest.mark.parametrize(
+        "value, same, other, text",
+        [
+            (GeneratorSpec("arctan", 5),
+             GeneratorSpec(kind="arctan", count=5, pole=None, path=None, digits=19),
+             GeneratorSpec("altgeom", 5),
+             "GeneratorSpec(kind='arctan', count=5, pole=None, path=None, digits=19)"),
+            (GeneratorSpec("pole", 3, F(3, 2)), GeneratorSpec(kind="pole", count=3, pole=F(3, 2)),
+             GeneratorSpec("pole", 3, F(1, 2)),
+             "GeneratorSpec(kind='pole', count=3, pole=Fraction(3, 2), path=None, digits=19)"),
+            (GeneratorSpec("file", 4, None, "x.json", 30),
+             GeneratorSpec(digits=30, path="x.json", count=4, kind="file"),
+             GeneratorSpec("file", 4, None, "x.json"),
+             "GeneratorSpec(kind='file', count=4, pole=None, path='x.json', digits=30)"),
+        ],
+    )
+    def test_value_contract(self, value, same, other, text):
+        assert_value_contract(value, same, other, text)

@@ -12,6 +12,7 @@ from asymser import (
     AssociatedSeries,
     DegenerateRatiosError,
     PlainExpansion,
+    RadiusEstimate,
     ShiftedExpansion,
     TaylorSeries,
     arctan_assoc_coeff,
@@ -26,6 +27,7 @@ from asymser import (
     to_decimal,
 )
 from helpers import (
+    assert_value_contract,
     compose_with_geom_map,
     random_fraction_vector,
     reference_binomial_transform,
@@ -288,3 +290,23 @@ class TestSeriesTypes:
             TaylorSeries(coeffs=())
         with pytest.raises(ValueError):
             AssociatedSeries(coeffs=())
+
+    @pytest.mark.parametrize(
+        "value, same, other, text",
+        [
+            (TaylorSeries([F(1, 3), 2]), TaylorSeries(coeffs=(F(1, 3), 2), center=0),
+             ShiftedExpansion((F(1, 3), 2)),
+             "TaylorSeries(coeffs=(Fraction(1, 3), 2), center=0)"),
+            (TaylorSeries((1,), F(1, 2)), TaylorSeries(center=F(1, 2), coeffs=[1]),
+             TaylorSeries((1,)), "TaylorSeries(coeffs=(1,), center=Fraction(1, 2))"),
+            (AssociatedSeries([0, F(-2, 3)]), AssociatedSeries(coeffs=(0, F(-2, 3))),
+             (0, F(-2, 3)), "AssociatedSeries(coeffs=(0, Fraction(-2, 3)))"),
+            (RadiusEstimate(4), RadiusEstimate(lag=4, values=(), limit_guess=None),
+             RadiusEstimate(4, (), 1.0), "RadiusEstimate(lag=4, values=(), limit_guess=None)"),
+            (RadiusEstimate(1, (1.5, 2.0), 2.0),
+             RadiusEstimate(limit_guess=2.0, values=(1.5, 2.0), lag=1), RadiusEstimate(2),
+             "RadiusEstimate(lag=1, values=(1.5, 2.0), limit_guess=2.0)"),
+        ],
+    )
+    def test_value_contract(self, value, same, other, text):
+        assert_value_contract(value, same, other, text)
