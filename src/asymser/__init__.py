@@ -37,14 +37,11 @@ from .conversion import (
 from .functions import (
     CoefficientParseError,
     DegeneratePoleError,
-    GeneratorSpec,
-    altgeom_coeffs,
     arctan_assoc_coeff,
     arctan_coeffs,
     build_series,
     format_decimal,
     load_coeffs,
-    parse_generator,
     pole_coeffs,
     save_coeffs,
 )

@@ -34,12 +34,10 @@ from .conversion import (
     tail_agreement,
 )
 from .functions import (
-    CoefficientParseError,
     DegeneratePoleError,
     build_series,
     format_decimal,
     load_coeffs,
-    parse_generator,
     save_coeffs,
 )
 from .transform import AssociatedSeries, DegenerateRatiosError, TaylorSeries, associated, estimate_radius
@@ -111,6 +109,13 @@ def _merge_config(args, keys):
     return merged
 
 
+def _digits(value) -> int:
+    """The working precision: DEFAULT_DIGITS when not given, else at least 1."""
+    if value is not None and value < 1:
+        raise ValueError("digits must be >= 1")
+    return DEFAULT_DIGITS if value is None else value
+
+
 def _require(merged, names):
     missing = [n for n in names if merged.get(n) is None]
     if missing:
@@ -120,9 +125,8 @@ def _require(merged, names):
 # ---------------------------------------------------------------- transform
 
 def cmd_transform(args) -> int:
-    digits = args.digits if args.digits is not None else DEFAULT_DIGITS
-    spec = parse_generator(args.input, args.count, digits)
-    series = build_series(spec)
+    digits = _digits(args.digits)
+    series = build_series(args.input, args.count, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         assoc = associated(series)
@@ -168,8 +172,7 @@ def cmd_continue(args) -> int:
     m = int(merged["m"])
     digits = int(merged["digits"])
     config = SchemeConfig(m=m, step=str(merged["dx"]), alpha=str(merged["alpha"]), digits=digits)
-    spec = parse_generator(args.input, m, digits)
-    series = build_series(spec)
+    series = build_series(args.input, m, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         assoc = associated(series)
@@ -220,7 +223,7 @@ def cmd_convert(args) -> int:
     direction = _DIRECTIONS.get(args.direction)
     if direction is None:
         raise ValueError(f"direction must be one of {sorted(_DIRECTIONS)}")
-    digits = args.digits if args.digits is not None else DEFAULT_DIGITS
+    digits = _digits(args.digits)
     series = load_coeffs(args.coeff_file, digits=digits)
     with localcontext() as ctx:
         ctx.prec = digits
@@ -247,10 +250,9 @@ def cmd_convert(args) -> int:
 
 def cmd_direct(args) -> int:
     schedule = _parse_schedule(args.schedule)
-    digits = args.digits if args.digits is not None else DEFAULT_DIGITS
+    digits = _digits(args.digits)
     count = (max(schedule) + 1) if schedule else 1
-    spec = parse_generator(args.input, count, digits)
-    series = build_series(spec)
+    series = build_series(args.input, count, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         trace = direct_trace(series, args.k, schedule, tol=args.tol)
@@ -348,6 +350,9 @@ def cmd_sweep(args) -> int:
     m_list = sorted({int(v) for v in _as_str_list(merged["m"])})
     dx_list = _decimal_list(merged["dx"], "step")
     alpha_list = _decimal_list(merged["alpha"], "alpha")
+    for flag, values in (("m", m_list), ("dx", dx_list), ("alpha", alpha_list)):
+        if not values:
+            raise ValueError(f"--{flag} needs at least one value")
     digits = int(merged["digits"])
     jobs = int(merged["jobs"])
     # every cell's parameters are checked before any work starts
@@ -355,8 +360,7 @@ def cmd_sweep(args) -> int:
         SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)
         for m in m_list for dx in dx_list for alpha in alpha_list
     ]
-    spec = parse_generator(args.input, max(m_list), digits)
-    series = build_series(spec)
+    series = build_series(args.input, max(m_list), digits)
     with localcontext() as ctx:
         ctx.prec = digits
         assoc = associated(series)
@@ -456,7 +460,7 @@ def main(argv=None) -> int:
             DegeneratePoleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CoefficientParseError, OSError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, ValueError) as e:  # parse errors of files and JSON are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,13 +11,14 @@ sets are related by the two triangular binomial sums of
     v_0 = q_0,   v_n = sum_{s=1..n} C(n-1, s-1) * q_s.
 
 When the companion series converges beyond radius 1, the shifted coefficients
-are also limits of explicit partial sums in the raw Taylor coefficients:
+are also limits of explicit partial sums in the raw Taylor coefficients, one
+formula for every k >= 0 (at k = 0 the inner sum is C(m, s)):
 
-    v_0 = lim_m sum_{s=0..m} c_s * C(m, s)
-    v_k = (-1)**k * lim_m sum_{s=1..m} c_s *
-              sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n)   (k >= 1),
+    v_k = (-1)**k * lim_m sum_{s=0..m} c_s *
+              sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n),
 
 which this module evaluates for finite m, along with a convergence trace.
+For k >= 1 the weight of c_0 is C(m, k) * sum_n (-1)**n * C(k, n) = 0.
 Divergent inputs produce honest diverging partials flagged "not converged";
 applicability is a property of the input, not a gate.
 """
@@ -93,47 +94,36 @@ def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
 
 
 def direct_coeff0_partial(taylor: TaylorSeries, m: int):
-    """m-th partial sum of the zeroth shifted coefficient:
-    sum_{s=0..m} c_s * C(m, s).
-
-    Summed in integers over one common denominator: exact on exact input,
-    and on input containing a Decimal the exact sum of the given decimals
-    rounded once in the ambient context.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    c = taylor.coeffs
-    if len(c) < m + 1:
-        raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(c)}")
-    nums, den, decimal = scale_to_integers(c[: m + 1])
-    acc = sum(math.comb(m, s) * n for s, n in enumerate(nums) if n)
-    return exact_quotient(acc, den, decimal)
+    """m-th partial sum of the zeroth shifted coefficient,
+    sum_{s=0..m} c_s * C(m, s): :func:`direct_coeffk_partial` at k = 0."""
+    return direct_coeffk_partial(taylor, 0, m)
 
 
 def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
-    """m-th partial sum of the k-th shifted coefficient (k >= 1):
+    """m-th partial sum of the k-th shifted coefficient (k >= 0):
 
-        (-1)**k * sum_{s=1..m} c_s *
+        (-1)**k * sum_{s=0..m} c_s *
             sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n)
 
-    Each Taylor coefficient enters exactly once.  Summed in integers over one
-    common denominator, with the same result types as
-    :func:`direct_coeff0_partial`.
+    Each Taylor coefficient enters the formula once; it is evaluated as k+1
+    dot products of the c_s with C(m, s+n).  Summed in integers over one
+    common denominator: exact on exact input, and on input containing a
+    Decimal the exact sum of the given decimals rounded once in the ambient
+    context.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1; use direct_coeff0_partial for k = 0")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if m < 0:
         raise ValueError("m must be >= 0")
     c = taylor.coeffs
     if len(c) < m + 1:
         raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(c)}")
     nums, den, decimal = scale_to_integers(c[: m + 1])
-    weights = [(-1) ** (k + n) * binom(m - n, k - n) for n in range(k + 1)]
-    row = [binom(m, j) for j in range(m + k + 1)]  # C(m, s+n), zero past m
-    acc = 0
-    for s in range(1, m + 1):
-        if nums[s]:
-            acc += nums[s] * sum(map(operator.mul, weights, row[s : s + k + 1]))
+    row = [math.comb(m, j) for j in range(m + 1)]  # row[n:] is C(m, s+n) for s = 0..m-n
+    acc = sum(
+        (-1) ** (k + n) * binom(m - n, k - n) * sum(map(operator.mul, nums, row[n:]))
+        for n in range(k + 1)
+    )
     return exact_quotient(acc, den, decimal)
 
 
@@ -170,13 +160,9 @@ def direct_trace(
         raise ValueError("m_values must be strictly increasing")
     if not math.isfinite(tol):
         raise ValueError(f"tol {tol} is not finite")
-    partials = []
-    for m in ms:
-        if k == 0:
-            val = direct_coeff0_partial(taylor, m)
-        else:
-            val = direct_coeffk_partial(taylor, k, m)
-        partials.append((m, val))
+    if tol < 0:
+        raise ValueError(f"tol {tol} is negative")
+    partials = [(m, direct_coeffk_partial(taylor, k, m)) for m in ms]
     guess = None
     if tail_agreement([v for _, v in partials], tol):
         guess = partials[-1][1]

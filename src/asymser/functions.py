@@ -1,5 +1,5 @@
-"""Built-in coefficient generators, coefficient file formats, and decimal
-rendering.
+"""Built-in coefficient generators, the CLI input syntax that names them
+(:func:`build_series`), coefficient file formats, and decimal rendering.
 
 Generators produce exact rational Taylor coefficients around 0.  Files come
 in two flavours: CSV with header ``n,numerator,denominator`` for exact input,
@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .continuation import DEFAULT_DIGITS, to_decimal
-from .transform import TaylorSeries, Value
+from .transform import TaylorSeries
 
 
 class DegeneratePoleError(ValueError):
@@ -25,30 +25,6 @@ class DegeneratePoleError(ValueError):
 
 class CoefficientParseError(ValueError):
     """Malformed coefficient file."""
-
-
-class GeneratorSpec(Value):
-    """What to generate: a builtin function or a coefficient file.
-
-    kind is one of "arctan", "pole" (f = 1/(pole + x)), "altgeom"
-    (f = 1/(1 + x)) or "file".
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        count: int,
-        pole: Fraction | None = None,
-        path: str | None = None,
-        digits: int = DEFAULT_DIGITS,
-    ):
-        if kind not in ("arctan", "pole", "altgeom", "file"):
-            raise ValueError(f"unknown generator kind {kind!r}")
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if kind == "pole" and pole == 0:
-            raise DegeneratePoleError("pole parameter must be nonzero")
-        self._set(kind=kind, count=count, pole=pole, path=path, digits=digits)
 
 
 def arctan_coeffs(count: int) -> TaylorSeries:
@@ -77,53 +53,40 @@ def arctan_assoc_coeff(n: int) -> Fraction:
 
 def pole_coeffs(a: int | Fraction, count: int) -> TaylorSeries:
     """Taylor coefficients of f = 1/(a + x) at 0: c_n = (-1)**n / a**(n+1)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     a = Fraction(a)
     if a == 0:
         raise DegeneratePoleError("pole parameter must be nonzero")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     coeffs = tuple(Fraction((-1) ** n, 1) / a ** (n + 1) for n in range(count))
     return TaylorSeries(coeffs=coeffs, center=0)
 
 
-def altgeom_coeffs(count: int) -> TaylorSeries:
-    """Alternating geometric coefficients [1, -1, 1, ...] of f = 1/(1 + x)."""
-    return pole_coeffs(1, count)
+def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorSeries:
+    """The first `count` Taylor coefficients named by CLI input syntax:
+    arctan | pole:A (f = 1/(A + x)) | altgeom (same as pole:1) | file:PATH.
 
-
-def build_series(spec: GeneratorSpec) -> TaylorSeries:
-    """Materialise a GeneratorSpec into a TaylorSeries."""
-    if spec.kind == "arctan":
-        return arctan_coeffs(spec.count)
-    if spec.kind == "pole":
-        if spec.pole is None:
-            raise ValueError("pole generator needs a pole parameter")
-        return pole_coeffs(spec.pole, spec.count)
-    if spec.kind == "altgeom":
-        return altgeom_coeffs(spec.count)
-    series = load_coeffs(spec.path, digits=spec.digits)
-    if len(series) < spec.count:
-        raise CoefficientParseError(
-            f"file provides {len(series)} coefficients, need {spec.count}"
-        )
-    return TaylorSeries(coeffs=series.coeffs[: spec.count], center=series.center)
-
-
-def parse_generator(text: str, count: int, digits: int = DEFAULT_DIGITS) -> GeneratorSpec:
-    """Parse CLI input syntax: arctan | pole:A | altgeom | file:PATH."""
+    A file is read at `digits` significant digits and must provide at least
+    `count` coefficients.
+    """
     if text == "arctan":
-        return GeneratorSpec(kind="arctan", count=count, digits=digits)
+        return arctan_coeffs(count)
     if text == "altgeom":
-        return GeneratorSpec(kind="altgeom", count=count, digits=digits)
+        text = "pole:1"
     if text.startswith("pole:"):
         try:
             a = Fraction(text[len("pole:"):])
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad pole parameter in {text!r}") from e
-        return GeneratorSpec(kind="pole", count=count, pole=a, digits=digits)
-    if text.startswith("file:"):
-        return GeneratorSpec(kind="file", count=count, path=text[len("file:"):], digits=digits)
-    raise ValueError(f"unknown input spec {text!r}")
+        return pole_coeffs(a, count)
+    if not text.startswith("file:"):
+        raise ValueError(f"unknown input spec {text!r}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    series = load_coeffs(text[len("file:"):], digits=digits)
+    if len(series) < count:
+        raise CoefficientParseError(f"file provides {len(series)} coefficients, need {count}")
+    return TaylorSeries(coeffs=series.coeffs[:count], center=series.center)
 
 
 def load_coeffs(

@@ -334,6 +334,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == message
         assert started == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flags, config, flag",
+        [
+            (["--m", ",", "--dx", "0.25", "--alpha", "0.1"], None, "m"),
+            (["--m", "30", "--dx", "", "--alpha", "0.1"], None, "dx"),
+            (["--m", "30", "--dx", "0.25", "--alpha", ""], None, "alpha"),
+            (["--m", "30", "--alpha", "0.1"], {"dx": []}, "dx"),
+        ],
+    )
+    def test_empty_sweep_list_exits_3(self, tmp_path, monkeypatch, capsys, jobs, flags,
+                                      config, flag):
+        started = []
+        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(path)]
+        assert main(["sweep", "--input", "arctan", *flags, "--jobs", jobs]) == 3
+        assert capsys.readouterr().err.strip() == f"error: --{flag} needs at least one value"
+        assert started == []
+
     @pytest.mark.parametrize(
         "dx, alpha, message",
         [("abc", "0.1", "error: step 'abc' is not a number"),
@@ -350,6 +373,23 @@ class TestExitCodes:
                      "--schedule", "5..10", "--tol", tol]) == 3
         assert capsys.readouterr().err.strip() == f"error: tol {tol} is not finite"
 
+    def test_negative_direct_tolerance_exits_3(self, capsys):
+        assert main(["direct", "--input", "pole:2", "--k", "0",
+                     "--schedule", "5..10", "--tol", "-0.5"]) == 3
+        assert capsys.readouterr().err.strip() == "error: tol -0.5 is negative"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["transform", "--input", "arctan", "--count", "4"],
+         ["convert", "{dir}/c.csv", "--direction", "to-plain"],
+         ["direct", "--input", "pole:2", "--k", "0", "--schedule", "5..10"]],
+    )
+    def test_digits_below_one_exit_3(self, tmp_path, capsys, command):
+        save_coeffs(arctan_coeffs(4), tmp_path / "c.csv")
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        assert main([*argv, "--digits", "0"]) == 3
+        assert capsys.readouterr().err.strip() == "error: digits must be >= 1"
+
     def test_negative_direct_index_exits_3(self, capsys):
         assert main(["direct", "--input", "pole:2", "--k", "-1",
                      "--schedule", "5..10"]) == 3
@@ -358,6 +398,23 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main([]) == 2
         assert main(["continue"]) == 2  # missing required --input
+
+    @pytest.mark.parametrize(
+        "text, count, code, message",
+        [
+            ("sin", "0", 3, "error: unknown input spec 'sin'"),
+            ("pole:abc", "0", 3, "error: bad pole parameter in 'pole:abc'"),
+            ("pole:0", "0", 3, "error: count must be >= 1"),
+            ("file:{dir}/missing.csv", "0", 3, "error: count must be >= 1"),
+            ("pole:0", "3", 4, "error: pole parameter must be nonzero"),
+            ("file:{dir}/six.csv", "9", 3, "error: file provides 6 coefficients, need 9"),
+        ],
+    )
+    def test_rejected_input_exit_codes(self, tmp_path, capsys, text, count, code, message):
+        save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
+        assert main(["transform", "--input", text.format(dir=tmp_path),
+                     "--count", count]) == code
+        assert capsys.readouterr().err.strip() == message
 
     def test_unknown_input_spec(self, tmp_path):
         assert main(["transform", "--input", "tan", "--count", "4",

@@ -182,8 +182,9 @@ class TestDirectPartials:
 
     def test_argument_validation(self):
         series = pole_coeffs(2, 5)
-        with pytest.raises(ValueError):
-            direct_coeffk_partial(series, 0, 3)
+        assert direct_coeffk_partial(series, 0, 3) == direct_coeff0_partial(series, 3)
+        with pytest.raises(ValueError, match=r"^k must be >= 0$"):
+            direct_coeffk_partial(series, -1, 3)
         with pytest.raises(ValueError):
             direct_coeff0_partial(series, 10)
 
@@ -216,6 +217,13 @@ class TestDirectTrace:
     def test_negative_index_rejected(self, schedule):
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
             direct_trace(pole_coeffs(2, 25), -1, schedule)
+
+    def test_zero_tolerance_allowed_negative_rejected(self):
+        # every partial of v_0 for 1/(1+x) is exactly 0 past m = 0
+        trace = direct_trace(pole_coeffs(1, 25), 0, [5, 10, 20], tol=0)
+        assert trace.converged and trace.limit_guess == 0
+        with pytest.raises(ValueError, match=r"^tol -0.5 is negative$"):
+            direct_trace(pole_coeffs(1, 25), 0, [5, 10, 20], tol=-0.5)
 
     @pytest.mark.parametrize(
         "value, same, other, text",

@@ -8,8 +8,6 @@ import pytest
 from asymser import (
     CoefficientParseError,
     DegeneratePoleError,
-    GeneratorSpec,
-    altgeom_coeffs,
     arctan_assoc_coeff,
     arctan_coeffs,
     associated,
@@ -17,12 +15,9 @@ from asymser import (
     estimate_radius,
     format_decimal,
     load_coeffs,
-    parse_generator,
     pole_coeffs,
     save_coeffs,
 )
-
-from helpers import assert_value_contract
 
 F = Fraction
 D = Decimal
@@ -76,10 +71,10 @@ class TestPoleCoeffs:
         with pytest.raises(DegeneratePoleError):
             pole_coeffs(0, 3)
         with pytest.raises(DegeneratePoleError):
-            GeneratorSpec(kind="pole", count=3, pole=F(0))
+            build_series("pole:0", 3)
 
     def test_altgeom_alias(self):
-        assert altgeom_coeffs(5).coeffs == pole_coeffs(1, 5).coeffs
+        assert build_series("altgeom", 5) == pole_coeffs(1, 5)
 
     def test_companion_radius_is_pole_location(self):
         # companion of 1/(2+x) is (1-x)/(2-x): simple pole at x = 2
@@ -156,48 +151,43 @@ class TestFormatDecimal:
         assert format_decimal(D("1.23456789012345"), 5) == "1.2346"
 
 
-class TestGeneratorSpec:
-    def test_parse_forms(self):
-        assert parse_generator("arctan", 5).kind == "arctan"
-        assert parse_generator("altgeom", 5).kind == "altgeom"
-        spec = parse_generator("pole:3/2", 5)
-        assert spec.kind == "pole" and spec.pole == F(3, 2)
-        spec = parse_generator("file:some/where.csv", 5)
-        assert spec.kind == "file" and spec.path == "some/where.csv"
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_generator("sin", 5)
-        with pytest.raises(ValueError):
-            parse_generator("pole:abc", 5)
+class TestBuildSeries:
+    @pytest.mark.parametrize("count", [1, 5, 40])
+    def test_parse_forms(self, count):
+        assert build_series("arctan", count) == arctan_coeffs(count)
+        assert build_series("pole:3/2", count) == pole_coeffs(F(3, 2), count)
 
     def test_build_from_file_with_count_check(self, tmp_path):
         path = tmp_path / "c.csv"
         save_coeffs(arctan_coeffs(6), path)
-        spec = GeneratorSpec(kind="file", count=4, path=str(path))
-        assert build_series(spec).coeffs == arctan_coeffs(4).coeffs
-        with pytest.raises(CoefficientParseError):
-            build_series(GeneratorSpec(kind="file", count=10, path=str(path)))
+        assert build_series(f"file:{path}", 4) == arctan_coeffs(4)
+        assert build_series(f"file:{path}", 6) == arctan_coeffs(6)
 
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="cosine", count=3)
+    def test_json_file_read_at_digits(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('["0.123456789", "1"]\n')
+        assert build_series(f"file:{path}", 1, digits=4).coeffs == (D("0.1235"),)
+        assert build_series(f"file:{path}", 2).coeffs == (D("0.123456789"), D(1))
 
+    # the order of the checks decides which message an input with two faults gets
     @pytest.mark.parametrize(
-        "value, same, other, text",
+        "text, count, error, message",
         [
-            (GeneratorSpec("arctan", 5),
-             GeneratorSpec(kind="arctan", count=5, pole=None, path=None, digits=19),
-             GeneratorSpec("altgeom", 5),
-             "GeneratorSpec(kind='arctan', count=5, pole=None, path=None, digits=19)"),
-            (GeneratorSpec("pole", 3, F(3, 2)), GeneratorSpec(kind="pole", count=3, pole=F(3, 2)),
-             GeneratorSpec("pole", 3, F(1, 2)),
-             "GeneratorSpec(kind='pole', count=3, pole=Fraction(3, 2), path=None, digits=19)"),
-            (GeneratorSpec("file", 4, None, "x.json", 30),
-             GeneratorSpec(digits=30, path="x.json", count=4, kind="file"),
-             GeneratorSpec("file", 4, None, "x.json"),
-             "GeneratorSpec(kind='file', count=4, pole=None, path='x.json', digits=30)"),
+            ("sin", 0, ValueError, "unknown input spec 'sin'"),
+            ("pole", 3, ValueError, "unknown input spec 'pole'"),
+            ("pole:abc", 0, ValueError, "bad pole parameter in 'pole:abc'"),
+            ("pole:1/0", 3, ValueError, "bad pole parameter in 'pole:1/0'"),
+            ("arctan", 0, ValueError, "count must be >= 1"),
+            ("pole:0", 0, ValueError, "count must be >= 1"),
+            ("file:{dir}/missing.csv", 0, ValueError, "count must be >= 1"),
+            ("pole:0", 3, DegeneratePoleError, "pole parameter must be nonzero"),
+            ("file:{dir}/six.csv", 9, CoefficientParseError,
+             "file provides 6 coefficients, need 9"),
         ],
     )
-    def test_value_contract(self, value, same, other, text):
-        assert_value_contract(value, same, other, text)
+    def test_parse_errors(self, tmp_path, text, count, error, message):
+        save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
+        with pytest.raises(ValueError) as info:
+            build_series(text.format(dir=tmp_path), count)
+        assert type(info.value) is error
+        assert str(info.value) == message

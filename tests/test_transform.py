@@ -21,7 +21,6 @@ from asymser import (
     associated_inverse,
     build_series,
     estimate_radius,
-    parse_generator,
     plain_to_shifted,
     shifted_to_plain,
     to_decimal,
@@ -161,7 +160,7 @@ ORACLE_INPUTS = {
     "log1p_201": lambda: (F(0),) + tuple(F((-1) ** (s + 1), s) for s in range(1, 201)),
     "inverse_squares_201": lambda: (F(0),) + tuple(F(1, s * s) for s in range(1, 201)),
     "one_over_6s_plus_1_201": lambda: (F(1),) + tuple(F(1, 6 * s + 1) for s in range(1, 201)),
-    "pole_3_2_120": lambda: build_series(parse_generator("pole:3/2", 120, 19)).coeffs,
+    "pole_3_2_120": lambda: build_series("pole:3/2", 120, 19).coeffs,
     "random_zeros_c0_60": lambda: _random_with_zeros(1, 60, F(-7, 3)),
     "random_zeros_no_c0_60": lambda: _random_with_zeros(2, 60, F(0)),
     "length_1": lambda: (F(3, 7),),
