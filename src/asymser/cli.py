@@ -97,6 +97,8 @@ def _merge_config(args, keys):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("--config must hold a JSON object")
     merged = {}
     for key, fallback in keys.items():
         cli_val = getattr(args, key, None)
@@ -107,6 +109,20 @@ def _merge_config(args, keys):
         else:
             merged[key] = fallback
     return merged
+
+
+def _integer(value, key: str) -> int:
+    """An integer option from a flag or a JSON config file: an int, an
+    integral float or the decimal text of an int.  Anything else, a JSON
+    true, list, object or null among them, is rejected by the option's name."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"--{key} must be an integer, got {json.dumps(value)}")
 
 
 def _digits(value) -> int:
@@ -169,15 +185,15 @@ def cmd_continue(args) -> int:
         args, {"m": None, "dx": None, "alpha": None, "digits": DEFAULT_DIGITS, "count": 2}
     )
     _require(merged, ["m", "dx", "alpha"])
-    m = int(merged["m"])
-    digits = int(merged["digits"])
+    m = _integer(merged["m"], "m")
+    digits = _integer(merged["digits"], "digits")
+    count = _integer(merged["count"], "count")
     config = SchemeConfig(m=m, step=str(merged["dx"]), alpha=str(merged["alpha"]), digits=digits)
     series = build_series(args.input, m, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         assoc = associated(series)
     state, records = continue_to_one_with_steps(assoc, config)
-    count = int(merged["count"])
     shifted = extract_shifted(state, count, center=series.center)
     doc = {
         "input": args.input,
@@ -320,10 +336,13 @@ SWEEP_HEADER = [
 ]
 
 
-def _as_str_list(value) -> list[str]:
+def _as_list(value) -> list:
+    """The items of a JSON list, the parts of a comma list, or one value."""
     if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [p for p in str(value).split(",") if p]
+        return list(value)
+    if isinstance(value, str):
+        return [p for p in value.split(",") if p]
+    return [value]
 
 
 def _decimal_list(value, what) -> list[str]:
@@ -335,8 +354,8 @@ def _decimal_list(value, what) -> list[str]:
         return (True, 0) if d.is_nan() else (False, d)
 
     first = {}
-    for text in _as_str_list(value):
-        d = _exact_decimal(text, what)
+    for item in _as_list(value):
+        d = _exact_decimal(str(item), what)
         # a NaN equals nothing (and a signalling one cannot be hashed): key it by its text
         first.setdefault(str(d) if d.is_nan() else d, str(d))
     return sorted(first.values(), key=nan_last)
@@ -347,14 +366,16 @@ def cmd_sweep(args) -> int:
         args, {"m": None, "dx": None, "alpha": None, "digits": DEFAULT_DIGITS, "jobs": 1}
     )
     _require(merged, ["m", "dx", "alpha"])
-    m_list = sorted({int(v) for v in _as_str_list(merged["m"])})
+    m_list = sorted({_integer(v, "m") for v in _as_list(merged["m"])})
     dx_list = _decimal_list(merged["dx"], "step")
     alpha_list = _decimal_list(merged["alpha"], "alpha")
     for flag, values in (("m", m_list), ("dx", dx_list), ("alpha", alpha_list)):
         if not values:
             raise ValueError(f"--{flag} needs at least one value")
-    digits = int(merged["digits"])
-    jobs = int(merged["jobs"])
+    digits = _integer(merged["digits"], "digits")
+    jobs = _integer(merged["jobs"], "jobs")
+    if jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     # every cell's parameters are checked before any work starts
     configs = [
         SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)

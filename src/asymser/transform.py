@@ -14,17 +14,25 @@ Analyticity of u at x = 1 guarantees that f admits an expansion in powers of
 point of the whole pipeline.
 
 One integer kernel, :func:`binomial_transform`, serves the companion
-transform, its inverse (the same sum with alternating signs) and both
-shifted/plain conversions in :mod:`asymser.conversion`.  By the identity
-C(n-1, s-1) = (s/n) * C(n, s) it sums the index-weighted coefficients
-s * c_s, whose common denominator is far smaller than that of the c_s when
-denominators divide the index (for arctan, 1 instead of an lcm of about
-1.44*m bits), so the m**2/2 integer additions carry far smaller integers.  Fraction input stays
-exact.  Decimal results are the exact transform of the given decimals,
-rounded once in the ambient decimal context; the rounding already in the
-input is still amplified by the sum of absolute terms (about 2**(n-1)/n for
-the arctan companion), so a 19-digit arctan prefix gives garbage past
-n ~ 120.
+transform, its inverse (the same sum with alternating signs, which are
+flipped around the plain sum) and both shifted/plain conversions in
+:mod:`asymser.conversion`.  By the identity C(n-1, s-1) = (s/n) * C(n, s) it
+sums the index-weighted coefficients s * c_s, whose common denominator is
+far smaller than that of the c_s when denominators divide the index (for
+arctan, 1 instead of an lcm of about 1.44*m bits), so the Pascal triangle
+of m**2/2 integer additions carries far smaller integers.  The triangle runs
+as packed passes: the live row is one big integer with a fixed-width slot
+per entry, each entry raised by a bias that keeps its slot non-negative,
+and a pass is the single addition row += row >> width.  Slots are wide
+enough for a block of _BLOCK = 64 doublings above the bias, so no carry
+crosses a slot; after each block the live slots are cut to the width their
+entries now need and repacked.
+
+Fraction input stays exact.  Decimal results are the exact transform of the
+given decimals, rounded once in the ambient decimal context; the rounding
+already in the input is still amplified by the sum of absolute terms (about
+2**(n-1)/n for the arctan companion), so a 19-digit arctan prefix gives
+garbage past n ~ 120.
 
 The module also holds :class:`Value`, the base of every result and
 parameter type of the package: a plain class whose fields compare, hash and
@@ -118,9 +126,10 @@ class RadiusEstimate(Value):
 def _integer_ratios(values) -> tuple[list, bool]:
     """(numerator, denominator) of each value in lowest terms, and whether
     any value is a Decimal; floats are rejected."""
-    if any(isinstance(c, float) for c in values):
+    kinds = set(map(type, values))
+    if any(issubclass(kind, float) for kind in kinds):
         raise TypeError("pass exact values (int, Fraction, Decimal), not float")
-    decimal = any(isinstance(c, Decimal) for c in values)
+    decimal = any(issubclass(kind, Decimal) for kind in kinds)
     return [c.as_integer_ratio() for c in values], decimal
 
 
@@ -147,6 +156,72 @@ def exact_quotient(num: int, den: int, decimal: bool):
     return Decimal(num) / den if decimal else Fraction(num, den)
 
 
+# Passes of the Pascal triangle between two repackings of its packed row (a
+# multiple of 8, so that a block's headroom is whole bytes).
+_BLOCK = 64
+# Byte tables: flip the top bit (offset binary <-> two's complement), and the
+# sign extension of a byte's top bit.
+_FLIP = bytes(range(0x80, 0x100)) + bytes(range(0x80))
+_SIGN = bytes(0x80) + b"\xff" * 0x80
+
+
+def _pascal_heads(row: list) -> list:
+    """The heads sum_{s=0..n} C(n, s) * row[s] for n = 0 .. len(row) - 1.
+
+    They are the first entries of the rows of a Pascal triangle whose next
+    row holds the sums of neighbours of the last.  The live row is packed
+    into one non-negative int, entry i in slot i of `size` bytes, the low
+    slot first, so that one pass of the triangle is one big-integer addition,
+    packed += packed >> (8 * size).
+
+    Each slot holds its entry plus the bias 2**(8k-1), where k is the least
+    number of bytes whose two's complement holds every entry.  A pass at
+    most doubles a slot, so after t passes every slot lies in
+    [0, 2**(8k+t)): with size = k + _BLOCK/8 bytes, no carry crosses a slot in
+    a block of _BLOCK passes, the stale top slots included.  The head after
+    t passes is the low slot less 2**(8k-1+t).  After a block every slot
+    holds its entry plus 2**(8*size-1), the top bit of the slot: its bytes
+    are the entry's two's complement with that bit flipped.  The rescan
+    strips the top byte columns that are only sign extension, which leaves
+    the new k, and the repack keeps the low k bytes of each live slot, flips
+    their top bit back and puts _BLOCK/8 bytes of headroom above them.
+    """
+    heads = [row[0]]
+    m = len(row)
+    headroom = bytes(_BLOCK // 8)
+    k = (max(map(abs, row)).bit_length() + 8) // 8
+    bias = 1 << (8 * k - 1)
+    size = k + len(headroom)
+    data = b"".join([(v + bias).to_bytes(size, "big") for v in reversed(row)])
+    n = 1
+    while n < m:
+        packed = int.from_bytes(data, "big")
+        width = 8 * size
+        mask = (1 << width) - 1
+        passes = min(_BLOCK, m - n)
+        for t in range(1, passes + 1):
+            packed += packed >> width
+            heads.append((packed & mask) - (bias << t))
+        n += passes
+        if n == m:
+            break
+        # the live slots, top first; their top byte column in two's complement
+        data = packed.to_bytes(size * (m - n + 1 + passes), "big")[size * passes:]
+        top = data[::size].translate(_FLIP)
+        cut = 0
+        while cut + 1 < size and top == data[cut + 1::size].translate(_SIGN):
+            cut += 1
+            top = data[cut::size]
+        k = size - cut
+        data = headroom + headroom.join([data[i:i + k] for i in range(cut, len(data), size)])
+        size = k + len(headroom)
+        if cut:
+            data = bytearray(data)
+            data[len(headroom)::size] = data[len(headroom)::size].translate(_FLIP)
+        bias = 1 << (8 * k - 1)
+    return heads
+
+
 def binomial_transform(coeffs, alternating: bool = False) -> tuple:
     """The triangular binomial transform shared by all four series maps.
 
@@ -161,10 +236,19 @@ def binomial_transform(coeffs, alternating: bool = False) -> tuple:
 
     a plain binomial sum of the index-weighted coefficients d_s = s * c_s.
     The d_s are scaled to integers over their least common denominator and
-    the sums are built as a Pascal triangle of integer additions
-    (differences when alternating): row 0 holds d_0 = 0, d_1, ..., each next
-    row pairs neighbours, and out_n is the head of row n divided by n times
-    that denominator.
+    the sums are the heads of a Pascal triangle built on them by additions
+    (see :func:`_pascal_heads`): row 0 holds d_0 = 0, d_1, ..., each next
+    row holds the sums of neighbours, and out_n is the head of row n divided
+    by n times that denominator.  The alternating sum is the plain one with
+    the signs flipped around it, as (-1)**(n-s) = (-1)**n * (-1)**s: the odd
+    d_s are negated before the triangle and the odd heads after it.
+
+    The triangle runs as packed passes: the row is one integer with a
+    fixed-width slot per entry, and a pass is one big-integer addition of
+    the row to itself shifted down a slot.  Every entry carries a bias that
+    keeps its slot non-negative, and the slots have room for _BLOCK (64)
+    doublings above it, so no carry crosses a slot; every _BLOCK passes the
+    live slots are cut to the width their entries now need and repacked.
 
     The weighting is what keeps the integers small: coefficients whose
     denominators divide their index, such as the arctangent's +-1/s or its
@@ -183,12 +267,13 @@ def binomial_transform(coeffs, alternating: bool = False) -> tuple:
     weighted = [(n * (s // g), d // g) for s, (n, d) in enumerate(ratios)
                 for g in (math.gcd(s, d),)]
     row, den = _over_common_denominator(weighted)
-    out = [exact_quotient(*ratios[0], decimal)]
-    pair = operator.sub if alternating else operator.add
-    for n in range(1, len(row)):
-        row = list(map(pair, row[1:], row))
-        out.append(exact_quotient(row[0], n * den, decimal))
-    return tuple(out)
+    if alternating:
+        row[1::2] = map(operator.neg, row[1::2])
+    heads = _pascal_heads(row)
+    if alternating:
+        heads[1::2] = map(operator.neg, heads[1::2])
+    return (exact_quotient(*ratios[0], decimal),) + tuple(
+        exact_quotient(heads[n], n * den, decimal) for n in range(1, len(row)))
 
 
 def associated(series: TaylorSeries) -> AssociatedSeries:
@@ -222,17 +307,17 @@ def estimate_radius(
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    w = assoc.coeffs
-    if len(w) < lag + 2:
+    if len(assoc.coeffs) < lag + 2:
         raise ValueError("need at least lag + 2 coefficients")
+    # |w_n / w_{n+lag}| = (|a| * d) / (b * |c|) for w_n = a/b, w_{n+lag} = c/d,
+    # rounded once to a float by the integer true division
+    ratios = [w.as_integer_ratio() for w in assoc.coeffs]
     values = []
-    for n in range(len(w) - lag):
-        a, b = w[n], w[n + lag]
-        if a == 0 or b == 0:
+    for (a, b), (c, d) in zip(ratios, ratios[lag:]):
+        if a == 0 or c == 0:
             continue
-        ratio = abs(a) / abs(b)
         try:
-            est = float(ratio) ** (1.0 / lag)
+            est = (abs(a) * d / (b * abs(c))) ** (1.0 / lag)
         except OverflowError:
             est = float("inf")
         values.append(est)

@@ -357,6 +357,70 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == f"error: --{flag} needs at least one value"
         assert started == []
 
+    @pytest.mark.parametrize("jobs", [["--jobs", "0"], ["--jobs", "-3"], {"jobs": 0}])
+    def test_sweep_jobs_below_one_checked_up_front(self, tmp_path, monkeypatch, capsys, jobs):
+        started = []
+        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
+        if isinstance(jobs, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(jobs))
+            jobs = ["--config", str(path)]
+        assert main(["sweep", "--input", "arctan", "--m", "30", "--dx", "0.25",
+                     "--alpha", "0.1", *jobs]) == 3
+        assert capsys.readouterr().err.strip() == "error: --jobs must be >= 1"
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("continue", "m"), ("continue", "digits"), ("continue", "count"),
+         ("sweep", "digits"), ("sweep", "jobs")],
+    )
+    @pytest.mark.parametrize("value", [[40], {"n": 40}, None, True])
+    def test_config_value_of_wrong_type_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                command, key, value):
+        started = []
+        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
+        config = {"m": 40, "dx": "0.25", "alpha": "0.1", key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--input", "arctan", "--config", str(path)]) == 3
+        if key == "m" and value is None:
+            message = "error: missing required option(s): --m"
+        else:
+            message = f"error: --{key} must be an integer, got {json.dumps(value)}"
+        assert capsys.readouterr().err.strip() == message
+        assert started == []
+
+    @pytest.mark.parametrize("command", ["continue", "sweep"])
+    @pytest.mark.parametrize("document", [None, ["m", 40], "m"])
+    def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys, command, document):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        assert main([command, "--input", "arctan", "--m", "40", "--dx", "0.25",
+                     "--alpha", "0.1", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.strip() == "error: --config must hold a JSON object"
+
+    @pytest.mark.parametrize("value", [{"n": 40}, True, [40, True], [[40]]])
+    def test_sweep_config_m_of_wrong_type_exits_3(self, tmp_path, capsys, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"m": value, "dx": "0.25", "alpha": "0.1"}))
+        assert main(["sweep", "--input", "arctan", "--config", str(path)]) == 3
+        bad = value[-1] if isinstance(value, list) else value
+        assert capsys.readouterr().err.strip() == (
+            f"error: --m must be an integer, got {json.dumps(bad)}")
+
+    def test_config_integers_as_text_or_integral_numbers(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"m": "30", "dx": "0.25", "alpha": "0.1",
+                                    "digits": 19.0, "count": "1"}))
+        out = tmp_path / "c.json"
+        assert main(["continue", "--input", "arctan", "--config", str(path),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["m"], doc["digits"], len(doc["shifted_coefficients"])) == (30, 19, 1)
+
     @pytest.mark.parametrize(
         "dx, alpha, message",
         [("abc", "0.1", "error: step 'abc' is not a number"),

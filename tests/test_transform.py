@@ -25,6 +25,7 @@ from asymser import (
     shifted_to_plain,
     to_decimal,
 )
+from asymser.transform import _BLOCK
 from helpers import (
     assert_value_contract,
     compose_with_geom_map,
@@ -174,8 +175,70 @@ def oracle_case(case, alternating):
     return vec, reference_binomial_transform(vec, alternating)
 
 
+def _full_growth(length, magnitude, alternating):
+    """c_s = M/s, so that every d_s = s * c_s is M and each pass of the
+    triangle doubles every entry (for the alternating maps c_s =
+    (-1)**s * M/s, which the kernel's sign flips turn into the same row)."""
+    sign = -1 if alternating else 1
+    return (F(magnitude),) + tuple(F(sign ** s * magnitude, s) for s in range(1, length))
+
+
+def _huge(seed, length, exponents):
+    """+-10**e/s with random signs, e drawn from `exponents`."""
+    rng = random.Random(seed)
+    return (F(0),) + tuple(
+        F(rng.choice((-1, 1)) * 10 ** rng.choice(exponents), s) for s in range(1, length)
+    )
+
+
+def _zeros_at_block_boundaries(length):
+    rng = random.Random(5)
+    zero = {i * _BLOCK + j for i in range(1, 4) for j in (-1, 0, 1)}
+    return tuple(F(0) if s in zero else F(rng.randint(-999, 999), rng.randint(1, 9))
+                 for s in range(length))
+
+
+# Edge cases of the packed passes, keyed by a name and built for the plain or
+# the alternating maps: rows that grow by the full 2**n across one block, a
+# block boundary and two, huge entries of mixed sign and size, and zeros.
+EDGE_INPUTS = {
+    **{f"full_growth_{length}_{label}": functools.partial(_full_growth, length, magnitude)
+       for length in (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 300)
+       for label, magnitude in (("1", 1), ("2**64-1", 2**64 - 1))},
+    "huge_random_signs_200": lambda alternating: _huge(3, 200, (300,)),
+    "huge_mixed_magnitudes_200": lambda alternating: _huge(4, 200, range(301)),
+    "all_zero_2J+1": lambda alternating: (F(0),) * (2 * _BLOCK + 1),
+    "zeros_at_block_boundaries": lambda alternating: _zeros_at_block_boundaries(3 * _BLOCK + 5),
+    "one_entry_at_block_end":
+        lambda alternating: (F(1),) + (F(0),) * (_BLOCK - 1) + (F(-7, 3),) + (F(0),) * (_BLOCK + 3),
+}
+
+
+@functools.cache
+def edge_case(case, alternating):
+    vec = EDGE_INPUTS[case](alternating)
+    return vec, reference_binomial_transform(vec, alternating)
+
+
 class TestKernelOracle:
     """The four maps against the term-by-term Fraction sum, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
+    @pytest.mark.parametrize("case", list(EDGE_INPUTS))
+    def test_packed_kernel_edges(self, case, name):
+        vec, want = edge_case(case, name in ALTERNATING_MAPS)
+        got = FOUR_MAPS[name](vec)
+        assert all(type(g) is Fraction for g in got)
+        assert list(got) == want
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_full_growth_rows_double_every_pass(self, alternating):
+        # the heads of the constant row M are (2**n - 1) * M: out_n = that / n,
+        # up to the sign (-1)**n of the alternating maps
+        m = 2**64 - 1
+        _, want = edge_case("full_growth_300_2**64-1", alternating)
+        sign = -1 if alternating else 1
+        assert want[1:] == [sign ** n * F((2**n - 1) * m, n) for n in range(1, 300)]
 
     @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
     @pytest.mark.parametrize("case", list(ORACLE_INPUTS))
@@ -281,6 +344,39 @@ class TestEstimateRadius:
         )
         est = estimate_radius(assoc, lag=1)
         assert est.limit_guess == 2.0
+
+    @staticmethod
+    def fraction_route(coeffs, lag):
+        """The estimates through an exact Fraction quotient and float()."""
+        values = []
+        for a, b in zip(coeffs, coeffs[lag:]):
+            if a == 0 or b == 0:
+                continue
+            try:
+                values.append(float(abs(F(a)) / abs(F(b))) ** (1.0 / lag))
+            except OverflowError:
+                values.append(float("inf"))
+        return values
+
+    @pytest.mark.parametrize("digits", [None, 19])
+    def test_arctan_1001_matches_fraction_route(self, digits):
+        taylor = arctan_coeffs(1001)
+        if digits is None:
+            assoc = associated(taylor)
+        else:
+            with localcontext() as ctx:
+                ctx.prec = digits
+                assoc = associated(TaylorSeries(tuple(to_decimal(c, digits)
+                                                      for c in taylor.coeffs)))
+        est = estimate_radius(assoc, lag=4)
+        assert len(est.values) == (747 if digits is None else 996)
+        assert list(est.values) == self.fraction_route(assoc.coeffs, 4)
+
+    def test_overflowing_and_underflowing_ratios(self):
+        coeffs = (F(10**400), F(1, 3), F(-1, 10**400), F(7), D("1e-400"), D(2))
+        est = estimate_radius(AssociatedSeries(coeffs), lag=1)
+        assert list(est.values) == self.fraction_route(coeffs, 1)
+        assert est.values[:4] == (float("inf"), float("inf"), 0.0, float("inf"))
 
 
 class TestSeriesTypes:
