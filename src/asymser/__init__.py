@@ -21,7 +21,7 @@ from .continuation import (
     continue_to_one_with_steps,
     extract_shifted,
     recenter_step,
-    to_decimal,
+    to_decimals,
 )
 from .conversion import (
     DirectSumTrace,

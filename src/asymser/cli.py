@@ -76,19 +76,21 @@ def _write_rows(path, header, rows):
 
 
 def _parse_schedule(text: str) -> list[int]:
-    """Parse '5..30', '5..30..5' or '5,10,20' into a list of m values."""
-    if not text:
-        return []
+    """Parse '5..30', '5..30..5' or '5,10,20' into a non-empty list of m values."""
     if ".." in text:
         parts = text.split("..")
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            return list(range(lo, hi + 1))
-        if len(parts) == 3:
-            lo, hi, st = int(parts[0]), int(parts[1]), int(parts[2])
-            return list(range(lo, hi + 1, st))
-        raise ValueError(f"bad schedule {text!r}")
-    return [int(p) for p in text.split(",") if p]
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad schedule {text!r}")
+        lo, hi, *step = map(int, parts)
+        step = step[0] if step else 1
+        if step == 0:
+            raise ValueError("--schedule step must not be zero")
+        schedule = list(range(lo, hi + 1, step))
+    else:
+        schedule = [int(p) for p in text.split(",") if p]
+    if not schedule:
+        raise ValueError("--schedule needs at least one m value")
+    return schedule
 
 
 def _merge_config(args, keys):
@@ -267,8 +269,7 @@ def cmd_convert(args) -> int:
 def cmd_direct(args) -> int:
     schedule = _parse_schedule(args.schedule)
     digits = _digits(args.digits)
-    count = (max(schedule) + 1) if schedule else 1
-    series = build_series(args.input, count, digits)
+    series = build_series(args.input, max(schedule) + 1, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         trace = direct_trace(series, args.k, schedule, tol=args.tol)

@@ -31,11 +31,11 @@ Continuations that differ only in alpha share their first step: see
 from __future__ import annotations
 
 import operator
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .transform import AssociatedSeries, Value, scale_to_integers
+from .transform import AssociatedSeries, Value, exact_quotient, scale_to_integers
 
 DEFAULT_DIGITS = 19
 
@@ -54,49 +54,44 @@ class InsufficientConvergedError(ValueError):
     """Requested more expansion coefficients than converged ones exist."""
 
 
-def to_decimal(value: CoeffLike, digits: int = DEFAULT_DIGITS) -> Decimal:
-    """Convert an exact value to Decimal, rounded to `digits` significant digits.
+def to_decimals(values, digits: int = DEFAULT_DIGITS) -> tuple:
+    """Exact values (int, str, Fraction, Decimal) as Decimals, each rounded
+    once to `digits` significant digits, half-even.
 
     Floats are rejected: binary artifacts must not enter the decimal pipeline.
     """
-    return to_decimals((value,), digits)[0]
-
-
-def to_decimals(values, digits: int = DEFAULT_DIGITS) -> tuple:
-    """:func:`to_decimal` of every value, rounded in one decimal context."""
     with localcontext() as ctx:
         ctx.prec = digits
         return tuple(_rounded(v) for v in values)
 
 
 def _rounded(value: CoeffLike) -> Decimal:
-    if isinstance(value, Decimal):
-        return +value
     if isinstance(value, float):
         raise TypeError("pass exact values (int, str, Fraction, Decimal), not float")
     if isinstance(value, Fraction):
-        return Decimal(value.numerator) / Decimal(value.denominator)
+        return exact_quotient(value.numerator, value.denominator, True)
     return +Decimal(value)
 
 
 def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
-    """Convert a step/threshold parameter, requiring exact representability."""
+    """Convert a step/threshold parameter, requiring exact representability.
+
+    A Fraction is divided out in a context that traps Inexact.  Its
+    precision, the numerator's digits plus the denominator's bit length,
+    holds every terminating quotient: with den = 2**a * 5**b the quotient
+    has at most digits(num) + max(a, b) significant digits.
+    """
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact (str, Decimal, Fraction, int), not float")
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
-        two = five = 0
-        d = den
-        while d % 2 == 0:
-            d //= 2
-            two += 1
-        while d % 5 == 0:
-            d //= 5
-            five += 1
-        if d != 1:
-            raise exc(f"{what} {value} has no terminating decimal representation")
-        # num/den == num * 5**two * 2**five / 10**(two+five), exactly
-        return Decimal(num * 5**two * 2**five).scaleb(-(two + five))
+        with localcontext() as ctx:
+            ctx.prec = len(str(abs(num))) + den.bit_length()
+            ctx.traps[Inexact] = True
+            try:
+                return exact_quotient(num, den, True)
+            except Inexact:
+                raise exc(f"{what} {value} has no terminating decimal representation") from None
     try:
         return Decimal(value)
     except InvalidOperation:
@@ -198,7 +193,7 @@ def recenter_step(
         raise ValueError("step must be positive")
     thr = _exact_decimal(alpha, "alpha")
     count, length = _output_length(state.coeffs, dx, thr, digits, carried_only)
-    return _next_state(state, dx, digits, _shift(state.coeffs, dx, digits, length), count)
+    return _next_state(state, dx, _shift(state.coeffs, dx, digits, length), count)
 
 
 def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
@@ -218,7 +213,8 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
     with localcontext() as ctx:
         ctx.prec = digits
         return tuple(
-            Decimal(b) / (den * ppow[k] * qpow[m - 1 - k]) for k, b in enumerate(shifted)
+            exact_quotient(b, den * ppow[k] * qpow[m - 1 - k], True)
+            for k, b in enumerate(shifted)
         )
 
 
@@ -232,10 +228,10 @@ def _output_length(
 
 
 def _next_state(
-    state: ContinuationState, dx: Decimal, digits: int, sums: tuple, count: int
+    state: ContinuationState, dx: Decimal, sums: tuple, count: int
 ) -> ContinuationState:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
         center = state.center + dx
     return ContinuationState(center=center, coeffs=sums, converged_count=count)
 
@@ -301,7 +297,7 @@ def continue_to_one_with_steps(
             )
             if len(_first_sums) < length:
                 raise ValueError(f"shared first step has {len(_first_sums)} sums, need {length}")
-            state = _next_state(state, config.step, config.digits, _first_sums[:length], count)
+            state = _next_state(state, config.step, _first_sums[:length], count)
         else:
             state = recenter_step(
                 state, config.step, config.alpha, config.digits, carried_only=carried_only

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import os
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from fractions import Fraction
 
-from .continuation import DEFAULT_DIGITS, to_decimal
+from .continuation import DEFAULT_DIGITS, to_decimals
 from .transform import TaylorSeries
 
 
@@ -138,7 +138,7 @@ def load_coeffs(
             if not isinstance(item, str):
                 raise CoefficientParseError(f"entry {i} is not a string")
             try:
-                value = to_decimal(item, digits)
+                (value,) = to_decimals((item,), digits)
             except ArithmeticError as e:
                 raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
             if not value.is_finite():
@@ -175,19 +175,12 @@ def save_coeffs(series: TaylorSeries, path: str | os.PathLike, fmt: str | None =
 
 
 def format_decimal(value, digits: int = 10) -> str:
-    """Render a value at `digits` significant digits, round-half-even,
+    """Render an exact value (int, str, Fraction, Decimal) at `digits`
+    significant digits, rounded once through :func:`to_decimals`, with
     trailing zeros trimmed (so exact short values print short)."""
+    (d,) = to_decimals((value,), digits)
+    if d == 0:
+        return "0"
     with localcontext() as ctx:
-        ctx.prec = digits
-        if isinstance(value, Fraction):
-            d = Decimal(value.numerator) / Decimal(value.denominator)
-        elif isinstance(value, Decimal):
-            d = +value
-        elif isinstance(value, int):
-            d = +Decimal(value)
-        else:
-            raise TypeError(f"cannot render {type(value).__name__}")
-        if d == 0:
-            return "0"
-        d = d.normalize()
-    return f"{d:f}"
+        ctx.prec = digits  # d has at most `digits` digits: normalize only trims zeros
+        return f"{d.normalize():f}"

@@ -152,7 +152,11 @@ def scale_to_integers(values) -> tuple[list, int, bool]:
 
 def exact_quotient(num: int, den: int, decimal: bool):
     """num/den as an exact Fraction, or as a Decimal rounded once in the
-    ambient decimal context."""
+    ambient decimal context.
+
+    This is the package's one division of an exact integer pair into a
+    Decimal: every other rounding of an exact value goes through it.
+    """
     return Decimal(num) / den if decimal else Fraction(num, den)
 
 
@@ -292,9 +296,12 @@ def associated_inverse(assoc: AssociatedSeries) -> tuple:
     return binomial_transform(assoc.coeffs, alternating=True)
 
 
-def estimate_radius(
-    assoc: AssociatedSeries, lag: int, stable_rtol: float = 1e-3
-) -> RadiusEstimate:
+# relative tolerance within which the last three ratio estimates must agree
+# for estimate_radius to report a limit guess
+STABLE_RTOL = 1e-3
+
+
+def estimate_radius(assoc: AssociatedSeries, lag: int) -> RadiusEstimate:
     """Ratio-test radius estimate with a lag.
 
     The lag steps over periodic zeros of the coefficient sequence (the
@@ -303,7 +310,7 @@ def estimate_radius(
     DegenerateRatiosError is raised.
 
     A limit guess is reported when at least three estimates exist and the
-    last three agree to stable_rtol relative tolerance.
+    last three agree to STABLE_RTOL relative tolerance.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
@@ -329,6 +336,6 @@ def estimate_radius(
     if len(values) >= 3:
         tail = values[-3:]
         scale = max(abs(v) for v in tail)
-        if scale > 0 and all(abs(v - tail[-1]) <= stable_rtol * scale for v in tail):
+        if scale > 0 and all(abs(v - tail[-1]) <= STABLE_RTOL * scale for v in tail):
             guess = values[-1]
     return RadiusEstimate(lag=lag, values=tuple(values), limit_guess=guess)

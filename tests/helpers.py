@@ -221,9 +221,9 @@ def reference_continue(assoc, config):
     when nothing converged) unless it is the last."""
     from decimal import Decimal
 
-    from asymser import ContinuationState, StepRecord, recenter_step, to_decimal
+    from asymser import ContinuationState, StepRecord, recenter_step, to_decimals
 
-    coeffs = tuple(to_decimal(c, config.digits) for c in assoc.coeffs[: config.m])
+    coeffs = to_decimals(assoc.coeffs[: config.m], config.digits)
     state = ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
     records = []
     for i in range(config.steps):

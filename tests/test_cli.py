@@ -75,6 +75,18 @@ class TestContinueCommand:
         assert doc["converged_count"] >= 3
         assert len(doc["steps"]) == 4
 
+    def test_low_digits_path_lands_on_one(self, tmp_path, capsys):
+        argv = ["continue", "--input", "arctan", "--m", "40", "--dx", "0.125",
+                "--alpha", "0.5", "--digits", "2"]
+        # nothing converges at center 1, so the default count of 2 is refused
+        assert main(argv) == 4
+        assert capsys.readouterr().err.strip() == "error: requested 2 coefficients, only 0 converged"
+        out = tmp_path / "c.json"
+        assert main([*argv, "--count", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["center"] == "1.000"
+        assert doc["steps"][-1]["center"] == "1.000"
+
     def test_non_integral_step_exits_4(self, tmp_path):
         code = main(["continue", "--input", "arctan", "--m", "20",
                      "--dx", "0.3", "--alpha", "0.1"])
@@ -168,12 +180,19 @@ class TestDirectCommand:
                      "--schedule", "5..25..5", "--out", str(out)]) == 0
         assert [int(r["m"]) for r in read_csv(out)] == [5, 10, 15, 20, 25]
 
-    def test_empty_schedule_writes_empty_trace(self, tmp_path, capsys):
-        out = tmp_path / "d.csv"
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [("30..5", "error: --schedule needs at least one m value"),
+         ("5..30..-5", "error: --schedule needs at least one m value"),
+         ("", "error: --schedule needs at least one m value"),
+         ("5..30..0", "error: --schedule step must not be zero")],
+    )
+    def test_schedule_without_m_values_exits_3(self, capsys, schedule, message):
         assert main(["direct", "--input", "pole:2", "--k", "0",
-                     "--schedule", "", "--out", str(out)]) == 0
-        assert read_csv(out) == []
-        assert "not converged" in capsys.readouterr().out
+                     "--schedule", schedule]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
 
 
 class TestSweepCommand:

@@ -22,9 +22,9 @@ from asymser import (
     arctan_coeffs,
     associated,
     recenter_step,
-    to_decimal,
+    to_decimals,
 )
-from asymser.continuation import shared_first_step
+from asymser.continuation import _exact_decimal, shared_first_step
 from helpers import (
     assert_value_contract,
     exact_recenter,
@@ -57,6 +57,12 @@ class TestSchemeConfig:
         with pytest.raises(NonIntegralPathError):
             SchemeConfig(m=10, step=F(1, 3), alpha="0.1")
 
+    def test_fraction_step_exact_past_28_digits(self):
+        # 2**-60 has 42 significant digits
+        config = SchemeConfig(m=5, step=F(1, 2**60), alpha="0.1")
+        assert F(config.step) == F(1, 2**60)
+        assert config.steps == 2**60
+
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             SchemeConfig(m=10, step="0.25", alpha="0")
@@ -76,6 +82,25 @@ class TestSchemeConfig:
         assert SchemeConfig(m=10, step="0.25", alpha="0.1").digits == 19
 
 
+class TestExactDecimal:
+    def test_fraction_comes_back_exact(self):
+        assert F(_exact_decimal(F(1, 2**70), "step")) == F(1, 2**70)
+        assert F(_exact_decimal(F(-3**40, 5**30), "step")) == F(-3**40, 5**30)
+
+    @pytest.mark.parametrize(
+        "value, text", [(F(3, 20), "0.15"), (F(1, 8), "0.125"), (F(10), "10"), (F(0), "0")]
+    )
+    def test_fraction_is_canonical(self, value, text):
+        assert _exact_decimal(value, "alpha").as_tuple() == D(text).as_tuple()
+
+    @pytest.mark.parametrize("what, exc", [("step", NonIntegralPathError), ("alpha", ValueError)])
+    def test_non_terminating_fraction_keeps_error(self, what, exc):
+        with pytest.raises(exc) as info:
+            _exact_decimal(F(1, 3), what, exc)
+        assert type(info.value) is exc
+        assert str(info.value) == f"{what} 1/3 has no terminating decimal representation"
+
+
 class TestRecenterStep:
     def test_affine_function_recenters_exactly(self):
         state = make_state(["1", "-1", "0", "0"])
@@ -88,8 +113,8 @@ class TestRecenterStep:
         # 1/(1-x) recentered to d: coefficients 1/(1-d)**(k+1)
         state = make_state(["1"] * 200)
         out = recenter_step(state, "0.25", "1e-25", digits=38)
-        for k in range(10):
-            target = to_decimal(F(4, 3) ** (k + 1), 38)
+        targets = to_decimals([F(4, 3) ** (k + 1) for k in range(10)], 38)
+        for k, target in enumerate(targets):
             rel = abs(out.coeffs[k] - target) / target
             assert rel < D("1e-30"), k
 
@@ -119,7 +144,7 @@ class TestRecenterStep:
             recenter_step(state, "0.25", "0.1")
 
     def test_determinism(self):
-        state = make_state([to_decimal(F(1, n + 1), 19) for n in range(40)])
+        state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
         a = recenter_step(state, "0.125", "0.01")
         b = recenter_step(state, "0.125", "0.01")
         assert a == b
@@ -130,8 +155,8 @@ def assert_exact_step(state, step, alpha, digits=19):
     coefficient rounded once, and the per-term loop's convergence flags."""
     out = recenter_step(state, step, alpha, digits)
     exact = exact_recenter(state.coeffs, D(step))
-    for k, (got, want) in enumerate(zip(out.coeffs, exact)):
-        assert got.as_tuple() == to_decimal(want, digits).as_tuple(), (k, got, want)
+    for k, (got, want) in enumerate(zip(out.coeffs, to_decimals(exact, digits))):
+        assert got.as_tuple() == want.as_tuple(), (k, got, want)
     assert len(out.coeffs) == len(state.coeffs)
     assert out.converged_count == reference_converged_count(
         state.coeffs, step, alpha, digits
@@ -143,7 +168,7 @@ class TestRecenterOracle:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "0.3"])
     def test_arctan_companion_prefix(self, step):
         assoc = associated(arctan_coeffs(120))
-        state = make_state([to_decimal(c, 19) for c in assoc.coeffs])
+        state = make_state(to_decimals(assoc.coeffs, 19))
         for alpha in ("0.1", "1e-6"):
             assert_exact_step(state, step, alpha)
 
@@ -177,7 +202,7 @@ class TestRecenterOracle:
 
     def test_higher_precision(self):
         assoc = associated(arctan_coeffs(60))
-        state = make_state([to_decimal(c, 40) for c in assoc.coeffs])
+        state = make_state(to_decimals(assoc.coeffs, 40))
         assert_exact_step(state, "0.25", "0.01", digits=40)
 
 
@@ -229,6 +254,14 @@ class TestContinueToOne:
         assert centers == [D("0.25"), D("0.5"), D("0.75"), D("1.00")]
         assert all(a < b for a, b in zip(centers, centers[1:]))
         assert records[-1].converged_count == state.converged_count
+
+    def test_centers_exact_at_low_digits(self):
+        # at 2 digits a rounded center would walk 0.12, 0.24, ..., 0.96
+        config = SchemeConfig(m=40, step="0.125", alpha="0.5", digits=2)
+        state, records = continue_to_one_with_steps(associated(arctan_coeffs(40)), config)
+        assert str(state.center) == "1.000"
+        assert [str(r.center) for r in records] == [
+            "0.125", "0.250", "0.375", "0.500", "0.625", "0.750", "0.875", "1.000"]
 
     def test_determinism_across_runs(self):
         assoc = AssociatedSeries(coeffs=tuple(F((-1) ** n, n + 1) for n in range(50)))
@@ -350,12 +383,12 @@ class TestStateInvariants:
         with pytest.raises(ValueError):
             ContinuationState(center=D(0), coeffs=(D(1),), converged_count=-1)
 
-    def test_to_decimal_rejects_float(self):
+    def test_to_decimals_rejects_float(self):
         with pytest.raises(TypeError):
-            to_decimal(0.25)
+            to_decimals((0.25,))
 
-    def test_to_decimal_rounds_fraction(self):
-        assert to_decimal(F(2, 3), 5) == D("0.66667")
+    def test_to_decimals_rounds_fraction(self):
+        assert to_decimals((F(2, 3),), 5) == (D("0.66667"),)
 
 
 class TestValueTypes:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,7 +17,9 @@ from asymser import (
     load_coeffs,
     pole_coeffs,
     save_coeffs,
+    to_decimals,
 )
+from asymser.transform import exact_quotient
 
 F = Fraction
 D = Decimal
@@ -149,6 +151,33 @@ class TestFormatDecimal:
 
     def test_decimal_input(self):
         assert format_decimal(D("1.23456789012345"), 5) == "1.2346"
+
+
+# (numerator, denominator) pairs: half-even ties at 1, 19 and 60 digits,
+# negatives, exact quotients with trailing zeros, and 3000-bit integers
+QUOTIENTS = {
+    "tie-down": (25, 10), "tie-up": (35, 10), "tie-negative": (-25, 10), "eighth": (1, 8),
+    "two-thirds": (2, 3), "negative-sevenths": (-8, 7),
+    "tie-20-digits": (10**19 + 5, 10), "tie-20-digits-negative": (-(10**19 + 15), 10),
+    "tie-61-digits": (10**60 + 5, 10), "tie-61-digits-negative": (-(10**60 + 15), 10),
+    "thousand": (1000, 1), "exact-75": (300, 4), "exact-negative-1500": (-12000, 8),
+    "exact-10e40-over-2e10": (10**40, 2**10), "zero": (0, 7),
+    "3000-bit": (3**1893, 7**1069), "3000-bit-negative": (-(2**3000 + 1), 3),
+    "3000-bit-terminating": (2**3000, 5**1292), "3000-bit-small": (7**1069, 3**1893),
+}
+
+
+class TestDecimalBoundary:
+    @pytest.mark.parametrize("digits", [1, 19, 60])
+    @pytest.mark.parametrize("num, den", list(QUOTIENTS.values()), ids=list(QUOTIENTS))
+    def test_every_route_is_one_division(self, num, den, digits):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            want = Decimal(num) / Decimal(den)
+            got = exact_quotient(num, den, True)
+        assert got.as_tuple() == want.as_tuple()
+        assert to_decimals((F(num, den),), digits)[0].as_tuple() == want.as_tuple()
+        assert D(format_decimal(F(num, den), digits)) == want
 
 
 class TestBuildSeries:

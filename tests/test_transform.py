@@ -23,7 +23,7 @@ from asymser import (
     estimate_radius,
     plain_to_shifted,
     shifted_to_plain,
-    to_decimal,
+    to_decimals,
 )
 from asymser.transform import _BLOCK
 from helpers import (
@@ -263,9 +263,9 @@ class TestKernelContract:
     @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
     def test_decimal_result_is_exact_transform_rounded_once(self, name):
         apply = FOUR_MAPS[name]
-        prefix = tuple(to_decimal(c, 19) for c in arctan_coeffs(60).coeffs)
+        prefix = to_decimals(arctan_coeffs(60).coeffs, 19)
         exact = apply(tuple(F(d) for d in prefix))
-        expected = tuple(to_decimal(w, 19) for w in exact)
+        expected = to_decimals(exact, 19)
         with localcontext() as ctx:
             ctx.prec = 19
             got = apply(prefix)
@@ -285,7 +285,7 @@ class TestKernelContract:
         )
         assert all(len(d.as_tuple().digits) <= 19 for d in prefix)
         exact = reference_binomial_transform(prefix, name in ALTERNATING_MAPS)
-        expected = tuple(to_decimal(w, 19) for w in exact)
+        expected = to_decimals(exact, 19)
         with localcontext() as ctx:
             ctx.prec = 19
             got = FOUR_MAPS[name](prefix)
@@ -366,8 +366,7 @@ class TestEstimateRadius:
         else:
             with localcontext() as ctx:
                 ctx.prec = digits
-                assoc = associated(TaylorSeries(tuple(to_decimal(c, digits)
-                                                      for c in taylor.coeffs)))
+                assoc = associated(TaylorSeries(to_decimals(taylor.coeffs, digits)))
         est = estimate_radius(assoc, lag=4)
         assert len(est.values) == (747 if digits is None else 996)
         assert list(est.values) == self.fraction_route(assoc.coeffs, 4)
