@@ -20,6 +20,7 @@ from .continuation import (
     NonIntegralPathError,
     SchemeConfig,
     ShiftedExpansion,
+    _check_digits,
     _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
@@ -128,10 +129,8 @@ def _integer(value, key: str) -> int:
 
 
 def _digits(value) -> int:
-    """The working precision: DEFAULT_DIGITS when not given, else at least 1."""
-    if value is not None and value < 1:
-        raise ValueError("digits must be >= 1")
-    return DEFAULT_DIGITS if value is None else value
+    """The working precision: DEFAULT_DIGITS when not given, else checked."""
+    return DEFAULT_DIGITS if value is None else _check_digits(value)
 
 
 def _require(merged, names):
@@ -249,18 +248,7 @@ def cmd_convert(args) -> int:
             result = shifted_to_plain(ShiftedExpansion(coeffs=series.coeffs, center=0))
         else:
             result = plain_to_shifted(PlainExpansion(coeffs=series.coeffs, center=0))
-    out_series = TaylorSeries(coeffs=result.coeffs, center=0)
-    fmt = "json" if isinstance(series.coeffs[0], Decimal) else "csv"
-    if args.out is None or args.out == "-":
-        if fmt == "csv":
-            rows = [[n, Fraction(c).numerator, Fraction(c).denominator]
-                    for n, c in enumerate(result.coeffs)]
-            _write_rows(None, ["n", "numerator", "denominator"], rows)
-        else:
-            json.dump([str(c) for c in result.coeffs], sys.stdout)
-            sys.stdout.write("\n")
-    else:
-        save_coeffs(out_series, args.out, fmt=fmt)
+    save_coeffs(TaylorSeries(coeffs=result.coeffs, center=0), args.out)
     return EXIT_OK
 
 
@@ -434,11 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
 
     p = sub.add_parser("convert", help="convert between expansion forms")
-    p.add_argument("coeff_file", help="coefficient file (CSV or JSON)")
+    p.add_argument("coeff_file", help="coefficient file (.json: decimals, else CSV)")
     p.add_argument("--direction", required=True,
                    help="to-plain | to-shifted (aliases: to-q, to-qprime)")
     p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="format by name (default stdout)")
 
     p = sub.add_parser("direct", help="direct partial sums of a shifted coefficient")
     p.add_argument("--input", required=True)

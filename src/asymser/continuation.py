@@ -98,6 +98,15 @@ def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
         raise ValueError(f"{what} {value!r} is not a number") from None
 
 
+def _check_digits(digits: int) -> int:
+    """`digits` when decimal can work at that many significant digits."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > MAX_PREC:
+        raise ValueError(f"digits must be <= {MAX_PREC}")
+    return digits
+
+
 class SchemeConfig(Value):
     """Parameters of one continuation run.
 
@@ -113,8 +122,7 @@ class SchemeConfig(Value):
         alpha = _exact_decimal(alpha, "alpha")
         if m < 1:
             raise ValueError("m must be >= 1")
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
+        _check_digits(digits)
         if not step.is_finite():
             raise NonIntegralPathError(f"step {step} is not finite")
         if alpha.is_nan():

@@ -43,8 +43,8 @@ from .transform import (
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for n >= 0, zero outside 0 <= k <= n.
 
-    The zero convention is load-bearing: the direct partial sums below let
-    out-of-range terms vanish instead of trimming their index ranges.
+    The zero convention lets out-of-range terms of a binomial sum vanish
+    instead of trimming its index range: C(m-n, k-n) is 0 for k > m.
     """
     if k < 0 or k > n:
         return 0
@@ -105,11 +105,10 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
         (-1)**k * sum_{s=0..m} c_s *
             sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n)
 
-    Each Taylor coefficient enters the formula once; it is evaluated as k+1
-    dot products of the c_s with C(m, s+n).  Summed in integers over one
-    common denominator: exact on exact input, and on input containing a
-    Decimal the exact sum of the given decimals rounded once in the ambient
-    context.
+    Each Taylor coefficient enters the formula once; it is evaluated as one
+    dot product of the c_s with C(m, s+n) per n <= min(k, m).  Summed in
+    integers over one common denominator: exact on exact input, and on input
+    containing a Decimal the exact sum rounded once in the ambient context.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -122,7 +121,7 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
     row = [math.comb(m, j) for j in range(m + 1)]  # row[n:] is C(m, s+n) for s = 0..m-n
     acc = sum(
         (-1) ** (k + n) * binom(m - n, k - n) * sum(map(operator.mul, nums, row[n:]))
-        for n in range(k + 1)
+        for n in range(min(k, m) + 1)
     )
     return exact_quotient(acc, den, decimal)
 

@@ -1,10 +1,11 @@
 """Built-in coefficient generators, the CLI input syntax that names them
 (:func:`build_series`), coefficient file formats, and decimal rendering.
 
-Generators produce exact rational Taylor coefficients around 0.  Files come
-in two flavours: CSV with header ``n,numerator,denominator`` for exact input,
-and JSON arrays of decimal strings for fixed-precision input.  Decimal
-strings rather than binary floats keep the significant-digit contract intact.
+Generators produce exact rational Taylor coefficients around 0.  A file's
+name decides its format: a ``.json`` name holds a JSON array of decimal
+strings, any other name CSV rows ``n,numerator,denominator`` of exact
+rationals.  Decimal strings rather than binary floats keep the
+significant-digit contract intact.
 All decimal rendering rounds half-even.
 """
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import os
-from decimal import localcontext
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .continuation import DEFAULT_DIGITS, to_decimals
+from .continuation import DEFAULT_DIGITS, _exact_decimal, to_decimals
 from .transform import TaylorSeries
 
 
@@ -89,22 +91,22 @@ def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorS
     return TaylorSeries(coeffs=series.coeffs[:count], center=series.center)
 
 
-def load_coeffs(
-    path: str | os.PathLike,
-    fmt: str | None = None,
-    digits: int = DEFAULT_DIGITS,
-) -> TaylorSeries:
-    """Load coefficients from a CSV (exact rationals) or JSON (decimals) file.
+def _holds_json(path: str) -> bool:
+    """The one format rule of coefficient files, for reading and writing: a
+    `.json` name holds decimal strings, any other name exact CSV rows."""
+    return os.path.splitext(path)[1].lower() == ".json"
 
-    Format is inferred from the extension when not given.  CSV rows must be
-    indexed 0, 1, 2, ... in order.
+
+def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> TaylorSeries:
+    """Load coefficients from a file in the format its name names (see
+    :func:`_holds_json`): exact rationals from CSV, or decimals read at
+    `digits` significant digits from JSON.  CSV rows must be indexed
+    0, 1, 2, ... in order.
     """
     path = os.fspath(path)
-    if fmt is None:
-        fmt = "json" if os.path.splitext(path)[1].lower() == ".json" else "csv"
     with open(path) as fh:
         text = fh.read()
-    if fmt == "csv":
+    if not _holds_json(path):
         coeffs = []
         reader = csv.DictReader(text.splitlines())
         if reader.fieldnames is None or not {"n", "numerator", "denominator"} <= set(
@@ -126,52 +128,52 @@ def load_coeffs(
         if not coeffs:
             raise CoefficientParseError("no coefficient rows")
         return TaylorSeries(coeffs=tuple(coeffs), center=0)
-    if fmt == "json":
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CoefficientParseError(f"bad JSON: {e}") from e
+    if not isinstance(data, list) or not data:
+        raise CoefficientParseError("JSON must be a non-empty array of decimal strings")
+    coeffs = []
+    for i, item in enumerate(data):
+        if not isinstance(item, str):
+            raise CoefficientParseError(f"entry {i} is not a string")
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise CoefficientParseError(f"bad JSON: {e}") from e
-        if not isinstance(data, list) or not data:
-            raise CoefficientParseError("JSON must be a non-empty array of decimal strings")
-        coeffs = []
-        for i, item in enumerate(data):
-            if not isinstance(item, str):
-                raise CoefficientParseError(f"entry {i} is not a string")
-            try:
-                (value,) = to_decimals((item,), digits)
-            except ArithmeticError as e:
-                raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
-            if not value.is_finite():
-                raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
-            coeffs.append(value)
-        return TaylorSeries(coeffs=tuple(coeffs), center=0)
-    raise ValueError(f"unknown format {fmt!r}")
+            (value,) = to_decimals((item,), digits)
+        except ArithmeticError as e:
+            raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
+        if not value.is_finite():
+            raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
+        coeffs.append(value)
+    return TaylorSeries(coeffs=tuple(coeffs), center=0)
 
 
-def save_coeffs(series: TaylorSeries, path: str | os.PathLike, fmt: str | None = None) -> None:
-    """Write coefficients to CSV (Fraction series) or JSON (Decimal series)."""
-    path = os.fspath(path)
-    if fmt is None:
-        suffix = os.path.splitext(path)[1].lower()
-        if suffix == ".json":
-            fmt = "json"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
-            fmt = "csv" if isinstance(series.coeffs[0], (Fraction, int)) else "json"
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "numerator", "denominator"])
-            for n, c in enumerate(series.coeffs):
-                f = Fraction(c)
-                writer.writerow([n, f.numerator, f.denominator])
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump([str(c) for c in series.coeffs], fh, indent=0)
-            fh.write("\n")
+def save_coeffs(series: TaylorSeries, path: str | os.PathLike | None) -> None:
+    """Write coefficients so that :func:`load_coeffs` reads them back.
+
+    A file gets the format its name names (see :func:`_holds_json`).
+    Standard output, `path` None or "-", gets JSON when a coefficient is a
+    Decimal and CSV otherwise.  JSON entries are exact decimal strings: a
+    value with no terminating decimal, such as 1/3, raises ValueError
+    before anything is written.
+    """
+    coeffs = series.coeffs
+    if any(isinstance(c, Decimal) and not c.is_finite() for c in coeffs):
+        raise ValueError("coefficients must be finite")
+    path = None if path in (None, "-") else os.fspath(path)
+    as_json = any(isinstance(c, Decimal) for c in coeffs) if path is None else _holds_json(path)
+    if as_json:
+        entries = [str(_exact_decimal(c, f"coefficient {n}:")) for n, c in enumerate(coeffs)]
+        text = json.dumps(entries, indent=0) + "\n"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        fractions = enumerate(map(Fraction, coeffs))
+        text = "n,numerator,denominator\n" + "".join(
+            f"{n},{f.numerator},{f.denominator}\n" for n, f in fractions)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
 
 
 def format_decimal(value, digits: int = 10) -> str:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from asymser import binom
+from asymser import TaylorSeries, arctan_coeffs, binom, to_decimals
 
 
 def series_mul(a, b, trunc):
@@ -256,3 +256,16 @@ def assert_value_contract(value, same, other, text):
     assert value == same and repr(value) == text  # unchanged by the attempts
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is type(value) and back == value and repr(back) == text
+
+
+# Series that every coefficient file must carry back: exact with a
+# non-terminating 1/3 (c_3 of arctan), exact with terminating values only,
+# and 19-digit decimals.
+ROUND_TRIP_SERIES = {
+    "exact-thirds": arctan_coeffs(8),
+    "exact-terminating": TaylorSeries((Fraction(1, 2), Fraction(-3, 8), 0, 5, Fraction(1, 1024))),
+    "decimal-19": TaylorSeries(to_decimals(arctan_coeffs(8).coeffs, 19)),
+}
+
+# Names of every kind: .json names hold decimals, all others exact CSV rows.
+COEFF_FILE_NAMES = ["c.csv", "c.json", "c.txt", "c"]

@@ -28,3 +28,17 @@ def test_traced_cli_run_shows_every_layer(tmp_path):
         assert tracer.named(name), name
     assert len(tracer.named("cli.sweep_cell")) == 2
     assert all("converged" in s["attrs"] for s in tracer.named("continuation.continue"))
+
+
+def test_traced_convert_and_direct_show_their_layers(tmp_path):
+    """transform-convert reads the spans of load_coeffs and direct_trace."""
+    src = tmp_path / "v.json"
+    src.write_text('["0.5", "-0.25", "0.125"]\n')
+    with spans.Tracer().installed() as tracer:
+        assert cli.main(["convert", str(src), "--direction", "to-plain",
+                         "--out", str(tmp_path / "q.json")]) == 0
+        assert cli.main(["direct", "--input", "pole:2", "--k", "1", "--schedule", "5..10",
+                         "--out", str(tmp_path / "d.csv")]) == 0
+    for name in ["functions.load_coeffs", "conversion.shifted_to_plain",
+                 "conversion.direct_trace"]:
+        assert tracer.named(name), name

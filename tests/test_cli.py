@@ -5,14 +5,25 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from asymser import arctan_assoc_coeff, arctan_coeffs, continuation, save_coeffs
+from asymser import (
+    ShiftedExpansion,
+    arctan_assoc_coeff,
+    arctan_coeffs,
+    continuation,
+    load_coeffs,
+    pole_coeffs,
+    save_coeffs,
+    shifted_to_plain,
+    to_decimals,
+)
 from asymser import cli
 from asymser.cli import main
+from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES
 
 F = Fraction
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -58,6 +69,24 @@ class TestTransformCommand:
         assert len(rows) == 1
         assert rows[0]["taylor_dec"] == "5"
         assert rows[0]["assoc_dec"] == "5"
+
+
+    def test_decimal_file_prefix_fills_only_decimal_columns(self, tmp_path):
+        src = tmp_path / "p.json"
+        save_coeffs(pole_coeffs(2, 4), src)
+        out = tmp_path / "t.csv"
+        assert main(["transform", "--input", f"file:{src}", "--count", "4",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["taylor_dec"] for r in rows] == ["0.5", "-0.25", "0.125", "-0.0625"]
+        assert [r["assoc_dec"] for r in rows] == ["0.5", "-0.25", "-0.125", "-0.0625"]
+        assert {r[col] for r in rows for col in ("taylor_num", "taylor_den",
+                                                 "assoc_num", "assoc_den")} == {""}
+
+    def test_stable_radius_estimate_line(self, tmp_path, capsys):
+        assert main(["transform", "--input", "pole:2", "--count", "30",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().out == "radius estimate (lag 4): 2.000000000\n"
 
 
 class TestContinueCommand:
@@ -114,6 +143,31 @@ class TestContinueCommand:
                      "--m", "5", "--dx", "0.25", "--alpha", "0.1"])
         assert code == 3
 
+    @pytest.mark.parametrize("text, note", [("arctan", True), ("pole:2", False)])
+    def test_arctan_half_step_note(self, tmp_path, text, note):
+        out = tmp_path / "c.json"
+        assert main(["continue", "--input", text, "--m", "40", "--dx", "0.5",
+                     "--alpha", "0.1", "--count", "1", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert ("note" in doc) == note
+        if note:
+            assert doc["note"].startswith("step 0.5 passes within 0.5 of the nearest")
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--m", "0"], 3, "error: m must be >= 1"),
+            (["--digits", "0"], 3, "error: digits must be >= 1"),
+            (["--dx", "0"], 4, "error: step must be positive"),
+            (["--dx", "-0.25"], 4, "error: step must be positive"),
+        ],
+    )
+    def test_scheme_parameters_checked(self, capsys, flags, code, message):
+        # a flag given twice takes its last value
+        assert main(["continue", "--input", "arctan", "--m", "20", "--dx", "0.25",
+                     "--alpha", "0.1", *flags]) == code
+        assert capsys.readouterr().err.strip() == message
+
 
 class TestConvertCommand:
     def test_to_plain(self, tmp_path):
@@ -143,6 +197,35 @@ class TestConvertCommand:
         assert main(["convert", str(src), "--direction", "to-shifted"]) == 0
         assert "7,2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", COEFF_FILE_NAMES)
+    @pytest.mark.parametrize("key", list(ROUND_TRIP_SERIES))
+    def test_every_written_file_reads_back(self, tmp_path, key, name):
+        series = ROUND_TRIP_SERIES[key]
+        src = tmp_path / ("in.json" if key == "decimal-19" else "in.csv")
+        save_coeffs(series, src)
+        out = tmp_path / name
+        code = main(["convert", str(src), "--direction", "to-plain", "--out", str(out)])
+        if key == "exact-thirds" and name.endswith(".json"):
+            assert code == 3  # q_3 = 2/3 has no exact decimal
+            assert not out.exists()
+            return
+        assert code == 0
+        with localcontext() as ctx:
+            ctx.prec = 19
+            want = shifted_to_plain(ShiftedExpansion(series.coeffs)).coeffs
+        assert load_coeffs(out, digits=19).coeffs == want
+
+    def test_standard_output_takes_the_file_layout(self, tmp_path, capsys):
+        src = tmp_path / "v.json"
+        save_coeffs(ROUND_TRIP_SERIES["decimal-19"], src)
+        out = tmp_path / "q.json"
+        argv = ["convert", str(src), "--direction", "to-plain"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main(argv) == 0
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == 2 * out.read_text()
+        assert out.read_text().startswith('[\n"0",\n"1",\n')
+
     def test_bad_direction_exits_3(self, tmp_path):
         src = tmp_path / "one.csv"
         src.write_text("n,numerator,denominator\n0,1,1\n")
@@ -160,6 +243,18 @@ class TestDirectCommand:
         assert Decimal(rows[0]["partial"]) == Decimal(1) / 64
         assert rows[-1]["converged"] == "yes"
         assert "limit:" in capsys.readouterr().out
+
+    def test_decimal_file_prefix_converges(self, tmp_path, capsys):
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps([str(d) for d in to_decimals(pole_coeffs(2, 31).coeffs)]))
+        out = tmp_path / "d.csv"
+        assert main(["direct", "--input", f"file:{src}", "--k", "0",
+                     "--schedule", "5..30", "--tol", "0.02", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["converged"] for r in rows[:2]] == ["no", "no"]
+        assert {r["converged"] for r in rows[2:]} == {"yes"}
+        assert Decimal(rows[0]["partial"]) == Decimal(1) / 64
+        assert capsys.readouterr().out == f"limit: {rows[-1]['partial']}\n"
 
     def test_arctan_diverges(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -329,6 +424,26 @@ class TestSweepGrouping:
                 assert got == want
 
 
+    def test_first_step_error_spoils_its_pair(self, tmp_path, monkeypatch):
+        alphas = ["0.01", "0.1"]
+        clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
+        first_step = cli.shared_first_step
+
+        def failing(assoc, configs):
+            if configs[0].step == Decimal("0.25"):
+                raise ArithmeticError("injected in the shared first step")
+            return first_step(assoc, configs)
+
+        monkeypatch.setattr(cli, "shared_first_step", failing)
+        rows = self.sweep(tmp_path, "spoilt.csv", alphas, 1, m="98", dx="0.25,0.5")
+        assert rows[2:] == clean[2:]
+        assert [(r["dx"], r["alpha"]) for r in rows[:2]] == [("0.25", a) for a in alphas]
+        for row in rows[:2]:
+            assert [row[k] for k in ("steps", "c0_at_1", "c1_at_1", "err0", "err1",
+                                     "converged_count", "status")] == [
+                "", "unconverged", "unconverged", "", "", "0", "error:ArithmeticError"]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
@@ -472,6 +587,23 @@ class TestExitCodes:
         argv = [arg.format(dir=tmp_path) for arg in command]
         assert main([*argv, "--digits", "0"]) == 3
         assert capsys.readouterr().err.strip() == "error: digits must be >= 1"
+
+    @pytest.mark.parametrize("digits", [10**18, 10**21])  # both above MAX_PREC
+    @pytest.mark.parametrize(
+        "command",
+        [["transform", "--input", "arctan", "--count", "4"],
+         ["continue", "--input", "arctan", "--m", "20", "--dx", "0.25", "--alpha", "0.1"],
+         ["convert", "{dir}/c.json", "--direction", "to-plain"],
+         ["direct", "--input", "pole:2", "--k", "0", "--schedule", "5..10"],
+         ["sweep", "--input", "arctan", "--m", "20", "--dx", "0.25", "--alpha", "0.1"]],
+    )
+    def test_digits_above_max_prec_exit_3(self, tmp_path, capsys, command, digits):
+        save_coeffs(ROUND_TRIP_SERIES["decimal-19"], tmp_path / "c.json")
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        assert main([*argv, "--digits", str(digits)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: digits must be <= {MAX_PREC}\n"
+        assert captured.out == ""
 
     def test_negative_direct_index_exits_3(self, capsys):
         assert main(["direct", "--input", "pole:2", "--k", "-1",

@@ -190,6 +190,12 @@ class TestDirectPartials:
 
 
 class TestDirectTrace:
+    def test_huge_k_sums_only_terms_that_have_an_s(self):
+        # terms with n > m are empty: a loop over n <= k would not end
+        trace = direct_trace(pole_coeffs(2, 11), 10**12, range(5, 11))
+        assert trace.partials == tuple((m, 0) for m in range(5, 11))
+        assert all(type(v) is Fraction for _, v in trace.partials)
+
     def test_pole_two_converges_to_zero(self):
         series = pole_coeffs(2, 25)
         trace = direct_trace(series, 0, [5, 10, 20], tol=0.02)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from asymser import (
     CoefficientParseError,
     DegeneratePoleError,
+    TaylorSeries,
     arctan_assoc_coeff,
     arctan_coeffs,
     associated,
@@ -20,6 +22,7 @@ from asymser import (
     to_decimals,
 )
 from asymser.transform import exact_quotient
+from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES
 
 F = Fraction
 D = Decimal
@@ -136,6 +139,60 @@ class TestFileRoundTrip:
         path.write_text("[0.5, 1.5]")
         with pytest.raises(CoefficientParseError):
             load_coeffs(path)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.csv", "n,numerator,denominator\n0,x,1\n",
+             "bad row 0: {'n': '0', 'numerator': 'x', 'denominator': '1'}"),
+            ("bad.csv", "n,numerator,denominator\n0,1,1\n1,1,-2\n",
+             "row 1: denominator must be positive"),
+            ("bad.csv", "n,numerator,denominator\n", "no coefficient rows"),
+            ("bad.json", '{"0": "1"}', "JSON must be a non-empty array of decimal strings"),
+            ("bad.json", '["1", "one"]', "entry 1 is not a decimal: 'one'"),
+        ],
+    )
+    def test_rejected_files(self, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(CoefficientParseError) as info:
+            load_coeffs(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", COEFF_FILE_NAMES)
+    @pytest.mark.parametrize("key", list(ROUND_TRIP_SERIES))
+    def test_every_written_file_reads_back(self, tmp_path, key, name):
+        series, path = ROUND_TRIP_SERIES[key], tmp_path / name
+        if key == "exact-thirds" and name.endswith(".json"):
+            with pytest.raises(ValueError) as info:
+                save_coeffs(series, path)
+            assert str(info.value) == (
+                "coefficient 3: -1/3 has no terminating decimal representation")
+            assert not path.exists()
+            return
+        save_coeffs(series, path)
+        assert path.read_text().startswith("[") == name.endswith(".json")
+        assert load_coeffs(path, digits=19).coeffs == series.coeffs
+
+    def test_json_entries_are_exact_decimals(self, tmp_path):
+        save_coeffs(ROUND_TRIP_SERIES["exact-terminating"], tmp_path / "c.json")
+        assert json.loads((tmp_path / "c.json").read_text()) == [
+            "0.5", "-0.375", "0", "5", "0.0009765625"]
+
+    @pytest.mark.parametrize("target", [None, "-"])
+    def test_standard_output_follows_the_data(self, tmp_path, capsys, target):
+        for key, name in (("decimal-19", "c.json"), ("exact-thirds", "c.csv")):
+            save_coeffs(ROUND_TRIP_SERIES[key], target)
+            save_coeffs(ROUND_TRIP_SERIES[key], tmp_path / name)
+            assert capsys.readouterr().out == (tmp_path / name).read_text()
+
+    @pytest.mark.parametrize("name", ["c.json", "c.csv"])
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity"])
+    def test_non_finite_decimals_refused(self, tmp_path, name, value):
+        with pytest.raises(ValueError) as info:
+            save_coeffs(TaylorSeries((D(1), D(value))), tmp_path / name)
+        assert str(info.value) == "coefficients must be finite"
+        assert not (tmp_path / name).exists()
 
 
 class TestFormatDecimal:
