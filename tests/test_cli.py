@@ -19,7 +19,6 @@ from asymser import (
     pole_coeffs,
     save_coeffs,
     shifted_to_plain,
-    to_decimals,
 )
 from asymser import cli
 from asymser.cli import main
@@ -69,7 +68,6 @@ class TestTransformCommand:
         assert len(rows) == 1
         assert rows[0]["taylor_dec"] == "5"
         assert rows[0]["assoc_dec"] == "5"
-
 
     def test_decimal_file_prefix_fills_only_decimal_columns(self, tmp_path):
         src = tmp_path / "p.json"
@@ -246,7 +244,7 @@ class TestDirectCommand:
 
     def test_decimal_file_prefix_converges(self, tmp_path, capsys):
         src = tmp_path / "p.json"
-        src.write_text(json.dumps([str(d) for d in to_decimals(pole_coeffs(2, 31).coeffs)]))
+        save_coeffs(pole_coeffs(2, 31), src)
         out = tmp_path / "d.csv"
         assert main(["direct", "--input", f"file:{src}", "--k", "0",
                      "--schedule", "5..30", "--tol", "0.02", "--out", str(out)]) == 0
@@ -422,7 +420,6 @@ class TestSweepGrouping:
                 assert want["status"] != got["status"]
             else:
                 assert got == want
-
 
     def test_first_step_error_spoils_its_pair(self, tmp_path, monkeypatch):
         alphas = ["0.01", "0.1"]
