@@ -49,8 +49,8 @@ def headline(outdir: Path) -> None:
     print("== continuation to 1, m=701 dx=0.25 alpha=0.1, 19 digits ==")
     t0 = time.time()
     config = SchemeConfig(m=701, step="0.25", alpha="0.1", digits=19)
-    state, records = continue_to_one_with_steps(assoc, config)
-    print(f"  carried per step: {[r.carried for r in records]}")
+    state, states = continue_to_one_with_steps(assoc, config)
+    print(f"  carried per step: {[len(s.coeffs) for s in states]}")
     shifted = extract_shifted(state, 2)
     err0 = abs(shifted.coeffs[0] - HALF_PI)
     err1 = abs(shifted.coeffs[1] + 1)

@@ -16,7 +16,6 @@ from .continuation import (
     NonIntegralPathError,
     SchemeConfig,
     ShiftedExpansion,
-    StepRecord,
     continue_to_one,
     continue_to_one_with_steps,
     extract_shifted,

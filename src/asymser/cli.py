@@ -194,7 +194,7 @@ def cmd_continue(args) -> int:
     with localcontext() as ctx:
         ctx.prec = digits
         assoc = associated(series)
-    state, records = continue_to_one_with_steps(assoc, config)
+    state, states = continue_to_one_with_steps(assoc, config)
     shifted = extract_shifted(state, count, center=series.center)
     doc = {
         "input": args.input,
@@ -207,8 +207,9 @@ def cmd_continue(args) -> int:
         "coefficients_at_one": [str(c) for c in state.coeffs],
         "shifted_coefficients": [str(c) for c in shifted.coeffs],
         "steps": [
-            {"center": str(r.center), "carried": r.carried, "converged_count": r.converged_count}
-            for r in records
+            {"center": str(s.center), "carried": len(s.coeffs),
+             "converged_count": s.converged_count}
+            for s in states
         ],
     }
     if args.input == "arctan" and config.step == Decimal("0.5"):
@@ -279,20 +280,24 @@ def cmd_direct(args) -> int:
 def _run_pair(payload):
     """The sweep rows of one (m, dx) pair, one per alpha, in alpha order.
 
-    The pair's first step is shifted once, for all its alphas.
+    The pair's first step is shifted once, for all its alphas, and each
+    alpha continues from its own first-step state.
     """
     assoc, configs, with_reference = payload
     try:
-        first_sums = shared_first_step(assoc, configs)
+        firsts = shared_first_step(assoc, configs)
     except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
         return [_error_row(config, e) for config in configs]
-    return [_run_cell(assoc, config, with_reference, first_sums) for config in configs]
+    return [
+        _run_cell(assoc, config, with_reference, first) for config, first in zip(configs, firsts)
+    ]
 
 
-def _run_cell(assoc, config, with_reference, first_sums):
-    """The sweep row of one (m, dx, alpha) cell."""
+def _run_cell(assoc, config, with_reference, first):
+    """The sweep row of one (m, dx, alpha) cell, continued from the state
+    `first` after its first step."""
     try:
-        state, records = continue_to_one_with_steps(assoc, config, _first_sums=first_sums)
+        state, _ = continue_to_one_with_steps(assoc, config, _first=first)
         c0 = state.coeffs[0] if len(state.coeffs) >= 1 else None
         c1 = state.coeffs[1] if len(state.coeffs) >= 2 else None
         err0 = err1 = ""
@@ -472,6 +477,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (OSError, ValueError) as e:  # parse errors of files and JSON are ValueErrors
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory; lower --m, --count or --digits", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -15,18 +15,22 @@ iteration usable on a finite, possibly divergent-at-1 prefix:
   forward.  The non-converged tail is dominated by truncation garbage, and
   carrying it turns the whole iteration into a plain (divergent) partial sum.
 
-The per-step count of carried coefficients therefore shrinks along the path;
-the final state exposes how many leading coefficients are trustworthy.
+The continuation keeps one record, its state (:class:`ContinuationState`):
+the center, the carried coefficients and how many of them converged.  The
+state after each step is that step's diagnostics; the carried count shrinks
+along the path, and the final state exposes how many leading coefficients
+are trustworthy.
 
-Each recentering is the exact shift of the given decimal coefficients, done
-in integer arithmetic and rounded once per output coefficient to a
-configurable number of significant digits (19 by default).  Rounding
-therefore enters only between steps, and in the input prefix itself.  The
-convergence flags depend only on a step's input, so they are decided first,
-and a step that is not the last computes only the block it carries.
+Each recentering is the exact shift of the given coefficients, done in
+integer arithmetic.  Decimal coefficients are rounded once per output
+coefficient to a configurable number of significant digits (19 by default),
+so rounding enters only between steps, and in the input prefix itself;
+exact coefficients (Fractions, ints) stay exact.  The convergence flags
+depend only on a step's input, so they are decided first, and a step that
+is not the last computes only the block it carries.
 
-Continuations that differ only in alpha share their first step: see
-:func:`shared_first_step`.
+Continuations that differ only in alpha share their first step: each starts
+from its own first-step state, cut from one shift (:func:`shared_first_step`).
 """
 from __future__ import annotations
 
@@ -146,6 +150,7 @@ class ContinuationState(Value):
 
     converged_count is the length of the leading block whose recentering sums
     settled below alpha (rather than simply running out of coefficients).
+    After a step, len(coeffs) is the number of coefficients it carried.
     """
 
     def __init__(self, center: Decimal, coeffs, converged_count: int):
@@ -162,13 +167,6 @@ class ShiftedExpansion(Value):
         self._set(coeffs=tuple(coeffs), center=center)
 
 
-class StepRecord(Value):
-    """Per-step diagnostics: new center, carried length, converged count."""
-
-    def __init__(self, center: Decimal, carried: int, converged_count: int):
-        self._set(center=center, carried=carried, converged_count=converged_count)
-
-
 def recenter_step(
     state: ContinuationState,
     step: CoeffLike,
@@ -179,11 +177,12 @@ def recenter_step(
     """Advance the expansion center by `step`, summing all available terms.
 
     Each output b_k = sum_{n>=k} a_n * C(n, k) * step**(n-k) is the exact
-    shift of the given coefficients, rounded once to `digits` significant
-    digits.  With step = p/q and the inputs over one common denominator den,
-    the integers A_n = a_n * den * p**n * q**(m-1-n) turn the sums into a unit
-    Taylor shift B_k = sum_{n>=k} C(n, k) * A_n, built by k+1 passes of
-    suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
+    shift of the given coefficients: a Fraction when they are all exact,
+    else rounded once to `digits` significant digits.  With step = p/q and
+    the inputs over one common denominator den, the integers
+    A_n = a_n * den * p**n * q**(m-1-n) turn the sums into a unit Taylor
+    shift B_k = sum_{n>=k} C(n, k) * A_n, built by k+1 passes of suffix sums
+    (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
     b_k = B_k / (den * p**k * q**(m-1-k)).
 
     The convergence flags are those of :func:`_converged_prefix`; they need
@@ -201,15 +200,19 @@ def recenter_step(
         raise ValueError("step must be positive")
     thr = _exact_decimal(alpha, "alpha")
     count, length = _output_length(state.coeffs, dx, thr, digits, carried_only)
-    return _next_state(state, dx, _shift(state.coeffs, dx, digits, length), count)
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
+        center = state.center + dx
+    return ContinuationState(center, _shift(state.coeffs, dx, digits, length), count)
 
 
 def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
-    """The first `length` outputs of the exact shift of `coeffs` by dx, each
-    rounded once to `digits` digits (see :func:`recenter_step`)."""
+    """The first `length` outputs of the exact shift of `coeffs` by dx:
+    exact for exact input, else each rounded once to `digits` digits (see
+    :func:`recenter_step`)."""
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
-    nums, den, _ = scale_to_integers(coeffs)
+    nums, den, decimal = scale_to_integers(coeffs)
     ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
     qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
     # kept reversed, so that each pass of running sums ends on B_k
@@ -221,7 +224,7 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
     with localcontext() as ctx:
         ctx.prec = digits
         return tuple(
-            exact_quotient(b, den * ppow[k] * qpow[m - 1 - k], True)
+            exact_quotient(b, den * ppow[k] * qpow[m - 1 - k], decimal)
             for k, b in enumerate(shifted)
         )
 
@@ -233,15 +236,6 @@ def _output_length(
     outputs are needed: the carried block with `carried_only`, else all."""
     count = _converged_prefix(coeffs, dx, thr, digits)
     return count, count if carried_only and count >= 1 else len(coeffs)
-
-
-def _next_state(
-    state: ContinuationState, dx: Decimal, sums: tuple, count: int
-) -> ContinuationState:
-    with localcontext() as ctx:
-        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
-        center = state.center + dx
-    return ContinuationState(center=center, coeffs=sums, converged_count=count)
 
 
 def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> int:
@@ -258,23 +252,25 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> 
 
     The last nonzero term of every sum comes from the last nonzero input
     index L, so the flags need no sums: the term is
-    coeffs[L] * C(L, k) * dx**(L-k), evaluated at `digits` digits.
+    coeffs[L] * C(L, k) * dx**(L-k), evaluated at `digits` digits, with an
+    exact coeffs[L] first rounded to `digits` digits.
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
     with localcontext() as ctx:
         ctx.prec = digits
+        tail = coeffs[last] if isinstance(coeffs[last], Decimal) else _rounded(coeffs[last])
         dxpow = [Decimal(1)]
         for _ in range(last):
             dxpow.append(dxpow[-1] * dx)
         comb = 1  # C(last, k)
         for k in range(m):
             if k == m - 1:
-                ok = abs(coeffs[k]) < thr
+                ok = abs(tail if last == k else coeffs[k]) < thr
             elif last <= k or m - 1 - last >= 2:
                 ok = True
             else:
-                ok = abs(coeffs[last] * comb * dxpow[last - k]) < thr
+                ok = abs(tail * comb * dxpow[last - k]) < thr
             if not ok:
                 return k
             comb = comb * (last - k) // (k + 1)
@@ -282,67 +278,59 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> 
 
 
 def continue_to_one_with_steps(
-    assoc: AssociatedSeries, config: SchemeConfig, *, _first_sums: tuple | None = None
-) -> tuple[ContinuationState, list[StepRecord]]:
-    """Run the full 0 -> 1 continuation, returning per-step diagnostics.
+    assoc: AssociatedSeries, config: SchemeConfig, *, _first: ContinuationState | None = None
+) -> tuple[ContinuationState, list[ContinuationState]]:
+    """Run the full 0 -> 1 continuation, returning the state after each step.
 
     Between steps the state is truncated to its converged block; when nothing
     converged the full vector is kept instead, so that exactly representable
     inputs (polynomials with alpha below every term) continue losslessly.
-    Every step but the last computes only that block (`carried_only`).
+    Every step but the last computes only that block (`carried_only`).  Each
+    state's center, carried length (its number of coefficients) and
+    converged count are the step's diagnostics.
 
-    `_first_sums`, from :func:`shared_first_step`, stands in for the first
-    step's sums; the run is the same as without it.
+    `_first`, one of the states of :func:`shared_first_step`, is the state
+    after the first step; the run continues from it and is the same as
+    without it.
     """
-    state = _initial_state(assoc, config.m, config.digits)
-    records: list[StepRecord] = []
-    nsteps = config.steps
-    for i in range(nsteps):
-        carried_only = i < nsteps - 1
-        if i == 0 and _first_sums is not None:
-            count, length = _output_length(
-                state.coeffs, config.step, config.alpha, config.digits, carried_only
-            )
-            if len(_first_sums) < length:
-                raise ValueError(f"shared first step has {len(_first_sums)} sums, need {length}")
-            state = _next_state(state, config.step, _first_sums[:length], count)
-        else:
-            state = recenter_step(
-                state, config.step, config.alpha, config.digits, carried_only=carried_only
-            )
-        records.append(
-            StepRecord(
-                center=state.center,
-                carried=len(state.coeffs),
-                converged_count=state.converged_count,
-            )
+    if _first is None:
+        state, states = _initial_state(assoc, config.m, config.digits), []
+    else:
+        state, states = _first, [_first]
+    for i in range(len(states), config.steps):
+        state = recenter_step(
+            state, config.step, config.alpha, config.digits, carried_only=i < config.steps - 1
         )
-    return state, records
+        states.append(state)
+    return state, states
 
 
-def shared_first_step(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> tuple:
-    """The first step's sums for continuations that differ only in alpha.
+def shared_first_step(
+    assoc: AssociatedSeries, configs: list[SchemeConfig]
+) -> list[ContinuationState]:
+    """The state after the first step of each of `configs`, continuations
+    that differ only in alpha.
 
-    The first step does not depend on alpha, except in how many of its
-    outputs are carried.  The sums reach as far as the longest block any of
-    `configs` needs: the largest converged block, or the whole vector when
-    some alpha converges nothing or the path is a single step.  Each run
-    takes its own prefix of them through
-    ``continue_to_one_with_steps(assoc, config, _first_sums=...)``.
+    The first step does not depend on alpha, except in its converged count
+    and so in how many of its outputs are carried.  The prefix is rounded
+    once, each config's count and length are decided once, and one shift
+    reaches the longest of those lengths; each config's state holds its own
+    prefix of that shift.  A run continues from its state through
+    ``continue_to_one_with_steps(assoc, config, _first=state)``.
     """
     m, step, digits = configs[0].m, configs[0].step, configs[0].digits
     if any((c.m, c.step, c.digits) != (m, step, digits) for c in configs):
         raise ValueError("configs must share m, step and digits")
     state = _initial_state(assoc, m, digits)
     carried_only = configs[0].steps > 1
-    # The converged block never shrinks as alpha grows, so the smallest alpha
-    # needs the whole vector if it converges nothing, and else the largest
-    # alpha needs the longest block.
-    by_alpha = sorted(configs, key=lambda c: c.alpha)
-    _, length = _output_length(state.coeffs, step, by_alpha[0].alpha, digits, carried_only)
-    widest = by_alpha[0] if length == m else by_alpha[-1]
+    decided = [_output_length(state.coeffs, step, c.alpha, digits, carried_only) for c in configs]
+    lengths = [length for _, length in decided]
+    widest = configs[lengths.index(max(lengths))]
     # through recenter_step, so that whatever wraps it sees the shared step too
-    return recenter_step(state, step, widest.alpha, digits, carried_only=carried_only).coeffs
+    first = recenter_step(state, step, widest.alpha, digits, carried_only=carried_only)
+    return [
+        ContinuationState(first.center, first.coeffs[:length], count) for count, length in decided
+    ]
 
 
 def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> ContinuationState:
@@ -377,8 +365,8 @@ def extract_shifted(
             f"requested {count} coefficients, only {state.converged_count} converged"
         )
     coeffs = tuple(
-        # copy_negate is exact; unary minus would round in the ambient context
-        c if n % 2 == 0 else c.copy_negate()
+        # copy_negate is exact; unary minus would round a Decimal in the ambient context
+        c if n % 2 == 0 else c.copy_negate() if isinstance(c, Decimal) else -c
         for n, c in enumerate(state.coeffs[:count])
     )
     return ShiftedExpansion(coeffs=coeffs, center=center)

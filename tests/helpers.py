@@ -218,14 +218,15 @@ def reference_converged_count(coeffs, step, alpha, digits):
 def reference_continue(assoc, config):
     """The step loop with full-length steps: every step is a full
     recenter_step, truncated afterwards to its converged block (or kept whole
-    when nothing converged) unless it is the last."""
+    when nothing converged) unless it is the last.  Returns the final state
+    and the state after each step."""
     from decimal import Decimal
 
-    from asymser import ContinuationState, StepRecord, recenter_step, to_decimals
+    from asymser import ContinuationState, recenter_step, to_decimals
 
     coeffs = to_decimals(assoc.coeffs[: config.m], config.digits)
     state = ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
-    records = []
+    states = []
     for i in range(config.steps):
         state = recenter_step(state, config.step, config.alpha, config.digits)
         if i < config.steps - 1:
@@ -235,8 +236,8 @@ def reference_continue(assoc, config):
                 coeffs=state.coeffs[:keep],
                 converged_count=min(state.converged_count, keep),
             )
-        records.append(StepRecord(state.center, len(state.coeffs), state.converged_count))
-    return state, records
+        states.append(state)
+    return state, states
 
 
 def assert_value_contract(value, same, other, text):

@@ -42,3 +42,26 @@ def test_traced_convert_and_direct_show_their_layers(tmp_path):
     for name in ["functions.load_coeffs", "conversion.shifted_to_plain",
                  "conversion.direct_trace"]:
         assert tracer.named(name), name
+
+
+def test_shared_first_steps_are_traced_recenter_steps(tmp_path):
+    """Each (m, dx) pair of a sweep shifts its first step once, through
+    recenter_step, outside every continuation.continue span: the traced
+    benchmark sees the shared step as one recenter_step span per pair."""
+    with spans.Tracer().installed() as tracer:
+        assert cli.main(["sweep", "--input", "arctan", "--m", "30,40", "--dx", "0.25,0.5,1",
+                         "--alpha", "1e-300,0.01,0.1", "--jobs", "1",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+    by_id = {s["id"]: s for s in tracer.spans}
+
+    def inside_continue(span):
+        while span["parent"] is not None:
+            span = by_id[span["parent"]]
+            if span["name"] == "continuation.continue":
+                return True
+        return False
+
+    shared = [s for s in tracer.named("continuation.recenter_step") if not inside_continue(s)]
+    assert len(shared) == 6  # 2 values of m times 3 of dx
+    assert sorted(s["attrs"]["n"] for s in shared) == [30] * 3 + [40] * 3
+    assert len(tracer.named("continuation.continue")) == 18

@@ -421,6 +421,21 @@ class TestSweepGrouping:
             else:
                 assert got == want
 
+    def test_each_row_is_the_continue_run_of_its_cell(self, tmp_path):
+        # 1e-300 converges nothing on the first step; dx 1 is a single step
+        rows = self.sweep(tmp_path, "grid.csv", ["1e-300", "0.01", "0.1"], 1,
+                          m="40,98", dx="0.25,0.5,1")
+        assert len(rows) == 18
+        for row in rows:
+            out = tmp_path / "c.json"
+            assert main(["continue", "--input", "arctan", "--m", row["m"], "--dx", row["dx"],
+                         "--alpha", row["alpha"], "--count", "0", "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            leading = (doc["coefficients_at_one"] + ["unconverged"] * 2)[:2]
+            assert [row["c0_at_1"], row["c1_at_1"]] == leading
+            assert int(row["converged_count"]) == doc["converged_count"]
+            assert int(row["steps"]) == len(doc["steps"])
+
     def test_first_step_error_spoils_its_pair(self, tmp_path, monkeypatch):
         alphas = ["0.01", "0.1"]
         clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
@@ -600,6 +615,22 @@ class TestExitCodes:
         assert main([*argv, "--digits", str(digits)]) == 3
         captured = capsys.readouterr()
         assert captured.err == f"error: digits must be <= {MAX_PREC}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["continue", "--input", "arctan", "--m", "20", "--dx", "0.25", "--alpha", "0.1"],
+         ["sweep", "--input", "arctan", "--m", "20", "--dx", "0.25", "--alpha", "0.1",
+          "--jobs", "1"]],
+    )
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, command):
+        def exhausted(series):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "associated", exhausted)
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory; lower --m, --count or --digits\n"
         assert captured.out == ""
 
     def test_negative_direct_index_exits_3(self, capsys):

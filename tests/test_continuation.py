@@ -15,7 +15,6 @@ from asymser import (
     PlainExpansion,
     SchemeConfig,
     ShiftedExpansion,
-    StepRecord,
     continue_to_one,
     continue_to_one_with_steps,
     extract_shifted,
@@ -24,6 +23,7 @@ from asymser import (
     recenter_step,
     to_decimals,
 )
+from asymser import continuation
 from asymser.continuation import _exact_decimal, shared_first_step
 from helpers import (
     assert_value_contract,
@@ -184,6 +184,32 @@ class TestRecenterOracle:
             alpha = rng.choice(["0.1", "1e-9", "1e6"])
             assert_exact_step(make_state(values), step, alpha)
 
+    def test_exact_states_recenter_exactly(self):
+        # exact in, exact out; the flags are those of the state rounded to digits
+        rng = random.Random(12)
+        for _ in range(80):
+            coeffs = tuple(
+                F(0) if rng.random() < 0.25
+                else F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                for _ in range(rng.randint(1, 30))
+            )
+            step = rng.choice(["0.125", "0.25", "0.5", "1", "0.3"])
+            alpha = rng.choice(["0.1", "1e-9", "1e6"])
+            digits = rng.choice([5, 19, 30])
+            state = ContinuationState(center=D(0), coeffs=coeffs, converged_count=len(coeffs))
+            out = recenter_step(state, step, alpha, digits)
+            assert out.coeffs == tuple(exact_recenter(coeffs, D(step)))
+            assert all(type(c) is F for c in out.coeffs)
+            assert out.converged_count == reference_converged_count(
+                to_decimals(coeffs, digits), step, alpha, digits
+            )
+            at_one = ContinuationState(D(1), out.coeffs, out.converged_count)
+            shifted = extract_shifted(at_one, out.converged_count)
+            assert shifted.coeffs == tuple(
+                (-1) ** n * c for n, c in enumerate(out.coeffs[: out.converged_count])
+            )
+            assert all(type(c) is F for c in shifted.coeffs)
+
     @pytest.mark.parametrize(
         "values",
         [
@@ -248,19 +274,19 @@ class TestContinueToOne:
     def test_step_records(self):
         assoc = AssociatedSeries(coeffs=tuple(F(1, n + 1) for n in range(30)))
         config = SchemeConfig(m=30, step="0.25", alpha="0.01")
-        state, records = continue_to_one_with_steps(assoc, config)
-        assert len(records) == 4
-        centers = [r.center for r in records]
+        state, states = continue_to_one_with_steps(assoc, config)
+        assert len(states) == 4
+        centers = [s.center for s in states]
         assert centers == [D("0.25"), D("0.5"), D("0.75"), D("1.00")]
         assert all(a < b for a, b in zip(centers, centers[1:]))
-        assert records[-1].converged_count == state.converged_count
+        assert states[-1] == state
 
     def test_centers_exact_at_low_digits(self):
         # at 2 digits a rounded center would walk 0.12, 0.24, ..., 0.96
         config = SchemeConfig(m=40, step="0.125", alpha="0.5", digits=2)
-        state, records = continue_to_one_with_steps(associated(arctan_coeffs(40)), config)
+        state, states = continue_to_one_with_steps(associated(arctan_coeffs(40)), config)
         assert str(state.center) == "1.000"
-        assert [str(r.center) for r in records] == [
+        assert [str(s.center) for s in states] == [
             "0.125", "0.250", "0.375", "0.500", "0.625", "0.750", "0.875", "1.000"]
 
     def test_determinism_across_runs(self):
@@ -271,14 +297,14 @@ class TestContinueToOne:
         assert a == b
 
 
-def run_key(state, records):
+def run_key(state, states):
     """Everything a continuation reports, down to each coefficient's digits
     and exponent."""
     return (
         [c.as_tuple() for c in state.coeffs],
         str(state.center),
         state.converged_count,
-        [(str(r.center), r.carried, r.converged_count) for r in records],
+        [(str(s.center), len(s.coeffs), s.converged_count) for s in states],
     )
 
 
@@ -293,27 +319,37 @@ class TestPrefixOnlyContinuation:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
     def test_arctan_prefix(self, arctan_assoc_701, m, step):
         configs = [SchemeConfig(m=m, step=step, alpha=a) for a in self.ALPHAS]
-        first_sums = shared_first_step(arctan_assoc_701, configs)
-        for config in configs:
+        firsts = shared_first_step(arctan_assoc_701, configs)
+        for config, first in zip(configs, firsts):
             want = run_key(*reference_continue(arctan_assoc_701, config))
-            assert run_key(*continue_to_one_with_steps(arctan_assoc_701, config)) == want
-            shared = continue_to_one_with_steps(
-                arctan_assoc_701, config, _first_sums=first_sums
-            )
+            alone = continue_to_one_with_steps(arctan_assoc_701, config)
+            assert run_key(*alone) == want
+            assert first == alone[1][0]
+            shared = continue_to_one_with_steps(arctan_assoc_701, config, _first=first)
             assert run_key(*shared) == want
-        # the shared sums reach the longest carried block, here the whole vector
-        assert len(first_sums) == m
+        # the longest first state is the whole vector: 1e-300 converges nothing
+        assert max(len(first.coeffs) for first in firsts) == m
 
     def test_first_step_keeps_everything_when_nothing_converges(self, arctan_assoc_701):
         config = SchemeConfig(m=120, step="0.25", alpha="1e-300")
-        _, records = continue_to_one_with_steps(arctan_assoc_701, config)
-        assert (records[0].carried, records[0].converged_count) == (120, 0)
+        _, states = continue_to_one_with_steps(arctan_assoc_701, config)
+        assert (len(states[0].coeffs), states[0].converged_count) == (120, 0)
 
-    def test_shared_sums_stop_at_the_largest_block(self, arctan_assoc_701):
+    def test_shared_sums_stop_at_the_largest_block(self, arctan_assoc_701, monkeypatch):
         configs = [SchemeConfig(m=301, step="0.25", alpha=a) for a in ("0.01", "0.1")]
-        first_sums = shared_first_step(arctan_assoc_701, configs)
-        _, records = continue_to_one_with_steps(arctan_assoc_701, configs[1])
-        assert len(first_sums) == records[0].carried < 301
+        shifts = []
+
+        def recording(*args, **kwargs):
+            shifts.append(recenter_step(*args, **kwargs))
+            return shifts[-1]
+
+        monkeypatch.setattr(continuation, "recenter_step", recording)
+        firsts = shared_first_step(arctan_assoc_701, configs)
+        monkeypatch.undo()
+        _, states = continue_to_one_with_steps(arctan_assoc_701, configs[1])
+        assert firsts[1] == states[0]
+        assert len(shifts) == 1
+        assert len(shifts[0].coeffs) == len(states[0].coeffs) < 301
         with pytest.raises(ValueError):
             shared_first_step(
                 arctan_assoc_701, configs + [SchemeConfig(m=301, step="0.5", alpha="0.1")]
@@ -331,9 +367,9 @@ class TestPrefixOnlyContinuation:
             step = rng.choice(["0.125", "0.25", "0.5", "1"])
             alphas = rng.sample(["1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
             configs = [SchemeConfig(m=len(values), step=step, alpha=a) for a in alphas]
-            first_sums = shared_first_step(assoc, configs)
-            for config in configs:
-                shared = continue_to_one_with_steps(assoc, config, _first_sums=first_sums)
+            firsts = shared_first_step(assoc, configs)
+            for config, first in zip(configs, firsts):
+                shared = continue_to_one_with_steps(assoc, config, _first=first)
                 assert run_key(*shared) == run_key(*reference_continue(assoc, config))
 
     def test_higher_precision(self, arctan_assoc_701):
@@ -414,10 +450,6 @@ class TestValueTypes:
              "ShiftedExpansion(coeffs=(Decimal('1'), Decimal('-0.5')), center=0)"),
             (ShiftedExpansion((1,), 2), ShiftedExpansion(center=2, coeffs=[1]),
              ShiftedExpansion((1,)), "ShiftedExpansion(coeffs=(1,), center=2)"),
-            (StepRecord(D("0.25"), 10, 7),
-             StepRecord(center=D("0.25"), carried=10, converged_count=7),
-             StepRecord(D("0.25"), 10, 6),
-             "StepRecord(center=Decimal('0.25'), carried=10, converged_count=7)"),
         ],
     )
     def test_value_contract(self, value, same, other, text):
