@@ -34,8 +34,9 @@ from its own first-step state, cut from one shift (:func:`shared_first_step`).
 """
 from __future__ import annotations
 
+import functools
 import operator
-from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
+from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -63,9 +64,14 @@ def to_decimals(values, digits: int = DEFAULT_DIGITS) -> tuple:
     once to `digits` significant digits, half-even.
 
     Floats are rejected: binary artifacts must not enter the decimal pipeline.
+    Decimals alone, such as a prefix rounded before, are each rounded by
+    one call of the context's plus.
     """
+    values = tuple(values)
     with localcontext() as ctx:
         ctx.prec = digits
+        if all(type(v) is Decimal for v in values):
+            return tuple(map(ctx.plus, values))
         return tuple(_rounded(v) for v in values)
 
 
@@ -213,20 +219,24 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
     nums, den, decimal = scale_to_integers(coeffs)
-    ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
     qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
+    # den * q**j, each from the last by one small multiplication
+    dens = list(accumulate(repeat(q, m - 1), operator.mul, initial=den))
     # kept reversed, so that each pass of running sums ends on B_k
-    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
+    if p == 1:  # dx = 1/q, as on every path that lands on 1
+        row = [a * qpow[n] for n, a in enumerate(reversed(nums))]
+        outs = dens[::-1]
+    else:
+        ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
+        row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
+        outs = [dens[m - 1 - k] * ppow[k] for k in range(length)]
     shifted = []
     for _ in range(length):
         row = list(accumulate(row))
         shifted.append(row.pop())
     with localcontext() as ctx:
         ctx.prec = digits
-        return tuple(
-            exact_quotient(b, den * ppow[k] * qpow[m - 1 - k], decimal)
-            for k, b in enumerate(shifted)
-        )
+        return tuple(exact_quotient(b, d, decimal) for b, d in zip(shifted, outs))
 
 
 def _output_length(
@@ -260,9 +270,10 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> 
     with localcontext() as ctx:
         ctx.prec = digits
         tail = coeffs[last] if isinstance(coeffs[last], Decimal) else _rounded(coeffs[last])
-        dxpow = [Decimal(1)]
-        for _ in range(last):
-            dxpow.append(dxpow[-1] * dx)
+        dxpow = _powers(dx, digits, ctx.rounding)
+        with localcontext(Context(prec=digits, rounding=ctx.rounding)):
+            for _ in range(len(dxpow), last + 1):
+                dxpow.append(dxpow[-1] * dx)
         comb = 1  # C(last, k)
         for k in range(m):
             if k == m - 1:
@@ -275,6 +286,16 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> 
                 return k
             comb = comb * (last - k) // (k + 1)
     return m
+
+
+@functools.lru_cache(maxsize=32)
+def _powers(dx: Decimal, digits: int, rounding: str) -> list:
+    """The powers dx**0, dx**1, ... that :func:`_converged_prefix` has built,
+    each the last times dx rounded to `digits` digits in `rounding` (and in
+    the default exponent range, so that they depend on these alone).  The
+    caller extends the list as far as it needs, so a sweep builds each
+    power of each step once per process."""
+    return [Decimal(1)]
 
 
 def continue_to_one_with_steps(

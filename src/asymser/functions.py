@@ -17,7 +17,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .continuation import DEFAULT_DIGITS, _exact_decimal, to_decimals
+from .continuation import DEFAULT_DIGITS, _exact_decimal, _rounded, to_decimals
 from .transform import TaylorSeries
 
 
@@ -135,16 +135,18 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
     if not isinstance(data, list) or not data:
         raise CoefficientParseError("JSON must be a non-empty array of decimal strings")
     coeffs = []
-    for i, item in enumerate(data):
-        if not isinstance(item, str):
-            raise CoefficientParseError(f"entry {i} is not a string")
-        try:
-            (value,) = to_decimals((item,), digits)
-        except ArithmeticError as e:
-            raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
-        if not value.is_finite():
-            raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
-        coeffs.append(value)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        for i, item in enumerate(data):
+            if not isinstance(item, str):
+                raise CoefficientParseError(f"entry {i} is not a string")
+            try:
+                value = _rounded(item)
+            except ArithmeticError as e:
+                raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
+            if not value.is_finite():
+                raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
+            coeffs.append(value)
     return TaylorSeries(coeffs=tuple(coeffs), center=0)
 
 

@@ -42,9 +42,10 @@ start of the command line.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from decimal import Decimal
+from decimal import Decimal, getcontext
 from fractions import Fraction
 
 
@@ -150,14 +151,62 @@ def scale_to_integers(values) -> tuple[list, int, bool]:
     return (*_over_common_denominator(ratios), decimal)
 
 
+_LOG10_2 = math.log10(2)
+
+
+@functools.lru_cache(maxsize=256)
+def _power_of_ten(e: int) -> int:
+    return 10 ** e
+
+
 def exact_quotient(num: int, den: int, decimal: bool):
     """num/den as an exact Fraction, or as a Decimal rounded once in the
     ambient decimal context.
 
     This is the package's one division of an exact integer pair into a
-    Decimal: every other rounding of an exact value goes through it.
+    Decimal: every other rounding of an exact value goes through it.  The
+    result, its exponent and the context flags it raises are those of
+    Decimal(num) / den.
+
+    That division converts both operands to Decimal, in time quadratic in
+    their length, so large operands are divided as integers instead (Brent
+    and Zimmermann, Modern Computer Arithmetic, 2010, ch. 3).  A power of
+    ten 10**e, picked from the bit lengths, makes y = |num| * 10**e // den
+    an integer of at least prec + 2 digits.  Every rounding boundary at prec
+    digits, a result or the half-way point between two, is then a whole
+    value of y.  When the division leaves a remainder, the exact quotient
+    and y followed by a sticky digit 1 both lie strictly between y and
+    y + 1, so rounding the latter once gives the same Decimal and the same
+    Inexact and Rounded flags.  An exact quotient keeps the ideal exponent
+    of a division (10/4 gives 2.5), and quotients near the ends of the
+    exponent range may be subnormal or overflow, so those, a zero num, a
+    nonpositive den and operands too short to pay for the integer route
+    are divided as Decimals.
     """
-    return Decimal(num) / den if decimal else Fraction(num, den)
+    if not decimal:
+        return Fraction(num, den)
+    ctx = getcontext()
+    prec = ctx.prec
+    nbits, dbits = num.bit_length(), den.bit_length()
+    # The integer route converts a prec-digit integer, the Decimal route both
+    # operands: the integer route pays for operands well past prec digits
+    # (at 19 digits the two break even near two 512-bit operands).
+    if num and den > 0 and nbits + dbits > 4 * prec + 1024:
+        # |num/den| > 2**(nbits - 1 - dbits) >= 10**lo, up to the float's
+        # error, so the result's adjusted exponent lies in [lo, lo + 2]: keep
+        # a decade of margin from Emin and Emax, within which scaleb takes
+        # -e - 1 too
+        lo = math.floor((nbits - 1 - dbits) * _LOG10_2)
+        if max(ctx.Emin, -ctx.Emax) + 1 < lo < ctx.Emax - 3:
+            e = prec + 1 - lo
+            if e >= 0:
+                y, rem = divmod(abs(num) * _power_of_ten(e), den)
+            else:
+                y, rem = divmod(abs(num), den * _power_of_ten(-e))
+            if rem:
+                y = 10 * y + 1
+                return Decimal(y if num > 0 else -y).scaleb(-e - 1)
+    return Decimal(num) / den
 
 
 # Passes of the Pascal triangle between two repackings of its packed row (a

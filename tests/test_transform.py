@@ -2,7 +2,20 @@ from __future__ import annotations
 
 import functools
 import random
-from decimal import Decimal, localcontext
+from decimal import (
+    ROUND_05UP,
+    ROUND_CEILING,
+    ROUND_DOWN,
+    ROUND_FLOOR,
+    ROUND_HALF_DOWN,
+    ROUND_HALF_EVEN,
+    ROUND_HALF_UP,
+    ROUND_UP,
+    Context,
+    Decimal,
+    Inexact,
+    localcontext,
+)
 from fractions import Fraction
 
 import pytest
@@ -25,7 +38,8 @@ from asymser import (
     shifted_to_plain,
     to_decimals,
 )
-from asymser.transform import _BLOCK
+from asymser import transform
+from asymser.transform import _BLOCK, exact_quotient
 from helpers import (
     assert_value_contract,
     compose_with_geom_map,
@@ -303,6 +317,118 @@ class TestKernelContract:
     def test_float_rejected(self, name):
         with pytest.raises(TypeError):
             FOUR_MAPS[name]((1.0, 0.5, 0.25))
+
+
+ROUNDINGS = (ROUND_05UP, ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, ROUND_HALF_DOWN,
+             ROUND_HALF_EVEN, ROUND_HALF_UP, ROUND_UP)
+
+
+def _outcome(divide, context):
+    """str() of what `divide` returns in a copy of `context`, or the type of
+    the exception it raises, and the signals it leaves flagged."""
+    with localcontext(context.copy()) as ctx:
+        try:
+            result = str(divide())
+        except ArithmeticError as e:
+            result = type(e)
+        return result, {signal for signal, raised in ctx.flags.items() if raised}
+
+
+def assert_same_as_division(num, den, context, dnum=None, dden=None):
+    """exact_quotient(num, den, True) is Decimal(num) / den in `context`: the
+    same str(), exceptions and flags.  `dnum` and `dden`, when given, are
+    Decimal(num) and Decimal(den), converted once for many contexts."""
+    dnum = Decimal(num) if dnum is None else dnum
+    dden = den if dden is None else dden
+    got = _outcome(lambda: exact_quotient(num, den, True), context)
+    assert got == _outcome(lambda: dnum / dden, context), (num, den, context)
+
+
+@pytest.fixture
+def integer_route(monkeypatch):
+    """The exponents e of the powers 10**e that exact_quotient takes: one
+    for each division that goes the integer route."""
+    taken, power = [], transform._power_of_ten
+    monkeypatch.setattr(transform, "_power_of_ten", lambda e: taken.append(e) or power(e))
+    return taken
+
+
+class TestExactQuotient:
+    """exact_quotient divides large operands as integers with a sticky digit;
+    every Decimal it returns must be that of Decimal(num) / den."""
+
+    def test_random_operands(self, integer_route):
+        rng = random.Random(2026)
+        cases = 4000
+        for _ in range(cases):
+            den = rng.getrandbits(rng.randint(1, 4000))
+            kind = rng.random()
+            if kind < 0.1:
+                num = 0
+            elif kind < 0.3:  # a terminating quotient, exact at some precisions
+                num = rng.randint(-10**40, 10**40) * den
+                den *= 2 ** rng.randint(0, 60) * 5 ** rng.randint(0, 60)
+            else:
+                num = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 4000))
+            if rng.random() < 0.02:
+                den = -den
+            context = Context(prec=rng.randint(1, 120), rounding=rng.choice(ROUNDINGS), traps=[])
+            assert_same_as_division(num, den, context)
+        assert len(integer_route) > cases // 3
+
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    @pytest.mark.parametrize("prec", [1, 2, 19, 60, 120])
+    def test_halfway_and_next_to_it(self, integer_route, prec, rounding):
+        # M.5 with M of prec digits, over a 3170-bit denominator: exactly
+        # half way between two results, or one part in 10**1000 off it
+        rng = random.Random(prec)
+        big = 3 ** 2000
+        context = Context(prec=prec, rounding=rounding, traps=[])
+        for _ in range(5):
+            half = 10 * rng.randrange(10 ** (prec - 1), 10 ** prec) + 5
+            for sign in (1, -1):
+                for off in (0, 1, -1):
+                    assert_same_as_division(sign * (half * big + off), 10 * big, context)
+        assert integer_route
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("decades", [3000, 100000])
+    def test_exponents_near_the_ends_of_the_range(self, integer_route, sign, decades):
+        # quotients near 10**decades and 10**-decades, in contexts whose Emax
+        # or Emin lies beyond, at or inside them, or far inside (Emax 100).
+        # At 10**100000 a division that does not take the integer route
+        # converts a 332,000-bit operand, so only one edge on either side of
+        # the route's margin.
+        big = 3 ** (decades * 2096 // 1000)
+        edges, clamps = (range(-6, 7), (0, 1)) if decades < 10000 else ((0, 5), (0,))
+        for num, den in ((sign * big, 7), (sign * 7, big)):
+            dnum, dden = Decimal(num), Decimal(den)
+            adjusted = abs((dnum / dden).adjusted())
+            for prec in (1, 19, 60):
+                assert_same_as_division(num, den, Context(prec=prec, traps=[]), dnum, dden)
+            for bound in (100, *(adjusted + edge for edge in edges)):
+                for clamp in clamps:
+                    context = Context(prec=19, Emax=bound, Emin=-bound, clamp=clamp, traps=[])
+                    assert_same_as_division(num, den, context, dnum, dden)
+        assert integer_route
+
+    @pytest.mark.parametrize("prec", [1, 19, 60])
+    def test_zero_numerator_and_denominator(self, prec):
+        for traps in ([], None):
+            context = Context(prec=prec, traps=traps)
+            for num, den in ((0, 3 ** 2000), (0, -(3 ** 2000)), (3 ** 2000, 0), (0, 0),
+                             (-(3 ** 2000), -(7 ** 1000))):
+                assert_same_as_division(num, den, context)
+
+    @pytest.mark.parametrize("prec", [1, 19, 60, 400])
+    def test_trapped_inexact(self, prec):
+        # the context of _exact_decimal: an inexact quotient raises Inexact
+        big = 3 ** 2000
+        context = Context(prec=prec, traps=[Inexact])
+        for num, den in ((big, 7 * 3 ** 1990), (big * 2 ** 1500 + 1, 2 ** 1500),
+                         (big * 10 ** 30, 5 ** 1400), (-big, 3 ** 1999 * 2 ** 40),
+                         (big * 2 ** 40, 2 ** 40)):
+            assert_same_as_division(num, den, context)
 
 
 class TestEstimateRadius:
