@@ -16,7 +16,6 @@ from .continuation import (
     NonIntegralPathError,
     SchemeConfig,
     ShiftedExpansion,
-    continue_to_one,
     continue_to_one_with_steps,
     extract_shifted,
     recenter_step,
@@ -25,8 +24,6 @@ from .continuation import (
 from .conversion import (
     DirectSumTrace,
     PlainExpansion,
-    binom,
-    direct_coeff0_partial,
     direct_coeffk_partial,
     direct_trace,
     plain_to_shifted,
@@ -36,7 +33,6 @@ from .conversion import (
 from .functions import (
     CoefficientParseError,
     DegeneratePoleError,
-    arctan_assoc_coeff,
     arctan_coeffs,
     build_series,
     format_decimal,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from decimal import Decimal, localcontext
@@ -36,6 +37,7 @@ from .conversion import (
 )
 from .functions import (
     DegeneratePoleError,
+    _write_text,
     build_series,
     format_decimal,
     load_coeffs,
@@ -59,21 +61,13 @@ def ProcessPoolExecutor(*args, **kwargs):
     return executor(*args, **kwargs)
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _write_rows(path, header, rows):
-    out, close = _open_out(path)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            out.close()
+    """Write a CSV table, header first, to `path` or standard output."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(buf.getvalue(), path)
 
 
 def _parse_schedule(text: str) -> list[int]:
@@ -217,13 +211,7 @@ def cmd_continue(args) -> int:
             "step 0.5 passes within 0.5 of the nearest singularities of the "
             "arctangent companion function; instability with growing m is expected"
         )
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    _write_text(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -222,14 +222,10 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
     qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
     # den * q**j, each from the last by one small multiplication
     dens = list(accumulate(repeat(q, m - 1), operator.mul, initial=den))
+    ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
     # kept reversed, so that each pass of running sums ends on B_k
-    if p == 1:  # dx = 1/q, as on every path that lands on 1
-        row = [a * qpow[n] for n, a in enumerate(reversed(nums))]
-        outs = dens[::-1]
-    else:
-        ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
-        row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
-        outs = [dens[m - 1 - k] * ppow[k] for k in range(length)]
+    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
+    outs = [dens[m - 1 - k] * ppow[k] for k in range(length)]
     shifted = []
     for _ in range(length):
         row = list(accumulate(row))
@@ -360,12 +356,6 @@ def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> Continuation
         raise ValueError(f"need at least m={m} coefficients, got {len(assoc.coeffs)}")
     coeffs = to_decimals(assoc.coeffs[:m], digits)
     return ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
-
-
-def continue_to_one(assoc: AssociatedSeries, config: SchemeConfig) -> ContinuationState:
-    """Continue the companion series from center 0 to center exactly 1."""
-    state, _ = continue_to_one_with_steps(assoc, config)
-    return state
 
 
 def extract_shifted(

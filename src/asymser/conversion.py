@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from decimal import Decimal
 from fractions import Fraction
 
 from .continuation import ShiftedExpansion
@@ -38,17 +37,6 @@ from .transform import (
     exact_quotient,
     scale_to_integers,
 )
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) for n >= 0, zero outside 0 <= k <= n.
-
-    The zero convention lets out-of-range terms of a binomial sum vanish
-    instead of trimming its index range: C(m-n, k-n) is 0 for k > m.
-    """
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class PlainExpansion(Value):
@@ -93,12 +81,6 @@ def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
     return ShiftedExpansion(coeffs=binomial_transform(plain.coeffs), center=plain.center)
 
 
-def direct_coeff0_partial(taylor: TaylorSeries, m: int):
-    """m-th partial sum of the zeroth shifted coefficient,
-    sum_{s=0..m} c_s * C(m, s): :func:`direct_coeffk_partial` at k = 0."""
-    return direct_coeffk_partial(taylor, 0, m)
-
-
 def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
     """m-th partial sum of the k-th shifted coefficient (k >= 0):
 
@@ -120,7 +102,7 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
     nums, den, decimal = scale_to_integers(c[: m + 1])
     row = [math.comb(m, j) for j in range(m + 1)]  # row[n:] is C(m, s+n) for s = 0..m-n
     acc = sum(
-        (-1) ** (k + n) * binom(m - n, k - n) * sum(map(operator.mul, nums, row[n:]))
+        (-1) ** (k + n) * math.comb(m - n, k - n) * sum(map(operator.mul, nums, row[n:]))
         for n in range(min(k, m) + 1)
     )
     return exact_quotient(acc, den, decimal)
@@ -129,15 +111,16 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
 def tail_agreement(values: Sequence, tol: float) -> bool:
     """True when the last three values pairwise agree within
     tol * max(1, |last|).  The unit floor lets sequences decaying to zero
-    register as converged.  Fewer than three values never agree."""
+    register as converged.  Fewer than three values never agree.
+
+    The test is exact, in rationals, for values of every type, with tol
+    read as the decimal it prints as (0.3 is 3/10): a verdict does not
+    depend on the ambient decimal context."""
     if len(values) < 3:
         return False
-    last3 = list(values[-3:])
+    last3 = [Fraction(v) for v in values[-3:]]
     last = last3[-1]
-    if isinstance(last, Decimal):
-        bound = Decimal(repr(tol)) * max(abs(last), Decimal(1))
-    else:
-        bound = Fraction(tol) * max(abs(Fraction(last)), Fraction(1))
+    bound = Fraction(str(tol)) * max(abs(last), 1)
     return all(abs(a - last) <= bound for a in last3)
 
 

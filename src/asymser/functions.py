@@ -40,19 +40,6 @@ def arctan_coeffs(count: int) -> TaylorSeries:
     return TaylorSeries(coeffs=coeffs, center=0)
 
 
-def arctan_assoc_coeff(n: int) -> Fraction:
-    """Closed form of the n-th companion coefficient for arctan.
-
-    Zero when n is a multiple of 4 (including n = 0), otherwise
-    (-1)**(n // 4) * 2**(n // 2) / n.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 4 == 0:
-        return Fraction(0)
-    return Fraction((-1) ** (n // 4) * 2 ** (n // 2), n)
-
-
 def pole_coeffs(a: int | Fraction, count: int) -> TaylorSeries:
     """Taylor coefficients of f = 1/(a + x) at 0: c_n = (-1)**n / a**(n+1)."""
     if count < 1:
@@ -171,7 +158,13 @@ def save_coeffs(series: TaylorSeries, path: str | os.PathLike | None) -> None:
         fractions = enumerate(map(Fraction, coeffs))
         text = "n,numerator,denominator\n" + "".join(
             f"{n},{f.numerator},{f.denominator}\n" for n, f in fractions)
-    if path is None:
+    _write_text(text, path)
+
+
+def _write_text(text: str, path: str | os.PathLike | None) -> None:
+    """Write `text` to standard output when `path` is None or "-", else to
+    the file `path`, replacing it."""
+    if path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:

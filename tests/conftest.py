@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from asymser import AssociatedSeries, arctan_assoc_coeff, arctan_coeffs, associated
+from asymser import AssociatedSeries, arctan_coeffs, associated
+from helpers import arctan_assoc_coeff
 
 
 @pytest.fixture(scope="session")

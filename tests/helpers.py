@@ -6,13 +6,57 @@ agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from asymser import TaylorSeries, arctan_coeffs, binom, to_decimals
+from asymser import (
+    TaylorSeries,
+    arctan_coeffs,
+    continue_to_one_with_steps,
+    direct_coeffk_partial,
+    to_decimals,
+)
+
+
+def binom(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k) for n >= 0, zero outside 0 <= k <= n.
+
+    The zero convention lets out-of-range terms of a binomial sum vanish
+    instead of trimming its index range: C(m-n, k-n) is 0 for k > m.
+    """
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def arctan_assoc_coeff(n: int) -> Fraction:
+    """Closed form of the n-th companion coefficient for arctan.
+
+    Zero when n is a multiple of 4 (including n = 0), otherwise
+    (-1)**(n // 4) * 2**(n // 2) / n.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n % 4 == 0:
+        return Fraction(0)
+    return Fraction((-1) ** (n // 4) * 2 ** (n // 2), n)
+
+
+def direct_coeff0_partial(taylor, m: int):
+    """m-th partial sum of the zeroth shifted coefficient,
+    sum_{s=0..m} c_s * C(m, s): the library's direct_coeffk_partial at k = 0."""
+    return direct_coeffk_partial(taylor, 0, m)
+
+
+def continue_to_one(assoc, config):
+    """The state at center 1 of the library's continuation, without the
+    per-step states."""
+    state, _ = continue_to_one_with_steps(assoc, config)
+    return state
 
 
 def series_mul(a, b, trunc):
@@ -58,8 +102,6 @@ def double_sum_form(coeffs, k, m):
 
     evaluated with a plain math.comb loop.
     """
-    import math
-
     def comb0(n, r):
         return math.comb(n, r) if 0 <= r <= n else 0
 
@@ -82,8 +124,6 @@ def reference_binomial_transform(coeffs, alternating=False):
     """out_0 = c_0, out_n = sum_{s=1..n} (+-1)**(n-s) * C(n-1, s-1) * c_s in
     exact rationals, term by term with math.comb (no integer scaling, no
     index weighting, no Pascal triangle)."""
-    import math
-
     c = [Fraction(x) for x in coeffs]
     sign = -1 if alternating else 1
     return [c[0]] + [
@@ -168,8 +208,6 @@ def alternating_binom_sum(m: int, k: int, s: int) -> int:
 def exact_recenter(coeffs, step):
     """b_k = sum_{n>=k} a_n * C(n, k) * step**(n-k) in exact rationals,
     term by term (no integer scaling, no suffix sums)."""
-    import math
-
     a = [Fraction(c) for c in coeffs]
     dx = Fraction(step)
     return [

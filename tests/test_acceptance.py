@@ -19,12 +19,9 @@ from asymser import (
     SchemeConfig,
     ShiftedExpansion,
     TaylorSeries,
-    arctan_assoc_coeff,
     arctan_coeffs,
     associated,
     associated_inverse,
-    continue_to_one,
-    direct_coeff0_partial,
     direct_coeffk_partial,
     direct_trace,
     estimate_radius,
@@ -34,11 +31,14 @@ from asymser import (
     pole_coeffs,
     shifted_to_plain,
 )
-from asymser import binom
 from helpers import (
     alternating_binom_sum,
+    arctan_assoc_coeff,
+    binom,
     binom_tail_sum,
     compose_with_geom_map,
+    continue_to_one,
+    direct_coeff0_partial,
     double_binom_sum,
     hockey_stick_sum,
     partial_telescope_sides,

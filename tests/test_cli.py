@@ -12,7 +12,6 @@ import pytest
 
 from asymser import (
     ShiftedExpansion,
-    arctan_assoc_coeff,
     arctan_coeffs,
     continuation,
     load_coeffs,
@@ -22,7 +21,7 @@ from asymser import (
 )
 from asymser import cli
 from asymser.cli import main
-from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES
+from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff
 
 F = Fraction
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -272,6 +271,20 @@ class TestDirectCommand:
         assert main(["direct", "--input", "pole:2", "--k", "0",
                      "--schedule", "5..25..5", "--out", str(out)]) == 0
         assert [int(r["m"]) for r in read_csv(out)] == [5, 10, 15, 20, 25]
+
+    def test_row_verdicts_are_exact(self, tmp_path, capsys):
+        """Each row's verdict is the summary's, at any --digits: the first
+        partial is off by just over tol in its 31st digit."""
+        src = tmp_path / "edge.json"
+        src.write_text(json.dumps(["1", "0.5000000000000000000000000000001",
+                                   "-1.0000000000000000000000000000002",
+                                   "1.5000000000000000000000000000003"]))
+        assert main(["direct", "--input", f"file:{src}", "--k", "0", "--schedule", "1,2,3",
+                     "--tol", "0.5", "--digits", "40"]) == 0
+        assert capsys.readouterr().out == (
+            "m,partial,converged\n1,1.5000000000000000000000000000001,no\n"
+            "2,1,no\n3,1,no\nnot converged\n"
+        )
 
     @pytest.mark.parametrize(
         "schedule, message",
@@ -670,6 +683,47 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert main(["continue", "--input", f"file:{src}", "--m", "4", "--dx", "0.25",
                      "--alpha", "0.1", "--out", str(tmp_path / "c.json")]) == 3
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--input", "arctan", "--count", "12"],
+            ["continue", "--input", "arctan", "--m", "40", "--dx", "0.25", "--alpha", "0.01",
+             "--count", "1"],
+            ["direct", "--input", "pole:2", "--k", "1", "--schedule", "5..20..5"],
+            ["sweep", "--input", "arctan", "--m", "26,22", "--dx", "0.5,0.25", "--alpha", "0.1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_file_holds_the_table_of_standard_output(self, tmp_path, capsys, argv):
+        """--out FILE gets the bytes that lead standard output without it;
+        what follows them (a summary line) stays on standard output."""
+        out = tmp_path / "out"
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        rest = capsys.readouterr().out
+        table = out.read_bytes().decode()
+        assert table and whole == table + rest
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out == whole
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("argv, code, head", [
+        (["transform", "--input", "arctan", "--count", "8"], 0,
+         "n,taylor_num,taylor_den,taylor_dec,assoc_num,assoc_den,assoc_dec\n"),
+        (["transform", "--input", "nothing", "--count", "8"], 3, ""),
+    ])
+    def test_python_m_asymser(self, argv, code, head):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-m", "asymser", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith(head)
+        assert (proc.stderr == "") == (code == 0)
 
 
 class TestImportGraph:

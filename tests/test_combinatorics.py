@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from asymser import binom
 from helpers import (
     alternating_binom_sum,
+    binom,
     binom_tail_sum,
     double_binom_sum,
     geom_map_series,

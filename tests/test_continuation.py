@@ -15,7 +15,6 @@ from asymser import (
     PlainExpansion,
     SchemeConfig,
     ShiftedExpansion,
-    continue_to_one,
     continue_to_one_with_steps,
     extract_shifted,
     arctan_coeffs,
@@ -27,6 +26,7 @@ from asymser import continuation
 from asymser.continuation import _exact_decimal, shared_first_step
 from helpers import (
     assert_value_contract,
+    continue_to_one,
     exact_recenter,
     reference_continue,
     reference_converged_count,

@@ -16,16 +16,21 @@ from asymser import (
     TaylorSeries,
     associated,
     associated_inverse,
-    continue_to_one,
-    direct_coeff0_partial,
     direct_coeffk_partial,
     direct_trace,
     extract_shifted,
     plain_to_shifted,
     pole_coeffs,
     shifted_to_plain,
+    tail_agreement,
 )
-from helpers import assert_value_contract, double_sum_form, random_fraction_vector
+from helpers import (
+    assert_value_contract,
+    continue_to_one,
+    direct_coeff0_partial,
+    double_sum_form,
+    random_fraction_vector,
+)
 
 F = Fraction
 D = Decimal
@@ -245,6 +250,61 @@ class TestDirectTrace:
     )
     def test_value_contract(self, value, same, other, text):
         assert_value_contract(value, same, other, text)
+
+
+# Partials that differ from the last by just over tol = 0.5 in the 31st
+# significant digit: a 28-digit subtraction would round the gap to 0.5.
+EDGE = (D("1.5000000000000000000000000000001"), D(1), D(1))
+
+
+class TestTailAgreement:
+    @pytest.mark.parametrize("values", [[], [F(1)], [F(1), F(1)], [D(1), D(1)]])
+    def test_fewer_than_three_values_never_agree(self, values):
+        assert not tail_agreement(values, 0.5)
+
+    def test_only_the_last_three_values_count(self):
+        assert tail_agreement([F(100), F(1), F(1), F(1)], 0)
+        assert not tail_agreement([F(1), F(1), F(2), F(1)], 0.5)
+
+    def test_unit_floor(self):
+        # below |last| = 1 the bound is tol itself, not tol * |last|
+        assert tail_agreement([F(1, 10**6), F(-1, 10**6), F(0)], 1e-5)
+        assert not tail_agreement([F(1, 10**4), F(-1, 10**4), F(0)], 1e-5)
+        # above it the bound grows with |last|
+        assert tail_agreement([F(1000), F(10005, 10), F(1001)], 1e-3)
+        assert not tail_agreement([F(1000), F(10005, 10), F(1001)], 1e-4)
+
+    @pytest.mark.parametrize("tol, gap", [(0.5, "0.5"), (0.3, "0.3"), (1e-9, "1e-9"),
+                                          (F(1, 3), "1/3")])
+    def test_bound_is_tol_as_written_and_inclusive(self, tol, gap):
+        gap = F(gap)
+        assert tail_agreement([1 + gap, F(1), F(1)], tol)
+        assert not tail_agreement([1 + gap + F(1, 10**40), F(1), F(1)], tol)
+        if gap.denominator % 3:
+            assert tail_agreement([D(1) + D(gap.numerator) / gap.denominator, D(1), D(1)], tol)
+
+    def test_decimal_and_fraction_inputs_agree(self):
+        # gaps at, just inside and just outside tol * max(1, |last|), with
+        # values of up to 90 significant digits
+        rng = random.Random(2024)
+        with localcontext() as ctx:
+            ctx.prec = 200  # the values are built exactly
+            for _ in range(300):
+                tol = rng.choice([0.5, 0.3, 1e-3, 1e-9, 0.0])
+                last = D(rng.randint(-10**30, 10**30)).scaleb(-rng.randint(0, 30))
+                nudge = rng.choice([-1, 0, 1]) * D(1).scaleb(-rng.randint(25, 60))
+                gap = D(repr(tol)) * max(abs(last), 1) + nudge
+                values = (last + gap, last - gap / 2, last)
+                want = tail_agreement([F(v) for v in values], tol)
+                assert tail_agreement(values, tol) == want, (values, tol)
+
+    @pytest.mark.parametrize("prec", [28, 40])
+    def test_verdict_ignores_the_decimal_context(self, prec):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            assert not tail_agreement(EDGE, 0.5)
+            assert not tail_agreement([F(v) for v in EDGE], 0.5)
+            assert tail_agreement((D("1.4999999999999999999999999999999"), D(1), D(1)), 0.5)
 
 
 def _closed_shifted(a: int, count: int) -> tuple:

@@ -10,7 +10,6 @@ from asymser import (
     CoefficientParseError,
     DegeneratePoleError,
     TaylorSeries,
-    arctan_assoc_coeff,
     arctan_coeffs,
     associated,
     build_series,
@@ -22,7 +21,7 @@ from asymser import (
     to_decimals,
 )
 from asymser.transform import exact_quotient
-from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES
+from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff
 
 F = Fraction
 D = Decimal

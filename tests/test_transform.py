@@ -28,7 +28,6 @@ from asymser import (
     RadiusEstimate,
     ShiftedExpansion,
     TaylorSeries,
-    arctan_assoc_coeff,
     arctan_coeffs,
     associated,
     associated_inverse,
@@ -41,6 +40,7 @@ from asymser import (
 from asymser import transform
 from asymser.transform import _BLOCK, exact_quotient
 from helpers import (
+    arctan_assoc_coeff,
     assert_value_contract,
     compose_with_geom_map,
     random_fraction_vector,
