@@ -23,7 +23,7 @@ from pathlib import Path
 from asymser import (
     SchemeConfig,
     arctan_coeffs,
-    associated,
+    build_companion,
     continue_to_one_with_steps,
     direct_trace,
     estimate_radius,
@@ -38,11 +38,11 @@ HALF_PI = Decimal("1.5707963267948966192313216916")
 
 def headline(outdir: Path) -> None:
     print("== companion transform ==")
-    series = arctan_coeffs(701)
-    assoc = associated(series)
+    # the companion's coefficients from its recurrence, u' = 1/(1 - 2x + 2x^2)
+    assoc = build_companion("arctan", 701)
     for n in (3, 6, 14, 25):
         print(f"  coefficient {n}: {format_decimal(assoc.coeffs[n])}")
-    est = estimate_radius(associated(arctan_coeffs(2000)), lag=4)
+    est = estimate_radius(build_companion("arctan", 2000), lag=4)
     print(f"  radius estimate (lag 4, 2000 coefficients): {est.values[-1]:.9f}")
     print("  (0.707106781 expected: the companion series cannot be summed at 1)")
 

@@ -34,10 +34,12 @@ from .functions import (
     CoefficientParseError,
     DegeneratePoleError,
     arctan_coeffs,
+    build_companion,
     build_series,
     format_decimal,
     load_coeffs,
     pole_coeffs,
+    rational_taylor,
     save_coeffs,
 )
 from .transform import (

@@ -38,12 +38,13 @@ from .conversion import (
 from .functions import (
     DegeneratePoleError,
     _write_text,
+    build_companion,
     build_series,
     format_decimal,
     load_coeffs,
     save_coeffs,
 )
-from .transform import AssociatedSeries, DegenerateRatiosError, TaylorSeries, associated, estimate_radius
+from .transform import AssociatedSeries, DegenerateRatiosError, TaylorSeries, estimate_radius
 
 _HALF_PI = Decimal("1.5707963267948966192313216916397514420985846996876")
 
@@ -138,9 +139,7 @@ def _require(merged, names):
 def cmd_transform(args) -> int:
     digits = _digits(args.digits)
     series = build_series(args.input, args.count, digits)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        assoc = associated(series)
+    assoc = build_companion(args.input, args.count, digits, series)
     exact = isinstance(series.coeffs[0], (Fraction, int))
     rows = []
     for n, (c, w) in enumerate(zip(series.coeffs, assoc.coeffs)):
@@ -184,12 +183,9 @@ def cmd_continue(args) -> int:
     digits = _integer(merged["digits"], "digits")
     count = _integer(merged["count"], "count")
     config = SchemeConfig(m=m, step=str(merged["dx"]), alpha=str(merged["alpha"]), digits=digits)
-    series = build_series(args.input, m, digits)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        assoc = associated(series)
+    assoc = build_companion(args.input, m, digits)
     state, states = continue_to_one_with_steps(assoc, config)
-    shifted = extract_shifted(state, count, center=series.center)
+    shifted = extract_shifted(state, count)
     doc = {
         "input": args.input,
         "m": m,
@@ -247,13 +243,17 @@ def cmd_direct(args) -> int:
     schedule = _parse_schedule(args.schedule)
     digits = _digits(args.digits)
     series = build_series(args.input, max(schedule) + 1, digits)
+    # exact, as written: a tol below the float range stays positive
+    tol = _exact_decimal(args.tol, "tol")
+    if not tol.is_finite():  # named as written: "inf", not "Infinity"
+        raise ValueError(f"tol {args.tol} is not finite")
     with localcontext() as ctx:
         ctx.prec = digits
-        trace = direct_trace(series, args.k, schedule, tol=args.tol)
+        trace = direct_trace(series, args.k, schedule, tol=tol)
     values = [v for _, v in trace.partials]
     rows = []
     for i, (m, val) in enumerate(trace.partials):
-        running = tail_agreement(values[: i + 1], args.tol)
+        running = tail_agreement(values[: i + 1], tol)
         rows.append([m, format_decimal(val, digits), "yes" if running else "no"])
     _write_rows(args.out, ["m", "partial", "converged"], rows)
     if trace.converged:
@@ -363,10 +363,7 @@ def cmd_sweep(args) -> int:
         SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)
         for m in m_list for dx in dx_list for alpha in alpha_list
     ]
-    series = build_series(args.input, max(m_list), digits)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        assoc = associated(series)
+    assoc = build_companion(args.input, max(m_list), digits)
     coeffs = to_decimals(assoc.coeffs, digits)
     with_reference = args.input == "arctan"
     # one task per (m, dx) pair: its alphas share the first step
@@ -425,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True, help="coefficient index")
     p.add_argument("--schedule", required=True, help="m values: '5..30' or '5,10,20'")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", default="1e-9", help="agreement tolerance (default 1e-9)")
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--out", default=None)
 

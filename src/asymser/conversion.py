@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 
 from .continuation import ShiftedExpansion
@@ -108,39 +109,43 @@ def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
     return exact_quotient(acc, den, decimal)
 
 
-def tail_agreement(values: Sequence, tol: float) -> bool:
+def tail_agreement(values: Sequence, tol: float | Decimal) -> bool:
     """True when the last three values pairwise agree within
     tol * max(1, |last|).  The unit floor lets sequences decaying to zero
     register as converged.  Fewer than three values never agree.
 
     The test is exact, in rationals, for values of every type, with tol
     read as the decimal it prints as (0.3 is 3/10): a verdict does not
-    depend on the ambient decimal context."""
+    depend on the ambient decimal context.  A Decimal tol is compared as it
+    is, which is exact too and keeps a tol of any exponent cheap."""
     if len(values) < 3:
         return False
     last3 = [Fraction(v) for v in values[-3:]]
     last = last3[-1]
-    bound = Fraction(str(tol)) * max(abs(last), 1)
-    return all(abs(a - last) <= bound for a in last3)
+    bound = tol if isinstance(tol, Decimal) else Fraction(str(tol))
+    scale = max(abs(last), 1)
+    return all(abs(a - last) / scale <= bound for a in last3)
 
 
 def direct_trace(
     taylor: TaylorSeries,
     k: int,
     m_values: Sequence[int],
-    tol: float = 1e-9,
+    tol: float | Decimal = 1e-9,
 ) -> DirectSumTrace:
     """Evaluate the k-th shifted-coefficient partials over an m schedule.
 
     limit_guess is the last partial when the final three partials agree per
-    :func:`tail_agreement`; otherwise None ("not converged").
+    :func:`tail_agreement`; otherwise None ("not converged").  tol must be
+    finite and non-negative.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     ms = list(m_values)
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise ValueError("m_values must be strictly increasing")
-    if not math.isfinite(tol):
+    # a Decimal tol may lie beyond the float range, both ways
+    if not (tol.is_finite() if isinstance(tol, Decimal) else math.isfinite(tol)):
         raise ValueError(f"tol {tol} is not finite")
     if tol < 0:
         raise ValueError(f"tol {tol} is negative")

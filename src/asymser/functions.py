@@ -1,7 +1,12 @@
 """Built-in coefficient generators, the CLI input syntax that names them
-(:func:`build_series`), coefficient file formats, and decimal rendering.
+(:func:`build_series`, :func:`build_companion`), the exact reference kernel
+of their companions (:func:`rational_taylor`), coefficient file formats, and
+decimal rendering.
 
-Generators produce exact rational Taylor coefficients around 0.  A file's
+Generators produce exact rational Taylor coefficients around 0.  Every
+built-in input's companion u(x) = f(x/(1 - x)) is rational or has a rational
+derivative, so its coefficients follow a short linear recurrence, at O(m)
+cost against the O(m**2) of the binomial transform.  A file's
 name decides its format: a ``.json`` name holds a JSON array of decimal
 strings, any other name CSV rows ``n,numerator,denominator`` of exact
 rationals.  Decimal strings rather than binary floats keep the
@@ -11,14 +16,16 @@ All decimal rendering rounds half-even.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .continuation import DEFAULT_DIGITS, _exact_decimal, _rounded, to_decimals
-from .transform import TaylorSeries
+from .transform import AssociatedSeries, TaylorSeries, associated, scale_to_integers
 
 
 class DegeneratePoleError(ValueError):
@@ -51,15 +58,17 @@ def pole_coeffs(a: int | Fraction, count: int) -> TaylorSeries:
     return TaylorSeries(coeffs=coeffs, center=0)
 
 
-def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorSeries:
-    """The first `count` Taylor coefficients named by CLI input syntax:
-    arctan | pole:A (f = 1/(A + x)) | altgeom (same as pole:1) | file:PATH.
+def _parse_input(text: str):
+    """The one parser of the CLI input syntax.
 
-    A file is read at `digits` significant digits and must provide at least
-    `count` coefficients.
+    A built-in input is data: (taylor, P, Q, derivative), where taylor(count)
+    gives the Taylor coefficients of f at 0, and the companion
+    u(x) = f(x/(1 - x)) is P/Q or, when derivative is true, has u' = P/Q.
+    P and Q are ascending coefficient tuples.  A file: input gives its path.
     """
     if text == "arctan":
-        return arctan_coeffs(count)
+        # u' = (1/(1 + y**2)) dy/dx with y = x/(1 - x): 1/((1 - x)**2 + x**2)
+        return arctan_coeffs, (1,), (1, -2, 2), True
     if text == "altgeom":
         text = "pole:1"
     if text.startswith("pole:"):
@@ -67,15 +76,107 @@ def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorS
             a = Fraction(text[len("pole:"):])
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad pole parameter in {text!r}") from e
-        return pole_coeffs(a, count)
+        # 1/(a + x/(1 - x)) = (1 - x)/(a + (1 - a) x)
+        return functools.partial(pole_coeffs, a), (1, -1), (a, 1 - a), False
     if not text.startswith("file:"):
         raise ValueError(f"unknown input spec {text!r}")
+    return text[len("file:"):]
+
+
+def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorSeries:
+    """The first `count` Taylor coefficients named by CLI input syntax:
+    arctan | pole:A (f = 1/(A + x)) | altgeom (same as pole:1) | file:PATH.
+
+    A file is read at `digits` significant digits and must provide at least
+    `count` coefficients.
+    """
+    spec = _parse_input(text)
+    if not isinstance(spec, str):
+        return spec[0](count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    series = load_coeffs(text[len("file:"):], digits=digits)
+    series = load_coeffs(spec, digits=digits)
     if len(series) < count:
         raise CoefficientParseError(f"file provides {len(series)} coefficients, need {count}")
     return TaylorSeries(coeffs=series.coeffs[:count], center=series.center)
+
+
+def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS,
+                    series: TaylorSeries | None = None) -> AssociatedSeries:
+    """The first `count` companion coefficients w_n of the input `text` names.
+
+    A built-in input's are exact, from the recurrence of its companion
+    (:func:`rational_taylor` at center 0), and equal those of
+    associated(build_series(text, count)).  A file: input's are
+    associated(build_series(text, count, digits)), with a decimal file's
+    rounded once at `digits` significant digits; `series`, when the caller
+    already holds that prefix, spares reading the file again.  Inputs are
+    rejected with the errors of :func:`build_series`, in the same order.
+    """
+    spec = _parse_input(text)
+    if isinstance(spec, str):
+        if series is None:
+            series = build_series(text, count, digits)
+        with localcontext() as ctx:
+            ctx.prec = digits
+            return associated(series)
+    taylor, p, q, derivative = spec
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if q[0] == 0:  # a companion with a pole at 0: only pole:0 names one
+        raise DegeneratePoleError("pole parameter must be nonzero")
+    if not derivative:
+        return AssociatedSeries(rational_taylor(p, q, 0, count))
+    # u(0) = f(0), and the rest from u'
+    return AssociatedSeries(taylor(1).coeffs + tuple(rational_taylor(p, q, 0, count - 1, True)))
+
+
+def _taylor_shift(coeffs, c: Fraction) -> list:
+    """Ascending coefficients of p(c + t), for those of p(x)."""
+    return [sum(math.comb(n, k) * a * c ** (n - k) for n, a in enumerate(coeffs) if n >= k)
+            for k in range(len(coeffs))]
+
+
+def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
+    """The Taylor coefficients r_0 .. r_{count-1} of R = P/Q at `center`,
+    as exact Fractions.
+
+    P and Q are ascending coefficient sequences of ints or Fractions, and
+    `center` is exact (an int, a Fraction, a Decimal or their text) with
+    Q(center) != 0.  Both polynomials are shifted exactly to the center and
+    scaled to integers over one common denominator, which leaves P/Q as it
+    is.  Q R = P then gives r_n = N_n / q_0**(n+1), where
+
+        N_n = p_n q_0**n - sum_{j=1..deg Q} q_j q_0**(j-1) N_{n-j},
+
+    so the loop multiplies and adds integers only, and each r_n is built
+    once as a Fraction.  The cost is O(count) operations on integers that
+    grow linearly, against the O(count**2) additions of the binomial
+    transform (van der Hoeven, Fast evaluation of holonomic functions, TCS
+    1999).
+
+    With `integrate`, R is the derivative of the function wanted, and its
+    coefficients k = 1 .. count are returned, r_{k-1}/k, each one Fraction;
+    the constant term is the caller's.
+    """
+    c = Fraction(center)
+    p, q = _taylor_shift(P, c), _taylor_shift(Q, c)
+    nums, _, _ = scale_to_integers(p + q)
+    p, q = nums[:len(p)], nums[len(p):]
+    q0 = q[0]
+    if q0 == 0:
+        raise ZeroDivisionError(f"Q vanishes at the center {center}")
+    weights = [w * q0 ** (j - 1) for j, w in enumerate(q[1:], 1)]
+    N, powers = [], [1]  # powers[n] = q0**n
+    for n in range(count):
+        acc = p[n] * powers[n] if n < len(p) else 0
+        for j, w in enumerate(weights[:n], 1):
+            acc -= w * N[n - j]
+        N.append(acc)
+        powers.append(powers[n] * q0)
+    if integrate:
+        return [Fraction(N[k - 1], k * powers[k]) for k in range(1, count + 1)]
+    return [Fraction(N[n], powers[n + 1]) for n in range(count)]
 
 
 def _holds_json(path: str) -> bool:

@@ -59,6 +59,36 @@ def continue_to_one(assoc, config):
     return state
 
 
+def quotient_taylor(P, Q, center, count):
+    """Taylor coefficients r_0..r_{count-1} at `center` of P/Q (ascending
+    coefficient lists), by power-series long division in Fractions.
+
+    Each polynomial is moved to the center by repeated synthetic division
+    by (x - center), whose remainders are its Taylor coefficients there;
+    then r_n = (p_n - sum_{j>=1} q_j r_{n-j}) / q_0.
+    """
+    c = Fraction(center)
+
+    def at_center(coeffs):
+        rest, out = [Fraction(a) for a in reversed(coeffs)], []
+        while rest:
+            acc, quotient = Fraction(0), []
+            for a in rest:
+                acc = acc * c + a
+                quotient.append(acc)
+            out.append(quotient.pop())
+            rest = quotient
+        return out
+
+    p, q = at_center(P), at_center(Q)
+    r = []
+    for n in range(count):
+        acc = p[n] if n < len(p) else Fraction(0)
+        acc -= sum(q[j] * r[n - j] for j in range(1, min(n, len(q) - 1) + 1))
+        r.append(acc / q[0])
+    return r
+
+
 def series_mul(a, b, trunc):
     """Truncated product of two power series given as coefficient lists."""
     out = [Fraction(0)] * (trunc + 1)

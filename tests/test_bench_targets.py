@@ -4,10 +4,11 @@ from its per-layer metrics: a traced CLI run has to show every span the
 headline and sweep-grid workloads read."""
 from __future__ import annotations
 
+import json
 import os
 import sys
 
-from asymser import cli
+from asymser import arctan_coeffs, cli, save_coeffs
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -16,13 +17,24 @@ import spans  # noqa: E402
 
 
 def test_traced_cli_run_shows_every_layer(tmp_path):
+    """A built-in input's companion comes from its recurrence, so the
+    transform and the Taylor prefix are traced on the file: route."""
+    save_coeffs(arctan_coeffs(40), tmp_path / "arctan.csv")
     with spans.Tracer().installed() as tracer:
         assert cli.main(["continue", "--input", "arctan", "--m", "40", "--dx", "0.25",
                          "--alpha", "0.01", "--count", "1",
                          "--out", str(tmp_path / "c.json")]) == 0
+        builtin = [s["name"] for s in tracer.spans]
         assert cli.main(["sweep", "--input", "arctan", "--m", "40", "--dx", "0.25",
                          "--alpha", "0.1,0.01", "--jobs", "1",
                          "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli.main(["continue", "--input", f"file:{tmp_path / 'arctan.csv'}",
+                         "--m", "40", "--dx", "0.25", "--alpha", "0.01", "--count", "1",
+                         "--out", str(tmp_path / "f.json")]) == 0
+    assert "transform.associated" not in builtin
+    assert "continuation.continue" in builtin
+    assert (tmp_path / "f.json").read_text() == (tmp_path / "c.json").read_text().replace(
+        '"arctan"', json.dumps(f"file:{tmp_path / 'arctan.csv'}"))
     for name in ["cli.main", "functions.build_series", "transform.associated",
                  "continuation.continue", "continuation.recenter_step", "cli.sweep_cell"]:
         assert tracer.named(name), name

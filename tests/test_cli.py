@@ -12,6 +12,7 @@ import pytest
 
 from asymser import (
     ShiftedExpansion,
+    TaylorSeries,
     arctan_coeffs,
     continuation,
     load_coeffs,
@@ -19,7 +20,7 @@ from asymser import (
     save_coeffs,
     shifted_to_plain,
 )
-from asymser import cli
+from asymser import cli, functions
 from asymser.cli import main
 from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff
 
@@ -486,7 +487,7 @@ class TestExitCodes:
     def test_sweep_grid_checked_up_front(self, monkeypatch, capsys, jobs, dx, alpha,
                                          code, message):
         started = []
-        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
         assert main(["sweep", "--input", "arctan", "--m", "30", "--dx", dx,
                      "--alpha", alpha, "--jobs", jobs]) == code
@@ -506,7 +507,7 @@ class TestExitCodes:
     def test_empty_sweep_list_exits_3(self, tmp_path, monkeypatch, capsys, jobs, flags,
                                       config, flag):
         started = []
-        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
         if config is not None:
             path = tmp_path / "config.json"
@@ -519,7 +520,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("jobs", [["--jobs", "0"], ["--jobs", "-3"], {"jobs": 0}])
     def test_sweep_jobs_below_one_checked_up_front(self, tmp_path, monkeypatch, capsys, jobs):
         started = []
-        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
         if isinstance(jobs, dict):
             path = tmp_path / "config.json"
@@ -539,7 +540,7 @@ class TestExitCodes:
     def test_config_value_of_wrong_type_exits_3(self, tmp_path, monkeypatch, capsys,
                                                 command, key, value):
         started = []
-        monkeypatch.setattr(cli, "associated", lambda *a: started.append("transform"))
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
         config = {"m": 40, "dx": "0.25", "alpha": "0.1", key: value}
         path = tmp_path / "config.json"
@@ -601,6 +602,40 @@ class TestExitCodes:
                      "--schedule", "5..10", "--tol", "-0.5"]) == 3
         assert capsys.readouterr().err.strip() == "error: tol -0.5 is negative"
 
+    @pytest.mark.parametrize("tol, shown", [("-1e-400", "-1E-400"), ("-3", "-3"),
+                                            ("-1e-999999999999", "-1E-999999999999")])
+    def test_negative_direct_tolerance_below_float_range_exits_3(self, capsys, tol, shown):
+        """tol is read as an exact decimal: no float rounds it to -0.0."""
+        assert main(["direct", "--input", "pole:1", "--k", "0",
+                     "--schedule", "5..8", f"--tol={tol}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tol {shown} is negative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["-inf", "Infinity", "snan", "-nan"])
+    def test_other_non_finite_direct_tolerances_exit_3(self, capsys, tol):
+        assert main(["direct", "--input", "pole:2", "--k", "0",
+                     "--schedule", "5..10", f"--tol={tol}"]) == 3
+        assert capsys.readouterr().err == f"error: tol {tol} is not finite\n"
+
+    def test_malformed_direct_tolerance_exits_3(self, capsys):
+        assert main(["direct", "--input", "pole:2", "--k", "0",
+                     "--schedule", "5..10", "--tol", "1e-9x"]) == 3
+        assert capsys.readouterr().err == "error: tol '1e-9x' is not a number\n"
+
+    @pytest.mark.parametrize("tol, verdicts", [("1e-400", "yes"), ("1e-600", "no"),
+                                               ("0", "no"), ("1e999999999999", "yes")])
+    def test_direct_tolerance_beyond_float_range_is_exact(self, tmp_path, capsys, tol,
+                                                          verdicts):
+        """Partials 1 + m*10**-500 agree within 1e-400, which a float would
+        have read as 0, and not within 1e-600."""
+        path = tmp_path / "tiny.csv"
+        save_coeffs(TaylorSeries([1, F(1, 10**500)] + [0] * 7), path)
+        assert main(["direct", "--input", f"file:{path}", "--k", "0",
+                     "--schedule", "5..8", "--tol", tol]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split(",")[2] for r in rows[1:5]] == ["no", "no", verdicts, verdicts]
+
     @pytest.mark.parametrize(
         "command",
         [["transform", "--input", "arctan", "--count", "4"],
@@ -637,11 +672,27 @@ class TestExitCodes:
           "--jobs", "1"]],
     )
     def test_out_of_memory_exits_3(self, capsys, monkeypatch, command):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_companion", exhausted)
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory; lower --m, --count or --digits\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["transform", "continue", "sweep"])
+    def test_out_of_memory_in_a_file_transform_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        """A file: input's companion is still the binomial transform."""
         def exhausted(series):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "associated", exhausted)
-        assert main(command) == 3
+        save_coeffs(arctan_coeffs(20), tmp_path / "c.csv")
+        monkeypatch.setattr(functions, "associated", exhausted)
+        flags = (["--count", "20"] if command == "transform"
+                 else ["--m", "20", "--dx", "0.25", "--alpha", "0.1"])
+        assert main([command, "--input", f"file:{tmp_path}/c.csv", *flags]) == 3
         captured = capsys.readouterr()
         assert captured.err == "error: out of memory; lower --m, --count or --digits\n"
         assert captured.out == ""
@@ -671,6 +722,22 @@ class TestExitCodes:
         assert main(["transform", "--input", text.format(dir=tmp_path),
                      "--count", count]) == code
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("command", ["continue", "sweep"])
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [("pole:0", 4, "error: pole parameter must be nonzero"),
+         ("sin", 3, "error: unknown input spec 'sin'"),
+         ("pole:abc", 3, "error: bad pole parameter in 'pole:abc'")],
+    )
+    def test_companion_route_rejects_inputs_alike(self, capsys, command, text, code, message):
+        """continue and sweep build the companion without the Taylor prefix,
+        with the exit codes and messages of build_series."""
+        assert main([command, "--input", text, "--m", "20", "--dx", "0.25",
+                     "--alpha", "0.1"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
 
     def test_unknown_input_spec(self, tmp_path):
         assert main(["transform", "--input", "tan", "--count", "4",

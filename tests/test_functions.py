@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -12,19 +14,40 @@ from asymser import (
     TaylorSeries,
     arctan_coeffs,
     associated,
+    build_companion,
     build_series,
     estimate_radius,
     format_decimal,
     load_coeffs,
     pole_coeffs,
+    rational_taylor,
     save_coeffs,
     to_decimals,
 )
 from asymser.transform import exact_quotient
-from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff
+from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff, quotient_taylor
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+
+import refs  # noqa: E402
 
 F = Fraction
 D = Decimal
+
+# the order of the checks decides which message an input with two faults gets
+PARSE_ERRORS = [
+    ("sin", 0, ValueError, "unknown input spec 'sin'"),
+    ("pole", 3, ValueError, "unknown input spec 'pole'"),
+    ("pole:abc", 0, ValueError, "bad pole parameter in 'pole:abc'"),
+    ("pole:1/0", 3, ValueError, "bad pole parameter in 'pole:1/0'"),
+    ("arctan", 0, ValueError, "count must be >= 1"),
+    ("pole:0", 0, ValueError, "count must be >= 1"),
+    ("file:{dir}/missing.csv", 0, ValueError, "count must be >= 1"),
+    ("pole:0", 3, DegeneratePoleError, "pole parameter must be nonzero"),
+    ("file:{dir}/six.csv", 9, CoefficientParseError, "file provides 6 coefficients, need 9"),
+]
+POLES = ["2", "3/2", "1/3", "-2", "7/5", "-5/3"]
 
 
 class TestArctanCoeffs:
@@ -254,25 +277,71 @@ class TestBuildSeries:
         assert build_series(f"file:{path}", 1, digits=4).coeffs == (D("0.1235"),)
         assert build_series(f"file:{path}", 2).coeffs == (D("0.123456789"), D(1))
 
-    # the order of the checks decides which message an input with two faults gets
-    @pytest.mark.parametrize(
-        "text, count, error, message",
-        [
-            ("sin", 0, ValueError, "unknown input spec 'sin'"),
-            ("pole", 3, ValueError, "unknown input spec 'pole'"),
-            ("pole:abc", 0, ValueError, "bad pole parameter in 'pole:abc'"),
-            ("pole:1/0", 3, ValueError, "bad pole parameter in 'pole:1/0'"),
-            ("arctan", 0, ValueError, "count must be >= 1"),
-            ("pole:0", 0, ValueError, "count must be >= 1"),
-            ("file:{dir}/missing.csv", 0, ValueError, "count must be >= 1"),
-            ("pole:0", 3, DegeneratePoleError, "pole parameter must be nonzero"),
-            ("file:{dir}/six.csv", 9, CoefficientParseError,
-             "file provides 6 coefficients, need 9"),
-        ],
-    )
+    @pytest.mark.parametrize("text, count, error, message", PARSE_ERRORS)
     def test_parse_errors(self, tmp_path, text, count, error, message):
         save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
         with pytest.raises(ValueError) as info:
             build_series(text.format(dir=tmp_path), count)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+class TestRationalTaylor:
+    """The recurrence kernel against the binomial transform at 0, the
+    benchmark's reference at 1 and long division at other centers."""
+
+    @pytest.mark.parametrize("text, count", [("arctan", 1001), ("altgeom", 50)]
+                             + [(f"pole:{a}", 300) for a in POLES])
+    def test_companion_at_zero_is_the_transform(self, text, count):
+        got = build_companion(text, count).coeffs
+        want = associated(build_series(text, count)).coeffs
+        assert got == want
+        assert all(type(w) is Fraction for w in got)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_short_companions(self, count):
+        assert build_companion("arctan", count) == associated(arctan_coeffs(count))
+        assert build_companion("pole:3", count) == associated(pole_coeffs(3, count))
+
+    def test_arctan_at_one_is_the_benchmark_reference(self):
+        # u' = 1/(1 - 2x + 2x**2): the coefficients k >= 1 of u at 1
+        want = refs.companion_at_one(1001, refs.machin_pi(20) / 2)[1:]
+        got = rational_taylor((1,), (1, -2, 2), 1, 1000, integrate=True)
+        assert got == want
+        assert all(type(w) is Fraction for w in got)
+
+    @pytest.mark.parametrize("center", [F(1, 2), 1, D("0.5"), "0.25"])
+    @pytest.mark.parametrize("a", POLES)
+    def test_pole_companion_off_zero_is_long_division(self, a, center):
+        p, q = (1, -1), (F(a), 1 - F(a))
+        assert rational_taylor(p, q, center, 120) == quotient_taylor(p, q, center, 120)
+
+    def test_integrate_divides_by_the_index(self):
+        p, q = (1,), (1, -2, 2)
+        r = quotient_taylor(p, q, F(1, 2), 60)
+        assert rational_taylor(p, q, F(1, 2), 60, integrate=True) == [
+            r[k - 1] / k for k in range(1, 61)]
+
+    def test_pole_at_the_center_raises(self):
+        # 1/(2 + x) has its companion's pole at x = 2
+        with pytest.raises(ZeroDivisionError):
+            rational_taylor((1, -1), (2, -1), 2, 5)
+
+    def test_decimal_file_companion_is_rounded_at_digits(self, tmp_path):
+        path = tmp_path / "c.json"
+        save_coeffs(ROUND_TRIP_SERIES["decimal-19"], path)
+        series = build_series(f"file:{path}", 8, digits=12)
+        with localcontext() as ctx:
+            ctx.prec = 12
+            want = associated(series)
+        assert build_companion(f"file:{path}", 8, digits=12) == want
+        # a prefix the caller already holds is transformed, not read again
+        assert build_companion(f"file:{tmp_path}/gone.json", 8, 12, series) == want
+
+    @pytest.mark.parametrize("text, count, error, message", PARSE_ERRORS)
+    def test_parse_errors_as_build_series(self, tmp_path, text, count, error, message):
+        save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
+        with pytest.raises(ValueError) as info:
+            build_companion(text.format(dir=tmp_path), count)
         assert type(info.value) is error
         assert str(info.value) == message

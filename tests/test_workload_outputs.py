@@ -1,8 +1,13 @@
 """Byte-identity pins and the rounding count of the benchmark's workloads.
 
-The pins hold the sha256 of three CLI outputs: the headline `continue` JSON,
-the serial 60-cell sweep CSV and a 200-coefficient `transform`.  A change
-that moves these bytes on purpose updates the pin and says so in
+The pins hold the sha256 of CLI outputs: the headline `continue` JSON, the
+serial 60-cell sweep CSV and a 200-coefficient `transform` of arctan; a
+`sweep`, a `continue` and two `transform`s of `pole:A` inputs; and a
+`direct` run at the default tol.  The `pole:A` and `altgeom` pins were taken
+while every companion still came from the binomial transform, before
+built-in inputs took theirs from the recurrence, and the `direct` pin while
+`--tol` was still read as a float.
+A change that moves these bytes on purpose updates the pin and says so in
 CHANGES.md; any other change must leave them as they are.
 """
 from __future__ import annotations
@@ -27,6 +32,19 @@ PINS = {
                      "87bd4e135122e259702664bc05d7e6c669f86f734f815b8559dd64ad705ff186"),
     "transform-200": (["transform", "--input", "arctan", "--count", "200"],
                       "cb9cc99f9c537a10d35fb3b70153056fd133fe28009fa87e62de6901767af7d1"),
+    "pole-sweep": (["sweep", "--input", "pole:3/2", "--m", "20,60,120", "--dx", "0.25,0.5",
+                    "--alpha", "1e-6,0.1", "--jobs", "1"],
+                   "b532df72ceeb6db132f4dcbf6bc40985cf721799c65d74dffadc9f2aa72d9129"),
+    "pole-continue": (["continue", "--input", "pole:2", "--m", "60", "--dx", "0.5",
+                       "--alpha", "1e-6"],
+                      "b8e7c9ebf0c69134677fdc58d6920f63f8b3d529a4e6e7f1e99643c8a61e9eca"),
+    "pole-transform-300": (["transform", "--input", "pole:3/2", "--count", "300"],
+                           "81cefe5b52d210cea57377b41c3856176185261ebb276fb2ff5f39c9cf7cad71"),
+    "altgeom-transform-50": (["transform", "--input", "altgeom", "--count", "50"],
+                             "fd7b0c0eb98a6eede0f7905fc9b296fcfe606022b2488deaa266e223c12c4b84"),
+    # the rows turn to "yes" at m=24 with the default tol 1e-9, at m=26 with 1e-10
+    "direct-default-tol": (["direct", "--input", "pole:3/2", "--k", "1", "--schedule", "5..80"],
+                           "fa560e4c32b20acac5ac24c0d530aef5faa51307e0768d7e4f9f80bdc5e1c98d"),
 }
 
 
