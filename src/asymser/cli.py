@@ -138,6 +138,9 @@ def _require(merged, names):
 
 def cmd_transform(args) -> int:
     digits = _digits(args.digits)
+    lag = args.lag if args.lag is not None else 4
+    if lag < 1:
+        raise ValueError("--lag must be >= 1")
     series = build_series(args.input, args.count, digits)
     assoc = build_companion(args.input, args.count, digits, series)
     exact = isinstance(series.coeffs[0], (Fraction, int))
@@ -156,7 +159,6 @@ def cmd_transform(args) -> int:
         ["n", "taylor_num", "taylor_den", "taylor_dec", "assoc_num", "assoc_den", "assoc_dec"],
         rows,
     )
-    lag = args.lag if args.lag is not None else 4
     try:
         est = estimate_radius(assoc, lag)
     except DegenerateRatiosError:
@@ -182,6 +184,8 @@ def cmd_continue(args) -> int:
     m = _integer(merged["m"], "m")
     digits = _integer(merged["digits"], "digits")
     count = _integer(merged["count"], "count")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     config = SchemeConfig(m=m, step=str(merged["dx"]), alpha=str(merged["alpha"]), digits=digits)
     assoc = build_companion(args.input, m, digits)
     state, states = continue_to_one_with_steps(assoc, config)

@@ -1,22 +1,20 @@
-"""Built-in coefficient generators, the CLI input syntax that names them
-(:func:`build_series`, :func:`build_companion`), the exact reference kernel
-of their companions (:func:`rational_taylor`), coefficient file formats, and
+"""Built-in inputs as rational data, the CLI input syntax that names them
+(:func:`build_series`, :func:`build_companion`), the exact kernel that
+expands them (:func:`rational_taylor`), coefficient file formats, and
 decimal rendering.
 
-Generators produce exact rational Taylor coefficients around 0.  Every
-built-in input's companion u(x) = f(x/(1 - x)) is rational or has a rational
-derivative, so its coefficients follow a short linear recurrence, at O(m)
-cost against the O(m**2) of the binomial transform.  A file's
-name decides its format: a ``.json`` name holds a JSON array of decimal
-strings, any other name CSV rows ``n,numerator,denominator`` of exact
-rationals.  Decimal strings rather than binary floats keep the
-significant-digit contract intact.
+A built-in input f is P/Q, or has f(0) and f' = P/Q, for polynomials P and
+Q.  So are its companion u(x) = f(x/(1 - x)) or u', and both Taylor
+prefixes follow a short linear recurrence, at O(m) cost against the
+O(m**2) of the binomial transform.  A file's name decides its format: a
+``.json`` name holds a JSON array of decimal strings, any other name CSV
+rows ``n,numerator,denominator`` of exact rationals.  Decimal strings
+rather than binary floats keep the significant-digit contract intact.
 All decimal rendering rounds half-even.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import os
@@ -38,37 +36,23 @@ class CoefficientParseError(ValueError):
 
 def arctan_coeffs(count: int) -> TaylorSeries:
     """Taylor coefficients of arctan at 0: 0 at even n, (-1)**((n-1)/2)/n at odd n."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    coeffs = tuple(
-        Fraction(0) if n % 2 == 0 else Fraction((-1) ** ((n - 1) // 2), n)
-        for n in range(count)
-    )
-    return TaylorSeries(coeffs=coeffs, center=0)
+    return build_series("arctan", count)
 
 
 def pole_coeffs(a: int | Fraction, count: int) -> TaylorSeries:
     """Taylor coefficients of f = 1/(a + x) at 0: c_n = (-1)**n / a**(n+1)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    a = Fraction(a)
-    if a == 0:
-        raise DegeneratePoleError("pole parameter must be nonzero")
-    coeffs = tuple(Fraction((-1) ** n, 1) / a ** (n + 1) for n in range(count))
-    return TaylorSeries(coeffs=coeffs, center=0)
+    return build_series(f"pole:{Fraction(a)}", count)
 
 
 def _parse_input(text: str):
     """The one parser of the CLI input syntax.
 
-    A built-in input is data: (taylor, P, Q, derivative), where taylor(count)
-    gives the Taylor coefficients of f at 0, and the companion
-    u(x) = f(x/(1 - x)) is P/Q or, when derivative is true, has u' = P/Q.
-    P and Q are ascending coefficient tuples.  A file: input gives its path.
+    A built-in input is f's data (P, Q, f0): f = P/Q when f0 is None, else
+    f(0) = f0 and f' = P/Q, with P and Q ascending coefficient tuples.  A
+    file: input gives its path.
     """
     if text == "arctan":
-        # u' = (1/(1 + y**2)) dy/dx with y = x/(1 - x): 1/((1 - x)**2 + x**2)
-        return arctan_coeffs, (1,), (1, -2, 2), True
+        return (1,), (1, 0, 1), Fraction(0)
     if text == "altgeom":
         text = "pole:1"
     if text.startswith("pole:"):
@@ -76,23 +60,46 @@ def _parse_input(text: str):
             a = Fraction(text[len("pole:"):])
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad pole parameter in {text!r}") from e
-        # 1/(a + x/(1 - x)) = (1 - x)/(a + (1 - a) x)
-        return functools.partial(pole_coeffs, a), (1, -1), (a, 1 - a), False
+        return (1,), (a, 1), None
     if not text.startswith("file:"):
         raise ValueError(f"unknown input spec {text!r}")
     return text[len("file:"):]
+
+
+def _rational_prefix(p, q, f0, count: int) -> list:
+    """The first `count` Taylor coefficients at 0 of P/Q, or, when f0 is not
+    None, of the function with value f0 at 0 and derivative P/Q."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if q[0] == 0:  # a pole at 0: only pole:0 names one
+        raise DegeneratePoleError("pole parameter must be nonzero")
+    if f0 is None:
+        return rational_taylor(p, q, 0, count)
+    return [f0, *rational_taylor(p, q, 0, count - 1, True)]
+
+
+def _companion(p, q, f0):
+    """The data of u(x) = f(x/(1 - x)) for f's: each term c_i x**i of P and
+    Q becomes c_i x**i (1 - x)**(d - i), d the larger degree, with two fewer
+    powers in P when f' = P/Q (the chain rule's 1/(1 - x)**2); u(0) = f(0).
+    That sum is x**d R(1/x - 1), R the polynomial reversed at degree d."""
+    drop = 0 if f0 is None else 2
+    d = max(len(p) + drop, len(q)) - 1
+    p, q = ([0] * (e + 1 - len(c)) + list(c[::-1]) for c, e in ((p, d - drop), (q, d)))
+    return _taylor_shift(p, -1)[::-1], _taylor_shift(q, -1)[::-1], f0
 
 
 def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorSeries:
     """The first `count` Taylor coefficients named by CLI input syntax:
     arctan | pole:A (f = 1/(A + x)) | altgeom (same as pole:1) | file:PATH.
 
-    A file is read at `digits` significant digits and must provide at least
-    `count` coefficients.
+    A built-in input's are exact, from :func:`rational_taylor` at 0.  A file
+    is read at `digits` significant digits and must provide at least `count`
+    coefficients.
     """
     spec = _parse_input(text)
     if not isinstance(spec, str):
-        return spec[0](count)
+        return TaylorSeries(_rational_prefix(*spec, count))
     if count < 1:
         raise ValueError("count must be >= 1")
     series = load_coeffs(spec, digits=digits)
@@ -105,8 +112,8 @@ def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS,
                     series: TaylorSeries | None = None) -> AssociatedSeries:
     """The first `count` companion coefficients w_n of the input `text` names.
 
-    A built-in input's are exact, from the recurrence of its companion
-    (:func:`rational_taylor` at center 0), and equal those of
+    A built-in input's are exact, from :func:`rational_taylor` at 0 on the
+    data of u (:func:`_companion`), and equal those of
     associated(build_series(text, count)).  A file: input's are
     associated(build_series(text, count, digits)), with a decimal file's
     rounded once at `digits` significant digits; `series`, when the caller
@@ -114,21 +121,13 @@ def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS,
     rejected with the errors of :func:`build_series`, in the same order.
     """
     spec = _parse_input(text)
-    if isinstance(spec, str):
-        if series is None:
-            series = build_series(text, count, digits)
-        with localcontext() as ctx:
-            ctx.prec = digits
-            return associated(series)
-    taylor, p, q, derivative = spec
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if q[0] == 0:  # a companion with a pole at 0: only pole:0 names one
-        raise DegeneratePoleError("pole parameter must be nonzero")
-    if not derivative:
-        return AssociatedSeries(rational_taylor(p, q, 0, count))
-    # u(0) = f(0), and the rest from u'
-    return AssociatedSeries(taylor(1).coeffs + tuple(rational_taylor(p, q, 0, count - 1, True)))
+    if not isinstance(spec, str):
+        return AssociatedSeries(_rational_prefix(*_companion(*spec), count))
+    if series is None:
+        series = build_series(text, count, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return associated(series)
 
 
 def _taylor_shift(coeffs, c: Fraction) -> list:

@@ -33,6 +33,18 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def arctan_taylor_coeff(n: int) -> Fraction:
+    """Closed form of the n-th Taylor coefficient of arctan at 0: 0 at even
+    n, (-1)**((n-1)/2)/n at odd n."""
+    return Fraction(0) if n % 2 == 0 else Fraction((-1) ** ((n - 1) // 2), n)
+
+
+def pole_taylor_coeff(a, n: int) -> Fraction:
+    """Closed form of the n-th Taylor coefficient of 1/(a + x) at 0:
+    (-1)**n / a**(n+1)."""
+    return Fraction((-1) ** n) / Fraction(a) ** (n + 1)
+
+
 def arctan_assoc_coeff(n: int) -> Fraction:
     """Closed form of the n-th companion coefficient for arctan.
 

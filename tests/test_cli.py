@@ -697,6 +697,42 @@ class TestExitCodes:
         assert captured.err == "error: out of memory; lower --m, --count or --digits\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("lag", ["0", "-2"])
+    def test_transform_lag_below_one_checked_up_front(self, tmp_path, monkeypatch, capsys,
+                                                      lag):
+        started = []
+        monkeypatch.setattr(cli, "build_series", lambda *a: started.append("series"))
+        for text in ("arctan", f"file:{tmp_path}/missing.csv"):
+            assert main(["transform", "--input", text, "--count", "12", "--lag", lag]) == 3
+            captured = capsys.readouterr()
+            assert captured.err == "error: --lag must be >= 1\n"
+            assert captured.out == ""
+        assert started == []
+
+    def test_transform_series_too_short_for_its_lag(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["transform", "--input", "arctan", "--count", "5", "--lag", "4",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "radius estimate (lag 4): unavailable (need at least lag + 2 coefficients)\n")
+        assert len(read_csv(out)) == 5
+
+    @pytest.mark.parametrize("count", [["--count", "-1"], {"count": -1}])
+    def test_continue_count_below_zero_checked_up_front(self, tmp_path, monkeypatch, capsys,
+                                                        count):
+        started = []
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
+        if isinstance(count, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(count))
+            count = ["--config", str(path)]
+        assert main(["continue", "--input", "arctan", "--m", "1501", "--dx", "0.25",
+                     "--alpha", "0.1", *count]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: count must be >= 0\n"
+        assert captured.out == ""
+        assert started == []
+
     def test_negative_direct_index_exits_3(self, capsys):
         assert main(["direct", "--input", "pole:2", "--k", "-1",
                      "--schedule", "5..10"]) == 3

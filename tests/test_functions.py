@@ -24,8 +24,16 @@ from asymser import (
     save_coeffs,
     to_decimals,
 )
+from asymser import functions
 from asymser.transform import exact_quotient
-from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff, quotient_taylor
+from helpers import (
+    COEFF_FILE_NAMES,
+    ROUND_TRIP_SERIES,
+    arctan_assoc_coeff,
+    arctan_taylor_coeff,
+    pole_taylor_coeff,
+    quotient_taylor,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -48,6 +56,18 @@ PARSE_ERRORS = [
     ("file:{dir}/six.csv", 9, CoefficientParseError, "file provides 6 coefficients, need 9"),
 ]
 POLES = ["2", "3/2", "1/3", "-2", "7/5", "-5/3"]
+BUILT_INS = [("arctan", 1001), ("altgeom", 50)] + [(f"pole:{a}", 300) for a in POLES]
+
+
+def pole_parameter(text):
+    return F(1) if text == "altgeom" else F(text[len("pole:"):])
+
+
+def closed_form(text, count):
+    """The Taylor prefix of a built-in input from its closed form."""
+    if text == "arctan":
+        return [arctan_taylor_coeff(n) for n in range(count)]
+    return [pole_taylor_coeff(pole_parameter(text), n) for n in range(count)]
 
 
 class TestArctanCoeffs:
@@ -64,6 +84,61 @@ class TestArctanCoeffs:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             arctan_coeffs(0)
+
+
+class TestBuiltinsAgainstClosedForms:
+    """The built-in inputs, described by f's P/Q and expanded by
+    rational_taylor, against the closed forms of their coefficients."""
+
+    @pytest.mark.parametrize("text, count", BUILT_INS)
+    def test_build_series(self, text, count):
+        for n in sorted({1, 2, 3, count}):
+            got = build_series(text, n).coeffs
+            assert list(got) == closed_form(text, n)
+            assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("text, count", BUILT_INS)
+    def test_named_generators(self, text, count):
+        if text == "arctan":
+            got = arctan_coeffs(count).coeffs
+        else:
+            got = pole_coeffs(pole_parameter(text), count).coeffs
+        assert list(got) == closed_form(text, count)
+        assert all(type(c) is Fraction for c in got)
+
+    def test_integer_pole_parameter(self):
+        assert pole_coeffs(-2, 40) == pole_coeffs(F(-2), 40) == build_series("pole:-2", 40)
+
+    @pytest.mark.parametrize("text", [text for text, _ in BUILT_INS])
+    def test_companion_data_is_the_hand_derived_pair(self, text):
+        """u = f(x/(1 - x)) from f's data: for arctan u' = 1/((1 - x)**2 + x**2)
+        and u(0) = 0, for pole:A u = (1 - x)/(A + (1 - A) x)."""
+        if text == "arctan":
+            want_p, want_q, want_f0 = (1,), (1, -2, 2), F(0)
+        else:
+            a = pole_parameter(text)
+            want_p, want_q, want_f0 = (1, -1), (a, 1 - a), None
+        p, q, f0 = functions._companion(*functions._parse_input(text))
+        scale = F(p[0], want_p[0])
+        assert scale != 0
+        assert list(p) == [scale * c for c in want_p]
+        assert list(q) == [scale * c for c in want_q]
+        assert f0 == want_f0 and type(f0) is type(want_f0)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: arctan_coeffs(0), ValueError, "count must be >= 1"),
+            (lambda: pole_coeffs(0, 0), ValueError, "count must be >= 1"),
+            (lambda: pole_coeffs(2, -1), ValueError, "count must be >= 1"),
+            (lambda: pole_coeffs(0, 3), DegeneratePoleError, "pole parameter must be nonzero"),
+        ],
+    )
+    def test_named_generator_errors(self, call, error, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestArctanAssocClosedForm:
