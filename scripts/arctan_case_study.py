@@ -17,23 +17,21 @@ import argparse
 import os
 import sys
 import time
-from decimal import Decimal
 from pathlib import Path
 
 from asymser import (
     SchemeConfig,
-    arctan_coeffs,
     build_companion,
+    build_series,
+    companion_at_one,
     continue_to_one_with_steps,
     direct_trace,
     estimate_radius,
     extract_shifted,
     format_decimal,
-    pole_coeffs,
+    to_decimals,
 )
 from asymser.cli import main as cli_main
-
-HALF_PI = Decimal("1.5707963267948966192313216916")
 
 
 def headline(outdir: Path) -> None:
@@ -52,16 +50,17 @@ def headline(outdir: Path) -> None:
     state, states = continue_to_one_with_steps(assoc, config)
     print(f"  carried per step: {[len(s.coeffs) for s in states]}")
     shifted = extract_shifted(state, 2)
-    err0 = abs(shifted.coeffs[0] - HALF_PI)
-    err1 = abs(shifted.coeffs[1] + 1)
+    # the companion's exact coefficients at 1 are pi/2 and 1
+    reference = to_decimals(companion_at_one("arctan", 2), config.digits + 8)
+    err0, err1 = (abs(c - r) for c, r in zip(state.coeffs, reference))
     print(f"  leading coefficient  {shifted.coeffs[0]}  (pi/2 off by {format_decimal(err0, 3)})")
     print(f"  next coefficient    {shifted.coeffs[1]}  (-1 off by {format_decimal(err1, 3)})")
     print(f"  {time.time() - t0:.2f} s")
 
     print("== direct summation only works when the companion radius exceeds 1 ==")
-    trace = direct_trace(pole_coeffs(2, 101), 1, [60, 80, 100], tol=1e-10)
+    trace = direct_trace(build_series("pole:2", 101), 1, [60, 80, 100], tol=1e-10)
     print(f"  1/(2+x), coefficient 1 partials -> {format_decimal(trace.limit_guess, 6)} (exact: 1)")
-    trace = direct_trace(arctan_coeffs(31), 0, [10, 20, 30])
+    trace = direct_trace(build_series("arctan", 31), 0, [10, 20, 30])
     tail = format_decimal(trace.partials[-1][1], 4)
     print(f"  arctan partials blow up instead ({tail} at 30) -> not converged: "
           f"{not trace.converged}")

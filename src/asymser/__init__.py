@@ -33,13 +33,13 @@ from .conversion import (
 from .functions import (
     CoefficientParseError,
     DegeneratePoleError,
-    arctan_coeffs,
     build_companion,
     build_series,
+    companion_at_one,
     format_decimal,
     load_coeffs,
-    pole_coeffs,
     rational_taylor,
+    reaches_singularity,
     save_coeffs,
 )
 from .transform import (

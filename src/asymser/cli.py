@@ -2,7 +2,8 @@
 
 Subcommands: transform, continue, convert, direct, sweep.  All numeric output
 is decimal text; exit codes are 0 (ok), 2 (usage), 3 (input error),
-4 (numerical contract violated).
+4 (numerical contract violated).  Only :mod:`functions` knows the inputs:
+its data give every input's sweep err columns and continue note.
 """
 from __future__ import annotations
 
@@ -40,13 +41,13 @@ from .functions import (
     _write_text,
     build_companion,
     build_series,
+    companion_at_one,
     format_decimal,
     load_coeffs,
+    reaches_singularity,
     save_coeffs,
 )
 from .transform import AssociatedSeries, DegenerateRatiosError, TaylorSeries, estimate_radius
-
-_HALF_PI = Decimal("1.5707963267948966192313216916397514420985846996876")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,7 +73,7 @@ def _write_rows(path, header, rows):
 
 
 def _parse_schedule(text: str) -> list[int]:
-    """Parse '5..30', '5..30..5' or '5,10,20' into a non-empty list of m values."""
+    """Parse '5..30', '5..30..5' or '5,10,20' into strictly increasing m values."""
     if ".." in text:
         parts = text.split("..")
         if len(parts) not in (2, 3):
@@ -86,6 +87,8 @@ def _parse_schedule(text: str) -> list[int]:
         schedule = [int(p) for p in text.split(",") if p]
     if not schedule:
         raise ValueError("--schedule needs at least one m value")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("--schedule must be strictly increasing")
     return schedule
 
 
@@ -206,10 +209,10 @@ def cmd_continue(args) -> int:
             for s in states
         ],
     }
-    if args.input == "arctan" and config.step == Decimal("0.5"):
+    if reaches_singularity(args.input, config.step, config.steps):
         doc["note"] = (
-            "step 0.5 passes within 0.5 of the nearest singularities of the "
-            "arctangent companion function; instability with growing m is expected"
+            f"step {config.step} passes within {config.step} of the nearest singularity "
+            "of the companion function; instability with growing m is expected"
         )
     _write_text(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -246,6 +249,8 @@ def cmd_convert(args) -> int:
 def cmd_direct(args) -> int:
     schedule = _parse_schedule(args.schedule)
     digits = _digits(args.digits)
+    if args.k < 0:  # as direct_trace checks it, but before the prefix is built
+        raise ValueError("k must be >= 0")
     series = build_series(args.input, max(schedule) + 1, digits)
     # exact, as written: a tol below the float range stays positive
     tol = _exact_decimal(args.tol, "tol")
@@ -275,37 +280,29 @@ def _run_pair(payload):
     The pair's first step is shifted once, for all its alphas, and each
     alpha continues from its own first-step state.
     """
-    assoc, configs, with_reference = payload
+    assoc, configs, reference = payload
     try:
         firsts = shared_first_step(assoc, configs)
     except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
         return [_error_row(config, e) for config in configs]
-    return [
-        _run_cell(assoc, config, with_reference, first) for config, first in zip(configs, firsts)
-    ]
+    return [_run_cell(assoc, config, reference, first) for config, first in zip(configs, firsts)]
 
 
-def _run_cell(assoc, config, with_reference, first):
+def _run_cell(assoc, config, reference, first):
     """The sweep row of one (m, dx, alpha) cell, continued from the state
-    `first` after its first step."""
+    `first` after its first step, with err |c - r| for each c at 1 with a reference r."""
     try:
         state, _ = continue_to_one_with_steps(assoc, config, _first=first)
-        c0 = state.coeffs[0] if len(state.coeffs) >= 1 else None
-        c1 = state.coeffs[1] if len(state.coeffs) >= 2 else None
-        err0 = err1 = ""
-        if with_reference:
-            with localcontext() as ctx:
-                ctx.prec = config.digits + 8
-                if c0 is not None:
-                    err0 = format_decimal(abs(c0 - +_HALF_PI), 10)
-                if c1 is not None:
-                    err1 = format_decimal(abs(c1 - 1), 10)
+        head = state.coeffs[:2]
+        with localcontext() as ctx:
+            ctx.prec = config.digits + 8
+            errs = [format_decimal(abs(c - r), 10) for c, r in zip(head, reference)]
+        values = [str(c) for c in head] + ["unconverged"] * (2 - len(head))
+        errs += [""] * (2 - len(errs))
         status = "converged" if state.converged_count >= 2 else "unconverged"
         return [
             config.m, str(config.step), str(config.alpha), config.digits, config.steps,
-            str(c0) if c0 is not None else "unconverged",
-            str(c1) if c1 is not None else "unconverged",
-            err0, err1, state.converged_count, status,
+            *values, *errs, state.converged_count, status,
         ]
     except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
         return _error_row(config, e)
@@ -369,11 +366,12 @@ def cmd_sweep(args) -> int:
     ]
     assoc = build_companion(args.input, max(m_list), digits)
     coeffs = to_decimals(assoc.coeffs, digits)
-    with_reference = args.input == "arctan"
+    # u's first two coefficients at 1, rounded once for every cell's err columns
+    reference = to_decimals(companion_at_one(args.input, 2) or (), digits + 8)
     # one task per (m, dx) pair: its alphas share the first step
     per_pair = len(alpha_list)
     pairs = [
-        (AssociatedSeries(coeffs[: group[0].m]), group, with_reference)
+        (AssociatedSeries(coeffs[: group[0].m]), group, reference)
         for group in (configs[i : i + per_pair] for i in range(0, len(configs), per_pair))
     ]
     # with fork, the pool starts all its workers at once: start no idle ones

@@ -1,16 +1,16 @@
 """Built-in inputs as rational data, the CLI input syntax that names them
-(:func:`build_series`, :func:`build_companion`), the exact kernel that
-expands them (:func:`rational_taylor`), coefficient file formats, and
-decimal rendering.
+(:func:`build_series`, :func:`build_companion`) and no other module does,
+their companions at 1 (:func:`companion_at_one`, :func:`reaches_singularity`),
+the exact kernel (:func:`rational_taylor`), file formats, decimal rendering.
 
-A built-in input f is P/Q, or has f(0) and f' = P/Q, for polynomials P and
-Q.  So are its companion u(x) = f(x/(1 - x)) or u', and both Taylor
-prefixes follow a short linear recurrence, at O(m) cost against the
-O(m**2) of the binomial transform.  A file's name decides its format: a
-``.json`` name holds a JSON array of decimal strings, any other name CSV
-rows ``n,numerator,denominator`` of exact rationals.  Decimal strings
-rather than binary floats keep the significant-digit contract intact.
-All decimal rendering rounds half-even.
+A built-in input f is P/Q, or has f(0), f(oo) and f' = P/Q.  So are its
+companion u(x) = f(x/(1 - x)) or u', with u(0) = f(0) and u(1) = f(oo), and
+its Taylor prefixes at 0 and 1 follow a short linear recurrence, at O(m)
+cost against the O(m**2) of the binomial transform.  A file's name decides
+its format: a ``.json`` name holds a JSON array of decimal strings, any
+other name CSV rows ``n,numerator,denominator`` of exact rationals.
+Decimal strings rather than binary floats keep the significant-digit
+contract intact.  All decimal rendering rounds half-even.
 """
 from __future__ import annotations
 
@@ -34,25 +34,13 @@ class CoefficientParseError(ValueError):
     """Malformed coefficient file."""
 
 
-def arctan_coeffs(count: int) -> TaylorSeries:
-    """Taylor coefficients of arctan at 0: 0 at even n, (-1)**((n-1)/2)/n at odd n."""
-    return build_series("arctan", count)
-
-
-def pole_coeffs(a: int | Fraction, count: int) -> TaylorSeries:
-    """Taylor coefficients of f = 1/(a + x) at 0: c_n = (-1)**n / a**(n+1)."""
-    return build_series(f"pole:{Fraction(a)}", count)
-
-
 def _parse_input(text: str):
-    """The one parser of the CLI input syntax.
-
-    A built-in input is f's data (P, Q, f0): f = P/Q when f0 is None, else
-    f(0) = f0 and f' = P/Q, with P and Q ascending coefficient tuples.  A
-    file: input gives its path.
-    """
-    if text == "arctan":
-        return (1,), (1, 0, 1), Fraction(0)
+    """The one parser of the CLI input syntax.  A built-in input is f's data
+    (P, Q, ends): f = P/Q when ends is None, else f' = P/Q with f(0) = ends[0]
+    and f(oo) = ends[1]; P and Q are ascending tuples.  A file: gives its path."""
+    if text == "arctan":  # f' = 1/(1 + x**2), f(0) = 0, f(oo) = pi/2
+        half_pi = Decimal("1.5707963267948966192313216916397514420985846996876")
+        return (1,), (1, 0, 1), (Fraction(0), half_pi)
     if text == "altgeom":
         text = "pole:1"
     if text.startswith("pole:"):
@@ -66,27 +54,50 @@ def _parse_input(text: str):
     return text[len("file:"):]
 
 
-def _rational_prefix(p, q, f0, count: int) -> list:
-    """The first `count` Taylor coefficients at 0 of P/Q, or, when f0 is not
-    None, of the function with value f0 at 0 and derivative P/Q."""
+def _rational_prefix(p, q, ends, count: int, center: int = 0) -> list:
+    """The first `count` Taylor coefficients at `center`, 0 or 1, of P/Q, or, when
+    ends is not None, of the function with derivative P/Q and value ends[center]."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if q[0] == 0:  # a pole at 0: only pole:0 names one
         raise DegeneratePoleError("pole parameter must be nonzero")
-    if f0 is None:
-        return rational_taylor(p, q, 0, count)
-    return [f0, *rational_taylor(p, q, 0, count - 1, True)]
+    if ends is None:
+        return rational_taylor(p, q, center, count)
+    return [ends[center], *rational_taylor(p, q, center, count - 1, True)]
 
 
-def _companion(p, q, f0):
+def _companion(p, q, ends):
     """The data of u(x) = f(x/(1 - x)) for f's: each term c_i x**i of P and
     Q becomes c_i x**i (1 - x)**(d - i), d the larger degree, with two fewer
-    powers in P when f' = P/Q (the chain rule's 1/(1 - x)**2); u(0) = f(0).
-    That sum is x**d R(1/x - 1), R the polynomial reversed at degree d."""
-    drop = 0 if f0 is None else 2
+    powers in P when f' = P/Q (the chain rule's 1/(1 - x)**2); the ends
+    carry over.  That sum is x**d R(1/x - 1), R reversed at degree d."""
+    drop = 0 if ends is None else 2
     d = max(len(p) + drop, len(q)) - 1
     p, q = ([0] * (e + 1 - len(c)) + list(c[::-1]) for c, e in ((p, d - drop), (q, d)))
-    return _taylor_shift(p, -1)[::-1], _taylor_shift(q, -1)[::-1], f0
+    return _taylor_shift(p, -1)[::-1], _taylor_shift(q, -1)[::-1], ends
+
+
+def companion_at_one(text: str, count: int) -> list | None:
+    """The first `count` Taylor coefficients at 1 of the companion u that `text` names:
+    Fractions, but arctan's u(1) = pi/2 is a 50-digit Decimal; None for a file: input.
+    u is analytic at 1 for every built-in input: the paper's condition for an expansion at oo."""
+    spec = _parse_input(text)
+    return None if isinstance(spec, str) else _rational_prefix(*_companion(*spec), count, 1)
+
+
+def reaches_singularity(text: str, step, steps: int) -> bool:
+    """Whether a continuation of the companion u of `text` starts a step, at a
+    center c = k*step with k < `steps`, within `step` of a singularity of u or
+    u' = P_u/Q_u.  Every built-in Q_u of degree d has one real zero z or a conjugate
+    pair z, z*, or none (altgeom's 1 + 0x, q_d = 0), so the exact test
+    |Q_u(c)| <= |q_d| step**d is |c - z| <= step.  A file: input has no data."""
+    spec = _parse_input(text)
+    if isinstance(spec, str):
+        return False
+    _, q, _ = _companion(*spec)
+    h, d = Fraction(step), len(q) - 1
+    return any(abs(sum(a * (k * h) ** i for i, a in enumerate(q))) <= abs(q[-1]) * h ** d
+               for k in range(steps))
 
 
 def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorSeries:

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from asymser import AssociatedSeries, arctan_coeffs, associated
+from asymser import AssociatedSeries, associated, build_series
 from helpers import arctan_assoc_coeff
 
 
 @pytest.fixture(scope="session")
 def arctan_32():
-    return arctan_coeffs(32)
+    return build_series("arctan", 32)
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +20,7 @@ def arctan_assoc_32(arctan_32):
 def arctan_assoc_701():
     """Companion coefficients of arctan through the real transform (not the
     closed form), shared by the continuation-heavy tests."""
-    return associated(arctan_coeffs(701))
+    return associated(build_series("arctan", 701))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import pytest
 
 from asymser import (
     TaylorSeries,
-    arctan_coeffs,
+    build_series,
     continue_to_one_with_steps,
     direct_coeffk_partial,
     to_decimals,
@@ -343,9 +343,9 @@ def assert_value_contract(value, same, other, text):
 # non-terminating 1/3 (c_3 of arctan), exact with terminating values only,
 # and 19-digit decimals.
 ROUND_TRIP_SERIES = {
-    "exact-thirds": arctan_coeffs(8),
+    "exact-thirds": build_series("arctan", 8),
     "exact-terminating": TaylorSeries((Fraction(1, 2), Fraction(-3, 8), 0, 5, Fraction(1, 1024))),
-    "decimal-19": TaylorSeries(to_decimals(arctan_coeffs(8).coeffs, 19)),
+    "decimal-19": TaylorSeries(to_decimals(build_series("arctan", 8).coeffs, 19)),
 }
 
 # Names of every kind: .json names hold decimals, all others exact CSV rows.

@@ -19,16 +19,15 @@ from asymser import (
     SchemeConfig,
     ShiftedExpansion,
     TaylorSeries,
-    arctan_coeffs,
     associated,
     associated_inverse,
+    build_series,
     direct_coeffk_partial,
     direct_trace,
     estimate_radius,
     extract_shifted,
     format_decimal,
     plain_to_shifted,
-    pole_coeffs,
     shifted_to_plain,
 )
 from helpers import (
@@ -139,7 +138,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_three_route_agreement_for_shifted_geometric(self):
         start = time.time()
-        series = pole_coeffs(2, 200)
+        series = build_series("pole:2", 200)
 
         # closed form: coefficients 0, 1, -1, 1, ... of the shifted expansion
         closed = [F(0), F(1), F(-1)]

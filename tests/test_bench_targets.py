@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from asymser import arctan_coeffs, cli, save_coeffs
+from asymser import build_series, cli, save_coeffs
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -19,7 +19,7 @@ import spans  # noqa: E402
 def test_traced_cli_run_shows_every_layer(tmp_path):
     """A built-in input's companion comes from its recurrence, so the
     transform and the Taylor prefix are traced on the file: route."""
-    save_coeffs(arctan_coeffs(40), tmp_path / "arctan.csv")
+    save_coeffs(build_series("arctan", 40), tmp_path / "arctan.csv")
     with spans.Tracer().installed() as tracer:
         assert cli.main(["continue", "--input", "arctan", "--m", "40", "--dx", "0.25",
                          "--alpha", "0.01", "--count", "1",

@@ -13,10 +13,9 @@ import pytest
 from asymser import (
     ShiftedExpansion,
     TaylorSeries,
-    arctan_coeffs,
+    build_series,
     continuation,
     load_coeffs,
-    pole_coeffs,
     save_coeffs,
     shifted_to_plain,
 )
@@ -71,7 +70,7 @@ class TestTransformCommand:
 
     def test_decimal_file_prefix_fills_only_decimal_columns(self, tmp_path):
         src = tmp_path / "p.json"
-        save_coeffs(pole_coeffs(2, 4), src)
+        save_coeffs(build_series("pole:2", 4), src)
         out = tmp_path / "t.csv"
         assert main(["transform", "--input", f"file:{src}", "--count", "4",
                      "--out", str(out)]) == 0
@@ -152,6 +151,26 @@ class TestContinueCommand:
             assert doc["note"].startswith("step 0.5 passes within 0.5 of the nearest")
 
     @pytest.mark.parametrize(
+        "text, dx, note",
+        [("arctan", "0.25", False), ("arctan", "0.125", False),
+         ("pole:-3", "0.5", True),  # u's pole is at 3/4
+         ("pole:-1", "0.25", True),  # at 1/2
+         ("pole:2", "0.125", False),  # at 2
+         ("altgeom", "0.5", False), ("altgeom", "0.125", False),  # u = 1 - x
+         ("file:{dir}/arctan.csv", "0.5", False)],  # a file has no singularity data
+    )
+    def test_note_follows_the_singularities(self, tmp_path, text, dx, note):
+        save_coeffs(build_series("arctan", 40), tmp_path / "arctan.csv")
+        out = tmp_path / "c.json"
+        # count 0: a step onto the pole leaves nothing converged to extract
+        assert main(["continue", "--input", text.format(dir=tmp_path), "--m", "40",
+                     "--dx", dx, "--alpha", "0.1", "--count", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert ("note" in doc) == note
+        if note:
+            assert doc["note"].startswith(f"step {dx} passes within {dx} of the nearest")
+
+    @pytest.mark.parametrize(
         "flags, code, message",
         [
             (["--m", "0"], 3, "error: m must be >= 1"),
@@ -180,7 +199,7 @@ class TestConvertCommand:
 
     def test_alias_round_trip_bit_exact(self, tmp_path):
         src = tmp_path / "v.csv"
-        save_coeffs(arctan_coeffs(9), src)
+        save_coeffs(build_series("arctan", 9), src)
         mid = tmp_path / "mid.csv"
         back = tmp_path / "back.csv"
         assert main(["convert", str(src), "--direction", "to-q",
@@ -244,7 +263,7 @@ class TestDirectCommand:
 
     def test_decimal_file_prefix_converges(self, tmp_path, capsys):
         src = tmp_path / "p.json"
-        save_coeffs(pole_coeffs(2, 31), src)
+        save_coeffs(build_series("pole:2", 31), src)
         out = tmp_path / "d.csv"
         assert main(["direct", "--input", f"file:{src}", "--k", "0",
                      "--schedule", "5..30", "--tol", "0.02", "--out", str(out)]) == 0
@@ -347,14 +366,44 @@ class TestSweepCommand:
         assert outputs[0].count(b"\n") == 3  # header, dx 0.25 and dx 0.5
         assert outputs == [outputs[0]] * 4
 
-    def test_non_arctan_input_has_no_reference_errors(self, tmp_path):
+    def test_pole_input_has_reference_errors(self, tmp_path):
+        # u = (1 - x)/(2 - x): u(1) = 0 and u'(1) = -1
         out = tmp_path / "s.csv"
         assert main(["sweep", "--input", "pole:2", "--m", "30", "--dx", "0.25",
                      "--alpha", "0.001", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert len(rows) == 1
+        row = rows[0]
+        assert row["status"] == "converged"
+        with localcontext() as ctx:
+            ctx.prec = 60
+            assert row["err0"] == functions.format_decimal(abs(Decimal(row["c0_at_1"])), 10)
+            assert row["err1"] == functions.format_decimal(abs(Decimal(row["c1_at_1"]) + 1), 10)
+        assert 0 < Decimal(row["err0"]) < Decimal("0.001")
+        assert 0 < Decimal(row["err1"]) < Decimal("0.001")
+
+    def test_file_input_has_no_reference_errors(self, tmp_path):
+        save_coeffs(build_series("arctan", 30), tmp_path / "arctan.csv")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--input", f"file:{tmp_path}/arctan.csv", "--m", "30",
+                     "--dx", "0.25", "--alpha", "0.1", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["c0_at_1"] != "unconverged"
         assert rows[0]["err0"] == "" and rows[0]["err1"] == ""
-        assert rows[0]["status"] == "converged"
+
+    def test_reference_reaches_the_pool_workers(self, tmp_path):
+        argv = ["sweep", "--input", "pole:3/2", "--m", "20,60", "--dx", "0.25,0.5",
+                "--alpha", "1e-6,0.1"]
+        seq = tmp_path / "seq.csv"
+        par = tmp_path / "par.csv"
+        assert main(argv + ["--jobs", "1", "--out", str(seq)]) == 0
+        assert main(argv + ["--jobs", "2", "--out", str(par)]) == 0
+        assert seq.read_text() == par.read_text()
+        rows = read_csv(par)
+        assert all(r["err0"] != "" for r in rows if r["c0_at_1"] != "unconverged")
+        assert all(r["err1"] != "" for r in rows if r["c1_at_1"] != "unconverged")
+        assert any(r["err1"] != "" for r in rows)
 
 
 class TestSweepPool:
@@ -643,7 +692,7 @@ class TestExitCodes:
          ["direct", "--input", "pole:2", "--k", "0", "--schedule", "5..10"]],
     )
     def test_digits_below_one_exit_3(self, tmp_path, capsys, command):
-        save_coeffs(arctan_coeffs(4), tmp_path / "c.csv")
+        save_coeffs(build_series("arctan", 4), tmp_path / "c.csv")
         argv = [arg.format(dir=tmp_path) for arg in command]
         assert main([*argv, "--digits", "0"]) == 3
         assert capsys.readouterr().err.strip() == "error: digits must be >= 1"
@@ -688,7 +737,7 @@ class TestExitCodes:
         def exhausted(series):
             raise MemoryError
 
-        save_coeffs(arctan_coeffs(20), tmp_path / "c.csv")
+        save_coeffs(build_series("arctan", 20), tmp_path / "c.csv")
         monkeypatch.setattr(functions, "associated", exhausted)
         flags = (["--count", "20"] if command == "transform"
                  else ["--m", "20", "--dx", "0.25", "--alpha", "0.1"])
@@ -733,6 +782,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert started == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--k", "-1", "--schedule", "5..20000"], "error: k must be >= 0"),
+         (["--k", "1", "--schedule", "20000,5"], "error: --schedule must be strictly increasing"),
+         (["--k", "1", "--schedule", "5,5"], "error: --schedule must be strictly increasing")],
+    )
+    def test_direct_index_and_schedule_checked_up_front(self, monkeypatch, capsys, flags,
+                                                        message):
+        started = []
+        monkeypatch.setattr(cli, "build_series", lambda *a: started.append("series"))
+        assert main(["direct", "--input", "pole:3/2", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert started == []
+
     def test_negative_direct_index_exits_3(self, capsys):
         assert main(["direct", "--input", "pole:2", "--k", "-1",
                      "--schedule", "5..10"]) == 3
@@ -754,7 +819,7 @@ class TestExitCodes:
         ],
     )
     def test_rejected_input_exit_codes(self, tmp_path, capsys, text, count, code, message):
-        save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
+        save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
         assert main(["transform", "--input", text.format(dir=tmp_path),
                      "--count", count]) == code
         assert capsys.readouterr().err.strip() == message

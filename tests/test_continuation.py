@@ -17,8 +17,8 @@ from asymser import (
     ShiftedExpansion,
     continue_to_one_with_steps,
     extract_shifted,
-    arctan_coeffs,
     associated,
+    build_series,
     recenter_step,
     to_decimals,
 )
@@ -167,7 +167,7 @@ def assert_exact_step(state, step, alpha, digits=19):
 class TestRecenterOracle:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "0.3"])
     def test_arctan_companion_prefix(self, step):
-        assoc = associated(arctan_coeffs(120))
+        assoc = associated(build_series("arctan", 120))
         state = make_state(to_decimals(assoc.coeffs, 19))
         for alpha in ("0.1", "1e-6"):
             assert_exact_step(state, step, alpha)
@@ -227,7 +227,7 @@ class TestRecenterOracle:
             assert_exact_step(make_state(values), step, "0.1")
 
     def test_higher_precision(self):
-        assoc = associated(arctan_coeffs(60))
+        assoc = associated(build_series("arctan", 60))
         state = make_state(to_decimals(assoc.coeffs, 40))
         assert_exact_step(state, "0.25", "0.01", digits=40)
 
@@ -284,7 +284,7 @@ class TestContinueToOne:
     def test_centers_exact_at_low_digits(self):
         # at 2 digits a rounded center would walk 0.12, 0.24, ..., 0.96
         config = SchemeConfig(m=40, step="0.125", alpha="0.5", digits=2)
-        state, states = continue_to_one_with_steps(associated(arctan_coeffs(40)), config)
+        state, states = continue_to_one_with_steps(associated(build_series("arctan", 40)), config)
         assert str(state.center) == "1.000"
         assert [str(s.center) for s in states] == [
             "0.125", "0.250", "0.375", "0.500", "0.625", "0.750", "0.875", "1.000"]

@@ -16,11 +16,11 @@ from asymser import (
     TaylorSeries,
     associated,
     associated_inverse,
+    build_series,
     direct_coeffk_partial,
     direct_trace,
     extract_shifted,
     plain_to_shifted,
-    pole_coeffs,
     shifted_to_plain,
     tail_agreement,
 )
@@ -121,7 +121,7 @@ class TestPlainToShifted:
 class TestDirectPartials:
     def test_pole_two_closed_form(self):
         # f = 1/(2+x): partial of the zeroth coefficient is exactly 2**-(m+1)
-        series = pole_coeffs(2, 45)
+        series = build_series("pole:2", 45)
         for m in range(0, 41):
             assert direct_coeff0_partial(series, m) == F(1, 2 ** (m + 1))
 
@@ -131,9 +131,7 @@ class TestDirectPartials:
             assert direct_coeff0_partial(series, m) == F(5)
 
     def test_arctan_partials_diverge(self):
-        from asymser import arctan_coeffs
-
-        series = arctan_coeffs(31)
+        series = build_series("arctan", 31)
         assert abs(direct_coeff0_partial(series, 30)) > 1000
 
     def test_smallest_instance_matches_double_sum(self):
@@ -143,12 +141,12 @@ class TestDirectPartials:
 
     def test_pole_two_higher_coefficient(self):
         # shifted expansion of 1/(2+x) is [0, 1, -1, 1, ...]
-        series = pole_coeffs(2, 130)
+        series = build_series("pole:2", 130)
         p = direct_coeffk_partial(series, 1, 100)
         assert abs(p - 1) < F(1, 10**12)
 
     def test_vanishing_when_k_exceeds_m(self):
-        series = pole_coeffs(2, 10)
+        series = build_series("pole:2", 10)
         for k in range(3, 8):
             assert direct_coeffk_partial(series, k, 2) == 0
 
@@ -186,7 +184,7 @@ class TestDirectPartials:
                     assert got == D(want.numerator) / want.denominator, (m, got, want)
 
     def test_argument_validation(self):
-        series = pole_coeffs(2, 5)
+        series = build_series("pole:2", 5)
         assert direct_coeffk_partial(series, 0, 3) == direct_coeff0_partial(series, 3)
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
             direct_coeffk_partial(series, -1, 3)
@@ -197,44 +195,42 @@ class TestDirectPartials:
 class TestDirectTrace:
     def test_huge_k_sums_only_terms_that_have_an_s(self):
         # terms with n > m are empty: a loop over n <= k would not end
-        trace = direct_trace(pole_coeffs(2, 11), 10**12, range(5, 11))
+        trace = direct_trace(build_series("pole:2", 11), 10**12, range(5, 11))
         assert trace.partials == tuple((m, 0) for m in range(5, 11))
         assert all(type(v) is Fraction for _, v in trace.partials)
 
     def test_pole_two_converges_to_zero(self):
-        series = pole_coeffs(2, 25)
+        series = build_series("pole:2", 25)
         trace = direct_trace(series, 0, [5, 10, 20], tol=0.02)
         assert [v for _, v in trace.partials] == [F(1, 2**6), F(1, 2**11), F(1, 2**21)]
         assert trace.converged
         assert trace.limit_guess == F(1, 2**21)
 
     def test_arctan_not_converged(self):
-        from asymser import arctan_coeffs
-
-        trace = direct_trace(arctan_coeffs(31), 0, [10, 20, 30])
+        trace = direct_trace(build_series("arctan", 31), 0, [10, 20, 30])
         assert not trace.converged
         assert trace.limit_guess is None
 
     def test_empty_schedule(self):
-        trace = direct_trace(pole_coeffs(2, 5), 0, [])
+        trace = direct_trace(build_series("pole:2", 5), 0, [])
         assert trace.partials == ()
         assert not trace.converged
 
     def test_schedule_must_increase(self):
         with pytest.raises(ValueError):
-            direct_trace(pole_coeffs(2, 25), 0, [5, 5, 10])
+            direct_trace(build_series("pole:2", 25), 0, [5, 5, 10])
 
     @pytest.mark.parametrize("schedule", [[], [5, 10]])
     def test_negative_index_rejected(self, schedule):
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
-            direct_trace(pole_coeffs(2, 25), -1, schedule)
+            direct_trace(build_series("pole:2", 25), -1, schedule)
 
     def test_zero_tolerance_allowed_negative_rejected(self):
         # every partial of v_0 for 1/(1+x) is exactly 0 past m = 0
-        trace = direct_trace(pole_coeffs(1, 25), 0, [5, 10, 20], tol=0)
+        trace = direct_trace(build_series("pole:1", 25), 0, [5, 10, 20], tol=0)
         assert trace.converged and trace.limit_guess == 0
         with pytest.raises(ValueError, match=r"^tol -0.5 is negative$"):
-            direct_trace(pole_coeffs(1, 25), 0, [5, 10, 20], tol=-0.5)
+            direct_trace(build_series("pole:1", 25), 0, [5, 10, 20], tol=-0.5)
 
     @pytest.mark.parametrize(
         "value, same, other, text",
@@ -325,7 +321,7 @@ class TestPipelineConsistency:
         from asymser import to_decimals
 
         # both poles have companion radius > 1, so every route is available
-        series = pole_coeffs(a, 200)
+        series = build_series(f"pole:{a}", 200)
         assoc = associated(series)
         config = SchemeConfig(m=200, step="0.25", alpha="1e-30", digits=38)
         state = continue_to_one(assoc, config)

@@ -12,15 +12,15 @@ from asymser import (
     CoefficientParseError,
     DegeneratePoleError,
     TaylorSeries,
-    arctan_coeffs,
     associated,
     build_companion,
     build_series,
+    companion_at_one,
     estimate_radius,
     format_decimal,
     load_coeffs,
-    pole_coeffs,
     rational_taylor,
+    reaches_singularity,
     save_coeffs,
     to_decimals,
 )
@@ -51,6 +51,7 @@ PARSE_ERRORS = [
     ("pole:1/0", 3, ValueError, "bad pole parameter in 'pole:1/0'"),
     ("arctan", 0, ValueError, "count must be >= 1"),
     ("pole:0", 0, ValueError, "count must be >= 1"),
+    ("pole:2", -1, ValueError, "count must be >= 1"),
     ("file:{dir}/missing.csv", 0, ValueError, "count must be >= 1"),
     ("pole:0", 3, DegeneratePoleError, "pole parameter must be nonzero"),
     ("file:{dir}/six.csv", 9, CoefficientParseError, "file provides 6 coefficients, need 9"),
@@ -72,18 +73,18 @@ def closed_form(text, count):
 
 class TestArctanCoeffs:
     def test_head(self):
-        series = arctan_coeffs(6)
+        series = build_series("arctan", 6)
         assert list(series.coeffs) == [F(0), F(1), F(0), F(-1, 3), F(0), F(1, 5)]
 
     def test_derivative_at_zero(self):
-        assert arctan_coeffs(2).coeffs[1] == 1
+        assert build_series("arctan", 2).coeffs[1] == 1
 
     def test_index_17(self):
-        assert arctan_coeffs(18).coeffs[17] == F(1, 17)
+        assert build_series("arctan", 18).coeffs[17] == F(1, 17)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            arctan_coeffs(0)
+            build_series("arctan", 0)
 
 
 class TestBuiltinsAgainstClosedForms:
@@ -97,48 +98,98 @@ class TestBuiltinsAgainstClosedForms:
             assert list(got) == closed_form(text, n)
             assert all(type(c) is Fraction for c in got)
 
-    @pytest.mark.parametrize("text, count", BUILT_INS)
-    def test_named_generators(self, text, count):
-        if text == "arctan":
-            got = arctan_coeffs(count).coeffs
-        else:
-            got = pole_coeffs(pole_parameter(text), count).coeffs
-        assert list(got) == closed_form(text, count)
-        assert all(type(c) is Fraction for c in got)
-
     def test_integer_pole_parameter(self):
-        assert pole_coeffs(-2, 40) == pole_coeffs(F(-2), 40) == build_series("pole:-2", 40)
+        assert build_series("pole:-2", 40) == build_series("pole:-2/1", 40)
+        assert build_series("pole:-2", 40) == build_series("pole:-4/2", 40)
 
     @pytest.mark.parametrize("text", [text for text, _ in BUILT_INS])
     def test_companion_data_is_the_hand_derived_pair(self, text):
         """u = f(x/(1 - x)) from f's data: for arctan u' = 1/((1 - x)**2 + x**2)
-        and u(0) = 0, for pole:A u = (1 - x)/(A + (1 - A) x)."""
+        with u(0) = 0 and u(1) = pi/2, for pole:A u = (1 - x)/(A + (1 - A) x)."""
         if text == "arctan":
-            want_p, want_q, want_f0 = (1,), (1, -2, 2), F(0)
+            with localcontext() as ctx:
+                ctx.prec = 50
+                want_p, want_q, want_ends = (1,), (1, -2, 2), (F(0), refs.machin_pi(50) / 2)
         else:
             a = pole_parameter(text)
-            want_p, want_q, want_f0 = (1, -1), (a, 1 - a), None
-        p, q, f0 = functions._companion(*functions._parse_input(text))
+            want_p, want_q, want_ends = (1, -1), (a, 1 - a), None
+        p, q, ends = functions._companion(*functions._parse_input(text))
         scale = F(p[0], want_p[0])
         assert scale != 0
         assert list(p) == [scale * c for c in want_p]
         assert list(q) == [scale * c for c in want_q]
-        assert f0 == want_f0 and type(f0) is type(want_f0)
+        assert ends == want_ends
+        if ends is not None:
+            assert type(ends[0]) is Fraction and type(ends[1]) is Decimal
 
-    @pytest.mark.parametrize(
-        "call, error, message",
-        [
-            (lambda: arctan_coeffs(0), ValueError, "count must be >= 1"),
-            (lambda: pole_coeffs(0, 0), ValueError, "count must be >= 1"),
-            (lambda: pole_coeffs(2, -1), ValueError, "count must be >= 1"),
-            (lambda: pole_coeffs(0, 3), DegeneratePoleError, "pole parameter must be nonzero"),
-        ],
-    )
-    def test_named_generator_errors(self, call, error, message):
+
+class TestReferenceAtOne:
+    """u's Taylor coefficients at 1 against oracles computed apart: Fraction
+    long division for pole:A and the benchmark's recurrence and Machin's pi
+    for arctan."""
+
+    @pytest.mark.parametrize("text", ["altgeom"] + [f"pole:{a}" for a in POLES])
+    def test_pole_is_long_division(self, text):
+        a = pole_parameter(text)
+        got = companion_at_one(text, 60)
+        assert got == quotient_taylor((1, -1), (a, 1 - a), 1, 60)
+        assert got[:2] == [0, -1]  # u(1) = f(oo) = 0 and u'(1) = -1 for every A
+        assert all(type(c) is Fraction for c in got)
+
+    def test_arctan_is_the_benchmark_reference(self):
+        got = companion_at_one("arctan", 1001)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            half_pi = refs.machin_pi(50) / 2
+        assert type(got[0]) is Decimal and got[0] == half_pi
+        assert got[1:] == refs.companion_at_one(1001, half_pi)[1:]
+        assert all(type(c) is Fraction for c in got[1:])
+
+    def test_file_has_none(self, tmp_path):
+        save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
+        assert companion_at_one(f"file:{tmp_path}/six.csv", 2) is None
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("sin", ValueError, "unknown input spec 'sin'"),
+        ("pole:0", DegeneratePoleError, "pole parameter must be nonzero"),
+    ])
+    def test_errors_as_build_series(self, text, error, message):
         with pytest.raises(ValueError) as info:
-            call()
+            companion_at_one(text, 2)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+class TestReachesSingularity:
+    """The step-start test against the distance from each center k*h to the
+    zeros of Q_u, computed from their closed forms: z = A/(A - 1) for
+    pole:A, and (1 +- i)/2 for arctan."""
+
+    STEPS = [F(1, 2), F(1, 3), F(1, 4), F(1, 5), F(1, 8), F(1, 10)]
+
+    @staticmethod
+    def within(h, squared_distance):
+        return any(squared_distance(k * h) <= h * h for k in range(int(1 / h)))
+
+    @pytest.mark.parametrize("a", POLES + ["-3", "-1", "-1/2", "1/2", "-7"])
+    def test_pole(self, a):
+        a = F(a)
+        for h in self.STEPS:
+            want = self.within(h, lambda c: (c - a / (a - 1)) ** 2)
+            assert reaches_singularity(f"pole:{a}", h, int(1 / h)) == want, h
+
+    def test_arctan(self):
+        for h in self.STEPS:
+            want = self.within(h, lambda c: (c - F(1, 2)) ** 2 + F(1, 4))
+            assert reaches_singularity("arctan", h, int(1 / h)) == want, h
+        assert [reaches_singularity("arctan", D(h), int(1 / F(h)))
+                for h in ("0.5", "0.25", "0.125")] == [True, False, False]
+
+    def test_no_singularity(self, tmp_path):
+        save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
+        for h in self.STEPS:
+            assert not reaches_singularity("altgeom", h, int(1 / h))  # u = 1 - x
+            assert not reaches_singularity(f"file:{tmp_path}/six.csv", h, int(1 / h))
 
 
 class TestArctanAssocClosedForm:
@@ -159,35 +210,35 @@ class TestArctanAssocClosedForm:
 
 class TestPoleCoeffs:
     def test_unit_pole_is_alternating(self):
-        assert list(pole_coeffs(1, 4).coeffs) == [F(1), F(-1), F(1), F(-1)]
+        assert list(build_series("pole:1", 4).coeffs) == [F(1), F(-1), F(1), F(-1)]
 
     def test_pole_two(self):
-        assert list(pole_coeffs(2, 3).coeffs) == [F(1, 2), F(-1, 4), F(1, 8)]
+        assert list(build_series("pole:2", 3).coeffs) == [F(1, 2), F(-1, 4), F(1, 8)]
 
     def test_rational_pole(self):
-        series = pole_coeffs(F(3, 2), 2)
+        series = build_series("pole:3/2", 2)
         assert series.coeffs[0] == F(2, 3)
         assert series.coeffs[1] == F(-4, 9)
 
     def test_degenerate(self):
         with pytest.raises(DegeneratePoleError):
-            pole_coeffs(0, 3)
-        with pytest.raises(DegeneratePoleError):
             build_series("pole:0", 3)
+        with pytest.raises(DegeneratePoleError):
+            build_series("pole:0/5", 3)
 
     def test_altgeom_alias(self):
-        assert build_series("altgeom", 5) == pole_coeffs(1, 5)
+        assert build_series("altgeom", 5) == build_series("pole:1", 5)
 
     def test_companion_radius_is_pole_location(self):
         # companion of 1/(2+x) is (1-x)/(2-x): simple pole at x = 2
-        assoc = associated(pole_coeffs(2, 60))
+        assoc = associated(build_series("pole:2", 60))
         est = estimate_radius(assoc, lag=1)
         assert est.limit_guess == pytest.approx(2.0, abs=1e-12)
 
 
 class TestFileRoundTrip:
     def test_csv_exact_round_trip(self, tmp_path):
-        series = arctan_coeffs(12)
+        series = build_series("arctan", 12)
         path = tmp_path / "coeffs.csv"
         save_coeffs(series, path)
         back = load_coeffs(path)
@@ -198,7 +249,7 @@ class TestFileRoundTrip:
         path.write_text(
             "n,numerator,denominator\n0,0,1\n1,1,1\n2,0,1\n3,-1,3\n"
         )
-        assert load_coeffs(path).coeffs == arctan_coeffs(4).coeffs
+        assert load_coeffs(path).coeffs == build_series("arctan", 4).coeffs
 
     def test_json_decimal_round_trip(self, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -337,14 +388,14 @@ class TestDecimalBoundary:
 class TestBuildSeries:
     @pytest.mark.parametrize("count", [1, 5, 40])
     def test_parse_forms(self, count):
-        assert build_series("arctan", count) == arctan_coeffs(count)
-        assert build_series("pole:3/2", count) == pole_coeffs(F(3, 2), count)
+        assert build_series("pole:3/2", count) == build_series("pole:1.5", count)
+        assert build_series("pole:3/2", count) == build_series("pole:6/4", count)
 
     def test_build_from_file_with_count_check(self, tmp_path):
         path = tmp_path / "c.csv"
-        save_coeffs(arctan_coeffs(6), path)
-        assert build_series(f"file:{path}", 4) == arctan_coeffs(4)
-        assert build_series(f"file:{path}", 6) == arctan_coeffs(6)
+        save_coeffs(build_series("arctan", 6), path)
+        assert build_series(f"file:{path}", 4) == build_series("arctan", 4)
+        assert build_series(f"file:{path}", 6) == build_series("arctan", 6)
 
     def test_json_file_read_at_digits(self, tmp_path):
         path = tmp_path / "c.json"
@@ -354,7 +405,7 @@ class TestBuildSeries:
 
     @pytest.mark.parametrize("text, count, error, message", PARSE_ERRORS)
     def test_parse_errors(self, tmp_path, text, count, error, message):
-        save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
+        save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
         with pytest.raises(ValueError) as info:
             build_series(text.format(dir=tmp_path), count)
         assert type(info.value) is error
@@ -375,8 +426,8 @@ class TestRationalTaylor:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     def test_short_companions(self, count):
-        assert build_companion("arctan", count) == associated(arctan_coeffs(count))
-        assert build_companion("pole:3", count) == associated(pole_coeffs(3, count))
+        assert build_companion("arctan", count) == associated(build_series("arctan", count))
+        assert build_companion("pole:3", count) == associated(build_series("pole:3", count))
 
     def test_arctan_at_one_is_the_benchmark_reference(self):
         # u' = 1/(1 - 2x + 2x**2): the coefficients k >= 1 of u at 1
@@ -415,7 +466,7 @@ class TestRationalTaylor:
 
     @pytest.mark.parametrize("text, count, error, message", PARSE_ERRORS)
     def test_parse_errors_as_build_series(self, tmp_path, text, count, error, message):
-        save_coeffs(arctan_coeffs(6), tmp_path / "six.csv")
+        save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
         with pytest.raises(ValueError) as info:
             build_companion(text.format(dir=tmp_path), count)
         assert type(info.value) is error

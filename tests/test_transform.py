@@ -28,7 +28,6 @@ from asymser import (
     RadiusEstimate,
     ShiftedExpansion,
     TaylorSeries,
-    arctan_coeffs,
     associated,
     associated_inverse,
     build_series,
@@ -171,7 +170,7 @@ def _random_with_zeros(seed, length, c0):
 # gcd(6s+1, s) = 1, the pole's denominators are powers of 3, and the random
 # denominators mostly miss the index.
 ORACLE_INPUTS = {
-    "arctan_401": lambda: arctan_coeffs(401).coeffs,
+    "arctan_401": lambda: build_series("arctan", 401).coeffs,
     "log1p_201": lambda: (F(0),) + tuple(F((-1) ** (s + 1), s) for s in range(1, 201)),
     "inverse_squares_201": lambda: (F(0),) + tuple(F(1, s * s) for s in range(1, 201)),
     "one_over_6s_plus_1_201": lambda: (F(1),) + tuple(F(1, 6 * s + 1) for s in range(1, 201)),
@@ -270,14 +269,14 @@ class TestKernelOracle:
         w = tuple(arctan_assoc_coeff(n) for n in range(401))
         got = associated_inverse(AssociatedSeries(coeffs=w))
         assert list(got) == reference_binomial_transform(w, alternating=True)
-        assert got == arctan_coeffs(401).coeffs
+        assert got == build_series("arctan", 401).coeffs
 
 
 class TestKernelContract:
     @pytest.mark.parametrize("name", sorted(FOUR_MAPS))
     def test_decimal_result_is_exact_transform_rounded_once(self, name):
         apply = FOUR_MAPS[name]
-        prefix = to_decimals(arctan_coeffs(60).coeffs, 19)
+        prefix = to_decimals(build_series("arctan", 60).coeffs, 19)
         exact = apply(tuple(F(d) for d in prefix))
         expected = to_decimals(exact, 19)
         with localcontext() as ctx:
@@ -486,7 +485,7 @@ class TestEstimateRadius:
 
     @pytest.mark.parametrize("digits", [None, 19])
     def test_arctan_1001_matches_fraction_route(self, digits):
-        taylor = arctan_coeffs(1001)
+        taylor = build_series("arctan", 1001)
         if digits is None:
             assoc = associated(taylor)
         else:

@@ -6,7 +6,9 @@ serial 60-cell sweep CSV and a 200-coefficient `transform` of arctan; a
 `direct` run at the default tol.  The `pole:A` and `altgeom` pins were taken
 while every companion still came from the binomial transform, before
 built-in inputs took theirs from the recurrence, and the `direct` pin while
-`--tol` was still read as a float.
+`--tol` was still read as a float.  The `pole-sweep` pin was retaken when
+its err0/err1 columns filled from the companion's coefficients at 1; its
+other columns did not move.
 A change that moves these bytes on purpose updates the pin and says so in
 CHANGES.md; any other change must leave them as they are.
 """
@@ -18,7 +20,7 @@ import sys
 
 import pytest
 
-from asymser import cli, continuation
+from asymser import build_companion, cli, companion_at_one, continuation
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -34,7 +36,7 @@ PINS = {
                       "cb9cc99f9c537a10d35fb3b70153056fd133fe28009fa87e62de6901767af7d1"),
     "pole-sweep": (["sweep", "--input", "pole:3/2", "--m", "20,60,120", "--dx", "0.25,0.5",
                     "--alpha", "1e-6,0.1", "--jobs", "1"],
-                   "b532df72ceeb6db132f4dcbf6bc40985cf721799c65d74dffadc9f2aa72d9129"),
+                   "927c708a8daa8bb3aeb62b54f9f832404871ff4ca73fb75c1e11671eeeac11c5"),
     "pole-continue": (["continue", "--input", "pole:2", "--m", "60", "--dx", "0.5",
                        "--alpha", "1e-6"],
                       "b8e7c9ebf0c69134677fdc58d6920f63f8b3d529a4e6e7f1e99643c8a61e9eca"),
@@ -56,12 +58,16 @@ def test_output_is_pinned(capsys, name):
 
 
 def test_sweep_rounds_its_prefix_once(capsys, monkeypatch):
-    """The 60-cell sweep rounds the exact companion prefix once; each (m, dx)
-    pair starts from that rounded prefix without rounding a value again."""
+    """The 60-cell sweep rounds the exact companion prefix once, and then the
+    two reference values at 1 of its err columns; each (m, dx) pair starts
+    from that rounded prefix without rounding a value again."""
     calls = []
     rounded = continuation._rounded
     monkeypatch.setattr(continuation, "_rounded", lambda value: calls.append(value)
                         or rounded(value))
     assert cli.main(workloads.sweep_argv(1)) == 0
     capsys.readouterr()
-    assert len(calls) == max(workloads.SWEEP_M)
+    m = max(workloads.SWEEP_M)
+    assert len(calls) == m + 2
+    assert calls[:m] == list(build_companion("arctan", m).coeffs)
+    assert calls[m:] == companion_at_one("arctan", 2)
