@@ -191,8 +191,17 @@ def cmd_continue(args) -> int:
         raise ValueError("count must be >= 0")
     config = SchemeConfig(m=m, step=str(merged["dx"]), alpha=str(merged["alpha"]), digits=digits)
     assoc = build_companion(args.input, m, digits)
+    note = None
+    if reaches_singularity(args.input, config.step, config.steps):
+        note = (f"step {config.step} passes within {config.step} of the nearest singularity "
+                "of the companion function; instability with growing m is expected")
     state, states = continue_to_one_with_steps(assoc, config)
-    shifted = extract_shifted(state, count)
+    try:
+        shifted = extract_shifted(state, count)
+    except InsufficientConvergedError as e:
+        if note is None:
+            raise
+        raise InsufficientConvergedError(f"{e}\nnote: {note}") from None
     doc = {
         "input": args.input,
         "m": m,
@@ -209,11 +218,8 @@ def cmd_continue(args) -> int:
             for s in states
         ],
     }
-    if reaches_singularity(args.input, config.step, config.steps):
-        doc["note"] = (
-            f"step {config.step} passes within {config.step} of the nearest singularity "
-            "of the companion function; instability with growing m is expected"
-        )
+    if note is not None:
+        doc["note"] = note
     _write_text(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -237,10 +243,10 @@ def cmd_convert(args) -> int:
     with localcontext() as ctx:
         ctx.prec = digits
         if direction == "to-plain":
-            result = shifted_to_plain(ShiftedExpansion(coeffs=series.coeffs, center=0))
+            result = shifted_to_plain(ShiftedExpansion(series.coeffs))
         else:
-            result = plain_to_shifted(PlainExpansion(coeffs=series.coeffs, center=0))
-    save_coeffs(TaylorSeries(coeffs=result.coeffs, center=0), args.out)
+            result = plain_to_shifted(PlainExpansion(series.coeffs))
+    save_coeffs(TaylorSeries(result.coeffs), args.out)
     return EXIT_OK
 
 

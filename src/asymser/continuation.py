@@ -26,17 +26,17 @@ integer arithmetic.  Decimal coefficients are rounded once per output
 coefficient to a configurable number of significant digits (19 by default),
 so rounding enters only between steps, and in the input prefix itself;
 exact coefficients (Fractions, ints) stay exact.  The convergence flags
-depend only on a step's input, so they are decided first, and a step that
-is not the last computes only the block it carries.
+depend only on a step's input, so they are decided first, each by an exact
+integer comparison of one trailing term with alpha, and a step that is not
+the last computes only the block it carries.
 
 Continuations that differ only in alpha share their first step: each starts
 from its own first-step state, cut from one shift (:func:`shared_first_step`).
 """
 from __future__ import annotations
 
-import functools
 import operator
-from decimal import MAX_PREC, Context, Decimal, Inexact, InvalidOperation, localcontext
+from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -167,10 +167,10 @@ class ContinuationState(Value):
 
 
 class ShiftedExpansion(Value):
-    """Coefficients of the expansion of f in powers of 1/(x - center + 1)."""
+    """Coefficients of the expansion of f in powers of 1/(x - x0 + 1)."""
 
-    def __init__(self, coeffs, center=0):
-        self._set(coeffs=tuple(coeffs), center=center)
+    def __init__(self, coeffs):
+        self._set(coeffs=tuple(coeffs))
 
 
 def recenter_step(
@@ -205,7 +205,9 @@ def recenter_step(
     if dx <= 0:
         raise ValueError("step must be positive")
     thr = _exact_decimal(alpha, "alpha")
-    count, length = _output_length(state.coeffs, dx, thr, digits, carried_only)
+    if thr <= 0:
+        raise ValueError("alpha must be positive")
+    count, length = _output_length(state.coeffs, dx, thr, carried_only)
     with localcontext() as ctx:
         ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
         center = state.center + dx
@@ -235,63 +237,46 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
         return tuple(exact_quotient(b, d, decimal) for b, d in zip(shifted, outs))
 
 
-def _output_length(
-    coeffs: tuple, dx: Decimal, thr: Decimal, digits: int, carried_only: bool
-) -> tuple[int, int]:
+def _output_length(coeffs: tuple, dx: Decimal, thr: Decimal, carried_only: bool) -> tuple:
     """The converged count of the step from `coeffs`, and how many of its
     outputs are needed: the carried block with `carried_only`, else all."""
-    count = _converged_prefix(coeffs, dx, thr, digits)
+    count = _converged_prefix(coeffs, dx, thr)
     return count, count if carried_only and count >= 1 else len(coeffs)
 
 
-def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal, digits: int) -> int:
+def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
     """Length of the leading block of recentering sums that count as converged.
 
-    Output k is flagged converged when the trailing terms of its sum satisfy
-    |term| < thr:
+    Output k is flagged converged when the last nonzero trailing term of its
+    sum is below thr, decided exactly.  Every sum's last nonzero term comes
+    from the last nonzero input index L, so there are two cases:
 
-    * no terms beyond n = k: the single diagonal term itself must be < thr;
-    * an all-zero tail, or a run of >= 2 trailing zero terms, converges
-      (a finished polynomial tail); a *single* trailing zero is treated as a
-      sampled zero of an oscillating sequence and the test falls back to the
-      last nonzero term.
+    * a finished polynomial tail -- every input zero, or two or more zeros
+      after L -- converges as a whole;
+    * otherwise (a single trailing zero is read as a sampled zero of an
+      oscillating sequence) output k < L, and k = L when L = m - 1, is
+      flagged while |a_L| * C(L, k) * dx**(L-k) < thr; the outputs between
+      L and m - 1 have only zero trailing terms.
 
-    The last nonzero term of every sum comes from the last nonzero input
-    index L, so the flags need no sums: the term is
-    coeffs[L] * C(L, k) * dx**(L-k), evaluated at `digits` digits, with an
-    exact coeffs[L] first rounded to `digits` digits.
+    With a_L = n/d, dx = p/q and thr = t/u the test is the integer
+    inequality |n| * u * C(L, k) * p**(L-k) < t * d * q**(L-k).
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        tail = coeffs[last] if isinstance(coeffs[last], Decimal) else _rounded(coeffs[last])
-        dxpow = _powers(dx, digits, ctx.rounding)
-        with localcontext(Context(prec=digits, rounding=ctx.rounding)):
-            for _ in range(len(dxpow), last + 1):
-                dxpow.append(dxpow[-1] * dx)
-        comb = 1  # C(last, k)
-        for k in range(m):
-            if k == m - 1:
-                ok = abs(tail if last == k else coeffs[k]) < thr
-            elif last <= k or m - 1 - last >= 2:
-                ok = True
-            else:
-                ok = abs(tail * comb * dxpow[last - k]) < thr
-            if not ok:
-                return k
-            comb = comb * (last - k) // (k + 1)
+    if last < 0 or m - 1 - last >= 2 or thr.is_infinite():
+        return m
+    num, den = coeffs[last].as_integer_ratio()
+    p, q = dx.as_integer_ratio()
+    t, u = thr.as_integer_ratio()
+    # C(L, k), |n| * u * p**(L-k) and t * d * q**(L-k), from k = 0
+    comb, lhs, rhs = 1, abs(num) * u * p**last, t * den * q**last
+    for k in range(last + 1 if last == m - 1 else last):
+        if comb * lhs >= rhs:
+            return k
+        comb = comb * (last - k) // (k + 1)
+        lhs //= p
+        rhs //= q
     return m
-
-
-@functools.lru_cache(maxsize=32)
-def _powers(dx: Decimal, digits: int, rounding: str) -> list:
-    """The powers dx**0, dx**1, ... that :func:`_converged_prefix` has built,
-    each the last times dx rounded to `digits` digits in `rounding` (and in
-    the default exponent range, so that they depend on these alone).  The
-    caller extends the list as far as it needs, so a sweep builds each
-    power of each step once per process."""
-    return [Decimal(1)]
 
 
 def continue_to_one_with_steps(
@@ -340,7 +325,7 @@ def shared_first_step(
         raise ValueError("configs must share m, step and digits")
     state = _initial_state(assoc, m, digits)
     carried_only = configs[0].steps > 1
-    decided = [_output_length(state.coeffs, step, c.alpha, digits, carried_only) for c in configs]
+    decided = [_output_length(state.coeffs, step, c.alpha, carried_only) for c in configs]
     lengths = [length for _, length in decided]
     widest = configs[lengths.index(max(lengths))]
     # through recenter_step, so that whatever wraps it sees the shared step too
@@ -358,12 +343,10 @@ def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> Continuation
     return ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
 
 
-def extract_shifted(
-    state: ContinuationState, count: int, center: object = 0
-) -> ShiftedExpansion:
+def extract_shifted(state: ContinuationState, count: int) -> ShiftedExpansion:
     """Read off the negative-power expansion coefficients at infinity.
 
-    The n-th coefficient of the expansion in powers of 1/(x - center + 1)
+    The n-th coefficient of the expansion in powers of 1/(x - x0 + 1)
     equals (-1)**n times the n-th Taylor coefficient of u at 1.  Only the
     converged leading block may be extracted.
     """
@@ -380,4 +363,4 @@ def extract_shifted(
         c if n % 2 == 0 else c.copy_negate() if isinstance(c, Decimal) else -c
         for n, c in enumerate(state.coeffs[:count])
     )
-    return ShiftedExpansion(coeffs=coeffs, center=center)
+    return ShiftedExpansion(coeffs)

@@ -41,10 +41,10 @@ from .transform import (
 
 
 class PlainExpansion(Value):
-    """Coefficients of the expansion of f in powers of 1/(x - center)."""
+    """Coefficients of the expansion of f in powers of 1/(x - x0)."""
 
-    def __init__(self, coeffs, center=0):
-        self._set(coeffs=tuple(coeffs), center=center)
+    def __init__(self, coeffs):
+        self._set(coeffs=tuple(coeffs))
 
 
 class DirectSumTrace(Value):
@@ -66,9 +66,7 @@ def shifted_to_plain(shifted: ShiftedExpansion) -> PlainExpansion:
     """
     if not shifted.coeffs:
         raise ValueError("expansion has no coefficients")
-    return PlainExpansion(
-        coeffs=binomial_transform(shifted.coeffs, alternating=True), center=shifted.center
-    )
+    return PlainExpansion(binomial_transform(shifted.coeffs, alternating=True))
 
 
 def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
@@ -79,7 +77,7 @@ def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
     """
     if not plain.coeffs:
         raise ValueError("expansion has no coefficients")
-    return ShiftedExpansion(coeffs=binomial_transform(plain.coeffs), center=plain.center)
+    return ShiftedExpansion(binomial_transform(plain.coeffs))
 
 
 def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):

@@ -23,7 +23,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .continuation import DEFAULT_DIGITS, _exact_decimal, _rounded, to_decimals
-from .transform import AssociatedSeries, TaylorSeries, associated, scale_to_integers
+from .transform import (AssociatedSeries, TaylorSeries, _integer_ratios, associated,
+                        scale_to_integers)
 
 
 class DegeneratePoleError(ValueError):
@@ -87,15 +88,16 @@ def companion_at_one(text: str, count: int) -> list | None:
 
 def reaches_singularity(text: str, step, steps: int) -> bool:
     """Whether a continuation of the companion u of `text` starts a step, at a
-    center c = k*step with k < `steps`, within `step` of a singularity of u or
-    u' = P_u/Q_u.  Every built-in Q_u of degree d has one real zero z or a conjugate
-    pair z, z*, or none (altgeom's 1 + 0x, q_d = 0), so the exact test
+    center c = k*step with k < `steps`, within the exact `step` of a singularity
+    of u or u' = P_u/Q_u.  Every built-in Q_u of degree d has one real zero z or a
+    conjugate pair z, z*, or none (altgeom's 1 + 0x, q_d = 0), so the exact test
     |Q_u(c)| <= |q_d| step**d is |c - z| <= step.  A file: input has no data."""
+    h = _exact_fraction(step)
     spec = _parse_input(text)
     if isinstance(spec, str):
         return False
     _, q, _ = _companion(*spec)
-    h, d = Fraction(step), len(q) - 1
+    d = len(q) - 1
     return any(abs(sum(a * (k * h) ** i for i, a in enumerate(q))) <= abs(q[-1]) * h ** d
                for k in range(steps))
 
@@ -116,7 +118,7 @@ def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorS
     series = load_coeffs(spec, digits=digits)
     if len(series) < count:
         raise CoefficientParseError(f"file provides {len(series)} coefficients, need {count}")
-    return TaylorSeries(coeffs=series.coeffs[:count], center=series.center)
+    return TaylorSeries(series.coeffs[:count])
 
 
 def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS,
@@ -141,6 +143,14 @@ def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS,
         return associated(series)
 
 
+def _exact_fraction(value) -> Fraction:
+    """An exact value (an int, a Fraction, a Decimal or their text) as a
+    Fraction; a float raises TypeError."""
+    if isinstance(value, str):
+        return Fraction(value)
+    return Fraction(*_integer_ratios((value,))[0][0])
+
+
 def _taylor_shift(coeffs, c: Fraction) -> list:
     """Ascending coefficients of p(c + t), for those of p(x)."""
     return [sum(math.comb(n, k) * a * c ** (n - k) for n, a in enumerate(coeffs) if n >= k)
@@ -152,10 +162,11 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     as exact Fractions.
 
     P and Q are ascending coefficient sequences of ints or Fractions, and
-    `center` is exact (an int, a Fraction, a Decimal or their text) with
-    Q(center) != 0.  Both polynomials are shifted exactly to the center and
-    scaled to integers over one common denominator, which leaves P/Q as it
-    is.  Q R = P then gives r_n = N_n / q_0**(n+1), where
+    `center` is exact (an int, a Fraction, a Decimal or their text; a
+    float raises TypeError) with Q(center) != 0.  Both polynomials are
+    shifted exactly to the center and scaled to integers over one common
+    denominator, which leaves P/Q as it is.  Q R = P then gives
+    r_n = N_n / q_0**(n+1), where
 
         N_n = p_n q_0**n - sum_{j=1..deg Q} q_j q_0**(j-1) N_{n-j},
 
@@ -169,7 +180,7 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     coefficients k = 1 .. count are returned, r_{k-1}/k, each one Fraction;
     the constant term is the caller's.
     """
-    c = Fraction(center)
+    c = _exact_fraction(center)
     p, q = _taylor_shift(P, c), _taylor_shift(Q, c)
     nums, _, _ = scale_to_integers(p + q)
     p, q = nums[:len(p)], nums[len(p):]
@@ -225,7 +236,7 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
             coeffs.append(Fraction(num, den))
         if not coeffs:
             raise CoefficientParseError("no coefficient rows")
-        return TaylorSeries(coeffs=tuple(coeffs), center=0)
+        return TaylorSeries(coeffs)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -245,7 +256,7 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
             if not value.is_finite():
                 raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
             coeffs.append(value)
-    return TaylorSeries(coeffs=tuple(coeffs), center=0)
+    return TaylorSeries(coeffs)
 
 
 def save_coeffs(series: TaylorSeries, path: str | os.PathLike | None) -> None:

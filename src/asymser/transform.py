@@ -87,13 +87,13 @@ class Value:
 
 
 class TaylorSeries(Value):
-    """Finite prefix of Taylor coefficients c_0..c_m around a real center."""
+    """Finite prefix of Taylor coefficients c_0..c_m around a real center x0."""
 
-    def __init__(self, coeffs, center=0):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
-        self._set(coeffs=coeffs, center=center)
+        self._set(coeffs=coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -126,10 +126,11 @@ class RadiusEstimate(Value):
 
 def _integer_ratios(values) -> tuple[list, bool]:
     """(numerator, denominator) of each value in lowest terms, and whether
-    any value is a Decimal; floats are rejected."""
+    any value is a Decimal; other types, float and str among them, raise TypeError."""
     kinds = set(map(type, values))
-    if any(issubclass(kind, float) for kind in kinds):
-        raise TypeError("pass exact values (int, Fraction, Decimal), not float")
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction, Decimal)):
+            raise TypeError(f"pass exact values (int, Fraction, Decimal), not {kind.__name__}")
     decimal = any(issubclass(kind, Decimal) for kind in kinds)
     return [c.as_integer_ratio() for c in values], decimal
 
@@ -367,7 +368,7 @@ def estimate_radius(assoc: AssociatedSeries, lag: int) -> RadiusEstimate:
         raise ValueError("need at least lag + 2 coefficients")
     # |w_n / w_{n+lag}| = (|a| * d) / (b * |c|) for w_n = a/b, w_{n+lag} = c/d,
     # rounded once to a float by the integer true division
-    ratios = [w.as_integer_ratio() for w in assoc.coeffs]
+    ratios, _ = _integer_ratios(assoc.coeffs)
     values = []
     for (a, b), (c, d) in zip(ratios, ratios[lag:]):
         if a == 0 or c == 0:

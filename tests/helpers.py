@@ -295,6 +295,33 @@ def reference_converged_count(coeffs, step, alpha, digits):
         return count
 
 
+def exact_converged_count(coeffs, step, alpha):
+    """The per-term convergence-flag loop in exact rationals: the trailing
+    terms a_n * C(n, k) * step**(n-k) of each sum are built as Fractions
+    from the end, and output k is flagged by the last nonzero one, or by the
+    diagonal term when k = m - 1 (see recenter_step for the rules)."""
+    a = [Fraction(c) for c in coeffs]
+    dx, thr = Fraction(step), Fraction(alpha)
+    m = len(a)
+    for k in range(m):
+        last_nz, zero_run = None, 0
+        for n in reversed(range(k + 1, m)):
+            term = a[n] * math.comb(n, k) * dx ** (n - k)
+            if term:
+                last_nz = term
+                break
+            zero_run += 1
+        if k == m - 1:
+            ok = abs(a[k]) < thr
+        elif last_nz is None or zero_run >= 2:
+            ok = True
+        else:
+            ok = abs(last_nz) < thr
+        if not ok:
+            return k
+    return m
+
+
 def reference_continue(assoc, config):
     """The step loop with full-length steps: every step is a full
     recenter_step, truncated afterwards to its converged block (or kept whole

@@ -151,6 +151,28 @@ class TestContinueCommand:
             assert doc["note"].startswith("step 0.5 passes within 0.5 of the nearest")
 
     @pytest.mark.parametrize(
+        "text, m, dx, alpha, count, note",
+        [("arctan", "701", "0.5", "0.1", "2", True),
+         ("pole:-3", "40", "0.5", "0.1", "1", True),
+         ("arctan", "20", "0.25", "1e-30", "2", False)],
+    )
+    def test_refused_extraction_carries_the_note(
+            self, tmp_path, capsys, text, m, dx, alpha, count, note):
+        out = tmp_path / "c.json"
+        assert main(["continue", "--input", text, "--m", m, "--dx", dx, "--alpha", alpha,
+                     "--count", count, "--out", str(out)]) == 4
+        assert main(["continue", "--input", text, "--m", m, "--dx", dx, "--alpha", alpha,
+                     "--count", count]) == 4
+        captured = capsys.readouterr()
+        message = f"error: requested {count} coefficients, only 0 converged\n"
+        if note:
+            message += (f"note: step {dx} passes within {dx} of the nearest singularity of "
+                        "the companion function; instability with growing m is expected\n")
+        assert captured.err == message * 2
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, dx, note",
         [("arctan", "0.25", False), ("arctan", "0.125", False),
          ("pole:-3", "0.5", True),  # u's pole is at 3/4

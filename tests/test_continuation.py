@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from decimal import Decimal
+from decimal import ROUND_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -18,6 +18,7 @@ from asymser import (
     continue_to_one_with_steps,
     extract_shifted,
     associated,
+    build_companion,
     build_series,
     recenter_step,
     to_decimals,
@@ -27,6 +28,7 @@ from asymser.continuation import _exact_decimal, shared_first_step
 from helpers import (
     assert_value_contract,
     continue_to_one,
+    exact_converged_count,
     exact_recenter,
     reference_continue,
     reference_converged_count,
@@ -230,6 +232,99 @@ class TestRecenterOracle:
         assoc = associated(build_series("arctan", 60))
         state = make_state(to_decimals(assoc.coeffs, 40))
         assert_exact_step(state, "0.25", "0.01", digits=40)
+
+
+class TestExactFlags:
+    """The convergence flags are the exact comparison of each trailing term
+    with alpha: they equal the per-term Fraction loop whatever the digits."""
+
+    @staticmethod
+    def assert_flags(coeffs, step, alpha):
+        got = continuation._converged_prefix(tuple(coeffs), D(step), D(alpha))
+        assert got == exact_converged_count(coeffs, step, alpha), (step, alpha)
+
+    @pytest.mark.parametrize("m", [40, 98, 201, 301])
+    def test_every_state_of_arctan_continuations(self, m):
+        assoc = build_companion("arctan", m)
+        for step in ("0.125", "0.25", "0.5"):
+            for alpha in ("1e-300", "0.01", "0.1", "0.5"):
+                config = SchemeConfig(m, step, alpha)
+                _, states = continue_to_one_with_steps(assoc, config)
+                inputs = [continuation._initial_state(assoc, m, 19), *states[:-1]]
+                for before, after in zip(inputs, states):
+                    self.assert_flags(before.coeffs, step, alpha)
+                    assert after.converged_count == exact_converged_count(
+                        before.coeffs, step, alpha)
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2])
+    def test_random_vectors_by_trailing_zeros(self, zeros):
+        rng = random.Random(zeros)
+        for _ in range(60):
+            values = [
+                "0" if rng.random() < 0.2
+                else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-30, 5)}"
+                for _ in range(rng.randint(1, 40))
+            ] + ["0"] * zeros
+            coeffs = to_decimals(values, 19)
+            for step in ("0.125", "0.25", "0.5", "0.3", "1"):
+                for alpha in ("1e-9", "0.1", "1e6"):
+                    self.assert_flags(coeffs, step, alpha)
+
+    def test_exact_states(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            coeffs = [
+                F(0) if rng.random() < 0.25
+                else F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                for _ in range(rng.randint(1, 30))
+            ]
+            for step in ("0.3", "1", "0.125"):
+                for alpha in ("1e-9", "0.1", "1e6"):
+                    self.assert_flags(coeffs, step, alpha)
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [((D("0.05"),), 0), ((D("0.04"),), 1), ((D(0),), 1), ((F(1, 30),), 1),
+         ((D(0),) * 5, 5), ((), 0)],
+    )
+    def test_one_coefficient_and_all_zero(self, coeffs, want):
+        for step in ("0.25", "1"):
+            assert continuation._converged_prefix(coeffs, D(step), D("0.05")) == want
+            self.assert_flags(coeffs, step, "0.05")
+
+    def test_term_equal_to_alpha_is_not_claimed(self):
+        # the trailing term of output 0 is 0.2 * 0.25 = 0.05 exactly
+        for a1 in (D("0.2"), F(1, 5)):
+            state = ContinuationState(D(0), (D("0.01"), a1), 2)
+            assert recenter_step(state, "0.25", "0.05").converged_count == 0
+            assert recenter_step(state, "0.25", "0.0500001").converged_count == 1
+
+    def test_infinite_alpha_claims_every_output(self):
+        state = ContinuationState(D(0), (D(1), D(-2), D(3)), 3)
+        assert recenter_step(state, "0.5", "Infinity").converged_count == 3
+
+    @pytest.mark.parametrize("alpha", ["0", "-0.1", "-Infinity"])
+    def test_alpha_must_be_positive(self, alpha):
+        # a finished tail would otherwise be claimed whatever alpha is
+        state = ContinuationState(D(0), (D(1), D(0), D(0)), 3)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            recenter_step(state, "0.5", alpha)
+
+    def test_step_is_not_rounded_to_digits(self):
+        # 0.41 * 0.125 = 0.05125 is not below 0.05; a step rounded to two
+        # digits, 0.12, would give 0.0492 and claim output 0
+        state = ContinuationState(D(0), (D("0.2"), D("0.41")), 2)
+        assert recenter_step(state, "0.125", "0.05", digits=2).converged_count == 0
+
+    def test_flags_ignore_the_ambient_context(self):
+        assoc = build_companion("arctan", 98)
+        state = continuation._initial_state(assoc, 98, 19)
+        want = [exact_converged_count(state.coeffs, "0.25", a) for a in ("0.01", "0.1", "0.5")]
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 2, ROUND_UP
+            got = [recenter_step(state, "0.25", a, digits=2).converged_count
+                   for a in ("0.01", "0.1", "0.5")]
+        assert got == want
 
 
 class TestContinueToOne:
@@ -445,11 +540,11 @@ class TestValueTypes:
              "ContinuationState(center=Decimal('0'), coeffs=(Decimal('1.5'),), "
              "converged_count=1)"),
             (ShiftedExpansion([D(1), D("-0.5")]),
-             ShiftedExpansion(coeffs=(D(1), D("-0.5")), center=0),
+             ShiftedExpansion(coeffs=(D(1), D("-0.5"))),
              PlainExpansion((D(1), D("-0.5"))),
-             "ShiftedExpansion(coeffs=(Decimal('1'), Decimal('-0.5')), center=0)"),
-            (ShiftedExpansion((1,), 2), ShiftedExpansion(center=2, coeffs=[1]),
-             ShiftedExpansion((1,)), "ShiftedExpansion(coeffs=(1,), center=2)"),
+             "ShiftedExpansion(coeffs=(Decimal('1'), Decimal('-0.5')))"),
+            (ShiftedExpansion((1,)), ShiftedExpansion(coeffs=[1]),
+             ShiftedExpansion((1, 0)), "ShiftedExpansion(coeffs=(1,))"),
         ],
     )
     def test_value_contract(self, value, same, other, text):

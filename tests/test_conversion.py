@@ -46,10 +46,10 @@ class TestPlainExpansion:
     @pytest.mark.parametrize(
         "value, same, other, text",
         [
-            (PlainExpansion([F(1, 2)]), PlainExpansion(coeffs=(F(1, 2),), center=0),
-             ShiftedExpansion((F(1, 2),)), "PlainExpansion(coeffs=(Fraction(1, 2),), center=0)"),
-            (PlainExpansion((1, 2), 3), PlainExpansion(center=3, coeffs=[1, 2]),
-             PlainExpansion((1, 2)), "PlainExpansion(coeffs=(1, 2), center=3)"),
+            (PlainExpansion([F(1, 2)]), PlainExpansion(coeffs=(F(1, 2),)),
+             ShiftedExpansion((F(1, 2),)), "PlainExpansion(coeffs=(Fraction(1, 2),))"),
+            (PlainExpansion((1, 2)), PlainExpansion(coeffs=[1, 2]),
+             PlainExpansion((1, 3)), "PlainExpansion(coeffs=(1, 2))"),
         ],
     )
     def test_value_contract(self, value, same, other, text):

@@ -185,6 +185,13 @@ class TestReachesSingularity:
         assert [reaches_singularity("arctan", D(h), int(1 / F(h)))
                 for h in ("0.5", "0.25", "0.125")] == [True, False, False]
 
+    def test_float_step_rejected(self):
+        # the binary 0.1 is not the step 1/10
+        with pytest.raises(TypeError, match="not float"):
+            reaches_singularity("arctan", 0.1, 10)
+        assert reaches_singularity("arctan", "0.5", 2)
+        assert not reaches_singularity("arctan", "0.1", 10)
+
     def test_no_singularity(self, tmp_path):
         save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
         for h in self.STEPS:
@@ -447,6 +454,11 @@ class TestRationalTaylor:
         r = quotient_taylor(p, q, F(1, 2), 60)
         assert rational_taylor(p, q, F(1, 2), 60, integrate=True) == [
             r[k - 1] / k for k in range(1, 61)]
+
+    def test_float_center_rejected(self):
+        with pytest.raises(TypeError, match="not float"):
+            rational_taylor((1,), (1, 1), 0.1, 2)
+        assert rational_taylor((1,), (1, 1), "0.1", 2) == [F(10, 11), F(-100, 121)]
 
     def test_pole_at_the_center_raises(self):
         # 1/(2 + x) has its companion's pole at x = 2

@@ -64,6 +64,10 @@ class TestAssociated:
         ]
         assert list(arctan_assoc_32.coeffs[:13]) == expected
 
+    def test_text_coefficients_rejected(self):
+        with pytest.raises(TypeError, match="not str"):
+            associated(TaylorSeries(("0.5", "0.25")))
+
     def test_alternating_geometric_collapses(self):
         # f = 1/(1+x) has companion (1-x): the tail vanishes identically
         series = TaylorSeries(coeffs=(F(1), F(-1), F(1), F(-1), F(1)))
@@ -443,6 +447,11 @@ class TestEstimateRadius:
         assert list(est.values) == [1.0]
         assert est.limit_guess is None
 
+    def test_float_rejected(self):
+        assoc = AssociatedSeries(coeffs=(0.5, 0.25, 0.125, 0.0625))
+        with pytest.raises(TypeError, match="not float"):
+            estimate_radius(assoc, lag=1)
+
     def test_all_pairs_degenerate(self):
         assoc = AssociatedSeries(coeffs=(F(1), F(0), F(1), F(0), F(1), F(0)))
         with pytest.raises(DegenerateRatiosError):
@@ -513,11 +522,11 @@ class TestSeriesTypes:
     @pytest.mark.parametrize(
         "value, same, other, text",
         [
-            (TaylorSeries([F(1, 3), 2]), TaylorSeries(coeffs=(F(1, 3), 2), center=0),
+            (TaylorSeries([F(1, 3), 2]), TaylorSeries(coeffs=(F(1, 3), 2)),
              ShiftedExpansion((F(1, 3), 2)),
-             "TaylorSeries(coeffs=(Fraction(1, 3), 2), center=0)"),
-            (TaylorSeries((1,), F(1, 2)), TaylorSeries(center=F(1, 2), coeffs=[1]),
-             TaylorSeries((1,)), "TaylorSeries(coeffs=(1,), center=Fraction(1, 2))"),
+             "TaylorSeries(coeffs=(Fraction(1, 3), 2))"),
+            (TaylorSeries((1,)), TaylorSeries(coeffs=[1]),
+             TaylorSeries((1, 0)), "TaylorSeries(coeffs=(1,))"),
             (AssociatedSeries([0, F(-2, 3)]), AssociatedSeries(coeffs=(0, F(-2, 3))),
              (0, F(-2, 3)), "AssociatedSeries(coeffs=(0, Fraction(-2, 3)))"),
             (RadiusEstimate(4), RadiusEstimate(lag=4, values=(), limit_guess=None),
