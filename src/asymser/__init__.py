@@ -24,7 +24,6 @@ from .continuation import (
 from .conversion import (
     DirectSumTrace,
     PlainExpansion,
-    direct_coeffk_partial,
     direct_trace,
     plain_to_shifted,
     shifted_to_plain,

@@ -40,7 +40,7 @@ from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .transform import AssociatedSeries, Value, exact_quotient, scale_to_integers
+from .transform import AssociatedSeries, Expansion, Value, exact_quotient, scale_to_integers
 
 DEFAULT_DIGITS = 19
 
@@ -117,13 +117,24 @@ def _check_digits(digits: int) -> int:
     return digits
 
 
+def _check_alpha(alpha: Decimal) -> Decimal:
+    """`alpha` if finite and positive (an infinite one would claim anything)."""
+    if alpha.is_nan():
+        raise ValueError("alpha must be a number")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if alpha.is_infinite():
+        raise ValueError(f"alpha {alpha} is not finite")
+    return alpha
+
+
 class SchemeConfig(Value):
     """Parameters of one continuation run.
 
     m       -- how many leading companion coefficients to feed in
     step    -- center increment dx; 1/dx must be a whole number so the path
                lands exactly on 1 (0.125, 0.25 and 0.5 all qualify)
-    alpha   -- convergence threshold for trailing terms
+    alpha   -- convergence threshold for trailing terms, finite and positive
     digits  -- significant decimal digits kept between steps
     """
 
@@ -135,12 +146,9 @@ class SchemeConfig(Value):
         _check_digits(digits)
         if not step.is_finite():
             raise NonIntegralPathError(f"step {step} is not finite")
-        if alpha.is_nan():
-            raise ValueError("alpha must be a number")
         if step <= 0:
             raise NonIntegralPathError("step must be positive")
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _check_alpha(alpha)
         inv = Fraction(1) / Fraction(step)
         if inv.denominator != 1:
             raise NonIntegralPathError(f"1/step = {inv} is not an integer")
@@ -166,11 +174,8 @@ class ContinuationState(Value):
         self._set(center=center, coeffs=coeffs, converged_count=converged_count)
 
 
-class ShiftedExpansion(Value):
+class ShiftedExpansion(Expansion):
     """Coefficients of the expansion of f in powers of 1/(x - x0 + 1)."""
-
-    def __init__(self, coeffs):
-        self._set(coeffs=tuple(coeffs))
 
 
 def recenter_step(
@@ -204,9 +209,7 @@ def recenter_step(
     dx = _exact_decimal(step, "step")
     if dx <= 0:
         raise ValueError("step must be positive")
-    thr = _exact_decimal(alpha, "alpha")
-    if thr <= 0:
-        raise ValueError("alpha must be positive")
+    thr = _check_alpha(_exact_decimal(alpha, "alpha"))
     count, length = _output_length(state.coeffs, dx, thr, carried_only)
     with localcontext() as ctx:
         ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
@@ -263,7 +266,7 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
-    if last < 0 or m - 1 - last >= 2 or thr.is_infinite():
+    if last < 0 or m - 1 - last >= 2:
         return m
     num, den = coeffs[last].as_integer_ratio()
     p, q = dx.as_integer_ratio()

@@ -1,5 +1,5 @@
 """Conversions between the two negative-power expansion forms, and direct
-closed-form partial sums of the shifted-expansion coefficients.
+partial sums of the shifted-expansion coefficients.
 
 A function with Taylor coefficients c_n at x0 may expand, as x -> infinity,
 either in powers of 1/(x - x0 + 1) ("shifted" form, coefficients v_n) or in
@@ -17,34 +17,33 @@ formula for every k >= 0 (at k = 0 the inner sum is C(m, s)):
     v_k = (-1)**k * lim_m sum_{s=0..m} c_s *
               sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n),
 
-which this module evaluates for finite m, along with a convergence trace.
-For k >= 1 the weight of c_0 is C(m, k) * sum_n (-1)**n * C(k, n) = 0.
-Divergent inputs produce honest diverging partials flagged "not converged";
-applicability is a property of the input, not a gate.
+whose m-th partial is (-1)**k * sum_{n=0..m} C(n, k) * w_n in the companion
+coefficients w_n: up to sign, the k-th Taylor coefficient at 1 of the
+companion cut after w_m.  Divergent inputs produce honest diverging partials
+flagged "not converged"; applicability is a property of the input, not a
+gate.
 """
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 
 from .continuation import ShiftedExpansion
 from .transform import (
+    Expansion,
     TaylorSeries,
     Value,
+    _integer_ratios,
     binomial_transform,
     exact_quotient,
     scale_to_integers,
 )
 
 
-class PlainExpansion(Value):
+class PlainExpansion(Expansion):
     """Coefficients of the expansion of f in powers of 1/(x - x0)."""
-
-    def __init__(self, coeffs):
-        self._set(coeffs=tuple(coeffs))
 
 
 class DirectSumTrace(Value):
@@ -80,33 +79,6 @@ def plain_to_shifted(plain: PlainExpansion) -> ShiftedExpansion:
     return ShiftedExpansion(binomial_transform(plain.coeffs))
 
 
-def direct_coeffk_partial(taylor: TaylorSeries, k: int, m: int):
-    """m-th partial sum of the k-th shifted coefficient (k >= 0):
-
-        (-1)**k * sum_{s=0..m} c_s *
-            sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n)
-
-    Each Taylor coefficient enters the formula once; it is evaluated as one
-    dot product of the c_s with C(m, s+n) per n <= min(k, m).  Summed in
-    integers over one common denominator: exact on exact input, and on input
-    containing a Decimal the exact sum rounded once in the ambient context.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    c = taylor.coeffs
-    if len(c) < m + 1:
-        raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(c)}")
-    nums, den, decimal = scale_to_integers(c[: m + 1])
-    row = [math.comb(m, j) for j in range(m + 1)]  # row[n:] is C(m, s+n) for s = 0..m-n
-    acc = sum(
-        (-1) ** (k + n) * math.comb(m - n, k - n) * sum(map(operator.mul, nums, row[n:]))
-        for n in range(min(k, m) + 1)
-    )
-    return exact_quotient(acc, den, decimal)
-
-
 def tail_agreement(values: Sequence, tol: float | Decimal) -> bool:
     """True when the last three values pairwise agree within
     tol * max(1, |last|).  The unit floor lets sequences decaying to zero
@@ -133,6 +105,11 @@ def direct_trace(
 ) -> DirectSumTrace:
     """Evaluate the k-th shifted-coefficient partials over an m schedule.
 
+    Every partial comes off one exact companion transform of the prefix up
+    to the largest m and one running sum of C(n, k) * w_n in integers.
+    Exact on exact input; on input containing a Decimal each partial is the
+    exact partial of the given decimals, rounded once in the ambient context.
+
     limit_guess is the last partial when the final three partials agree per
     :func:`tail_agreement`; otherwise None ("not converged").  tol must be
     finite and non-negative.
@@ -147,8 +124,25 @@ def direct_trace(
         raise ValueError(f"tol {tol} is not finite")
     if tol < 0:
         raise ValueError(f"tol {tol} is negative")
-    partials = [(m, direct_coeffk_partial(taylor, k, m)) for m in ms]
-    guess = None
-    if tail_agreement([v for _, v in partials], tol):
-        guess = partials[-1][1]
+    if not ms:
+        return DirectSumTrace(k=k)
+    if ms[0] < 0:
+        raise ValueError("m must be >= 0")
+    c = taylor.coeffs
+    fit = [m for m in ms if m < len(c)]
+    # a bad value within reach of a fitting m is reported before an m that does not fit
+    ratios, decimal = _integer_ratios(c[: fit[-1] + 1] if fit else ())
+    if len(fit) < len(ms):
+        raise ValueError(f"need m+1 = {ms[len(fit)] + 1} coefficients, got {len(c)}")
+    w = binomial_transform([Fraction(num, den) for num, den in ratios])
+    nums, den, _ = scale_to_integers(w)
+    # acc = sum_{j<n} C(j, k) * nums[j], and comb = C(n, k)
+    partials, acc, comb, n = [], 0, 1, k
+    for m in ms:
+        while n <= m:
+            acc += comb * nums[n]
+            n += 1
+            comb = comb * n // (n - k)
+        partials.append((m, exact_quotient(-acc if k % 2 else acc, den, decimal)))
+    guess = partials[-1][1] if tail_agreement([v for _, v in partials], tol) else None
     return DirectSumTrace(k=k, partials=tuple(partials), limit_guess=guess)

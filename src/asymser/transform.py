@@ -86,30 +86,32 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class TaylorSeries(Value):
+class Series(Value):
+    """A nonempty coefficient prefix, as long as its number of coefficients."""
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("a series needs at least one coefficient")
+        self._set(coeffs=coeffs)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+
+class TaylorSeries(Series):
     """Finite prefix of Taylor coefficients c_0..c_m around a real center x0."""
 
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least one coefficient")
-        self._set(coeffs=coeffs)
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-class AssociatedSeries(Value):
+class AssociatedSeries(Series):
     """Coefficients of the companion function u around 0."""
 
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least one coefficient")
-        self._set(coeffs=coeffs)
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
+class Expansion(Value):
+    """Coefficients of an expansion of f at infinity, possibly none."""
+
+    def __init__(self, coeffs):
+        self._set(coeffs=tuple(coeffs))
 
 
 class RadiusEstimate(Value):

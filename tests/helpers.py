@@ -7,6 +7,7 @@ agreement between the two is meaningful.
 from __future__ import annotations
 
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -17,9 +18,10 @@ from asymser import (
     TaylorSeries,
     build_series,
     continue_to_one_with_steps,
-    direct_coeffk_partial,
+    direct_trace,
     to_decimals,
 )
+from asymser.transform import exact_quotient, scale_to_integers
 
 
 def binom(n: int, k: int) -> int:
@@ -58,10 +60,39 @@ def arctan_assoc_coeff(n: int) -> Fraction:
     return Fraction((-1) ** (n // 4) * 2 ** (n // 2), n)
 
 
-def direct_coeff0_partial(taylor, m: int):
-    """m-th partial sum of the zeroth shifted coefficient,
-    sum_{s=0..m} c_s * C(m, s): the library's direct_coeffk_partial at k = 0."""
-    return direct_coeffk_partial(taylor, 0, m)
+def direct_partial(taylor, k: int, m: int):
+    """m-th partial sum of the k-th shifted coefficient, by the library:
+    direct_trace over the one-entry schedule [m]."""
+    return direct_trace(taylor, k, [m]).partials[0][1]
+
+
+# The closed form by dot products with the row C(m, .): an oracle for
+# direct_trace, which reads the same partials off the companion transform.
+def direct_coeffk_partial(taylor, k: int, m: int):
+    """m-th partial sum of the k-th shifted coefficient (k >= 0):
+
+        (-1)**k * sum_{s=0..m} c_s *
+            sum_{n=0..k} (-1)**n * C(m-n, k-n) * C(m, s+n)
+
+    Each Taylor coefficient enters the formula once; it is evaluated as one
+    dot product of the c_s with C(m, s+n) per n <= min(k, m).  Summed in
+    integers over one common denominator: exact on exact input, and on input
+    containing a Decimal the exact sum rounded once in the ambient context.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    c = taylor.coeffs
+    if len(c) < m + 1:
+        raise ValueError(f"need m+1 = {m + 1} coefficients, got {len(c)}")
+    nums, den, decimal = scale_to_integers(c[: m + 1])
+    row = [math.comb(m, j) for j in range(m + 1)]  # row[n:] is C(m, s+n) for s = 0..m-n
+    acc = sum(
+        (-1) ** (k + n) * math.comb(m - n, k - n) * sum(map(operator.mul, nums, row[n:]))
+        for n in range(min(k, m) + 1)
+    )
+    return exact_quotient(acc, den, decimal)
 
 
 def continue_to_one(assoc, config):

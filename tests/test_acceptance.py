@@ -22,7 +22,6 @@ from asymser import (
     associated,
     associated_inverse,
     build_series,
-    direct_coeffk_partial,
     direct_trace,
     estimate_radius,
     extract_shifted,
@@ -37,7 +36,8 @@ from helpers import (
     binom_tail_sum,
     compose_with_geom_map,
     continue_to_one,
-    direct_coeff0_partial,
+    direct_coeffk_partial,
+    direct_partial,
     double_binom_sum,
     hockey_stick_sum,
     partial_telescope_sides,
@@ -144,9 +144,12 @@ class TestCriterion6:
         closed = [F(0), F(1), F(-1)]
 
         # route 1: direct partial sums, converged by m = 100
-        assert abs(direct_coeff0_partial(series, 100) - closed[0]) <= F(1, 10**12)
+        assert abs(direct_partial(series, 0, 100) - closed[0]) <= F(1, 10**12)
         assert abs(direct_coeffk_partial(series, 1, 100) - closed[1]) <= F(1, 10**12)
         assert abs(direct_coeffk_partial(series, 2, 100) - closed[2]) <= F(1, 10**12)
+        for k in (1, 2):
+            (m, got), = direct_trace(series, k, [100]).partials
+            assert m == 100 and abs(got - closed[k]) <= F(1, 10**12)
         trace = direct_trace(series, 0, [60, 80, 100], tol=1e-10)
         assert trace.converged
 

@@ -552,6 +552,7 @@ class TestExitCodes:
             ("inf", "0.1", 4, "error: step Infinity is not finite"),
             ("zz", "0.1", 3, "error: step 'zz' is not a number"),
             ("0.25", "0.1,nan", 3, "error: alpha must be a number"),
+            ("0.25", "0.1,inf", 3, "error: alpha Infinity is not finite"),
             ("0.25,nan", "0.1", 4, "error: step NaN is not finite"),
         ],
     )
@@ -661,6 +662,16 @@ class TestExitCodes:
         assert main(["continue", "--input", "arctan", "--m", "20", "--dx", dx,
                      "--alpha", alpha]) == 3
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("alpha", ["inf", "Infinity"])
+    def test_infinite_continue_alpha_exits_3(self, tmp_path, capsys, alpha):
+        # it would claim every coefficient: c0 = 55.13 where the truth is pi/2
+        out = tmp_path / "c.json"
+        assert main(["continue", "--input", "arctan", "--m", "20", "--dx", "0.25",
+                     "--alpha", alpha, "--count", "2", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: alpha Infinity is not finite\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_direct_tolerance_exits_3(self, capsys, tol):

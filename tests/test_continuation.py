@@ -75,6 +75,9 @@ class TestSchemeConfig:
                 SchemeConfig(m=10, step=step, alpha="0.1")
         with pytest.raises(ValueError):
             SchemeConfig(m=10, step="0.25", alpha="NaN")
+        for alpha in ("Infinity", "inf", D("Infinity")):
+            with pytest.raises(ValueError, match=r"^alpha Infinity is not finite$"):
+                SchemeConfig(m=10, step="0.25", alpha=alpha)
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
@@ -299,9 +302,14 @@ class TestExactFlags:
             assert recenter_step(state, "0.25", "0.05").converged_count == 0
             assert recenter_step(state, "0.25", "0.0500001").converged_count == 1
 
-    def test_infinite_alpha_claims_every_output(self):
+    @pytest.mark.parametrize("alpha, message", [
+        ("Infinity", "alpha Infinity is not finite"), (D("inf"), "alpha Infinity is not finite"),
+        ("NaN", "alpha must be a number")])
+    def test_non_finite_alpha_refused(self, alpha, message):
+        # an infinite alpha would claim every output, whatever it holds
         state = ContinuationState(D(0), (D(1), D(-2), D(3)), 3)
-        assert recenter_step(state, "0.5", "Infinity").converged_count == 3
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recenter_step(state, "0.5", alpha)
 
     @pytest.mark.parametrize("alpha", ["0", "-0.1", "-Infinity"])
     def test_alpha_must_be_positive(self, alpha):

@@ -17,23 +17,36 @@ from asymser import (
     associated,
     associated_inverse,
     build_series,
-    direct_coeffk_partial,
     direct_trace,
     extract_shifted,
     plain_to_shifted,
     shifted_to_plain,
     tail_agreement,
+    to_decimals,
 )
+from asymser import conversion
+from asymser.transform import binomial_transform
 from helpers import (
     assert_value_contract,
     continue_to_one,
-    direct_coeff0_partial,
+    direct_coeffk_partial,
+    direct_partial,
     double_sum_form,
     random_fraction_vector,
 )
 
 F = Fraction
 D = Decimal
+
+# Inputs of the dense-schedule test, each 151 coefficients long: an exact
+# pole, random exact vectors and a 19-digit decimal vector.
+DENSE_SERIES = {
+    "pole:3/2": build_series("pole:3/2", 151),
+    "random-1": TaylorSeries(random_fraction_vector(random.Random(1), 151)),
+    "random-2": TaylorSeries(random_fraction_vector(random.Random(2), 151, bound=10**6)),
+    "decimal-19": TaylorSeries(
+        to_decimals(random_fraction_vector(random.Random(3), 151, bound=10**6), 19)),
+}
 
 fraction_vectors = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=30),
@@ -50,10 +63,21 @@ class TestPlainExpansion:
              ShiftedExpansion((F(1, 2),)), "PlainExpansion(coeffs=(Fraction(1, 2),))"),
             (PlainExpansion((1, 2)), PlainExpansion(coeffs=[1, 2]),
              PlainExpansion((1, 3)), "PlainExpansion(coeffs=(1, 2))"),
+            # the two expansions share one body, may be empty, and never
+            # equal each other
+            (PlainExpansion(()), PlainExpansion(coeffs=[]), ShiftedExpansion(()),
+             "PlainExpansion(coeffs=())"),
+            (ShiftedExpansion(()), ShiftedExpansion(coeffs=[]), PlainExpansion(()),
+             "ShiftedExpansion(coeffs=())"),
         ],
     )
     def test_value_contract(self, value, same, other, text):
         assert_value_contract(value, same, other, text)
+
+    def test_empty_expansion_is_still_a_value(self):
+        # an expansion has no length, so an empty one is not falsy
+        for empty in (PlainExpansion(()), ShiftedExpansion(())):
+            assert empty and empty.coeffs == ()
 
 
 class TestShiftedToPlain:
@@ -123,32 +147,34 @@ class TestDirectPartials:
         # f = 1/(2+x): partial of the zeroth coefficient is exactly 2**-(m+1)
         series = build_series("pole:2", 45)
         for m in range(0, 41):
-            assert direct_coeff0_partial(series, m) == F(1, 2 ** (m + 1))
+            assert direct_partial(series, 0, m) == F(1, 2 ** (m + 1))
 
     def test_constant_function(self):
         series = TaylorSeries(coeffs=(F(5), F(0), F(0), F(0)))
         for m in range(4):
-            assert direct_coeff0_partial(series, m) == F(5)
+            assert direct_partial(series, 0, m) == F(5)
 
     def test_arctan_partials_diverge(self):
         series = build_series("arctan", 31)
-        assert abs(direct_coeff0_partial(series, 30)) > 1000
+        assert abs(direct_partial(series, 0, 30)) > 1000
 
     def test_smallest_instance_matches_double_sum(self):
         series = TaylorSeries(coeffs=(F(3), F(-2)))
-        got = direct_coeffk_partial(series, 1, 1)
+        got = direct_partial(series, 1, 1)
         assert got == double_sum_form(series.coeffs, 1, 1) == F(2)
+        assert got == direct_coeffk_partial(series, 1, 1)
 
     def test_pole_two_higher_coefficient(self):
         # shifted expansion of 1/(2+x) is [0, 1, -1, 1, ...]
         series = build_series("pole:2", 130)
-        p = direct_coeffk_partial(series, 1, 100)
+        p = direct_partial(series, 1, 100)
         assert abs(p - 1) < F(1, 10**12)
+        assert p == direct_coeffk_partial(series, 1, 100)
 
     def test_vanishing_when_k_exceeds_m(self):
         series = build_series("pole:2", 10)
         for k in range(3, 8):
-            assert direct_coeffk_partial(series, k, 2) == 0
+            assert direct_partial(series, k, 2) == 0
 
     def test_matches_unreduced_double_sum(self):
         rng = random.Random(4242)
@@ -158,7 +184,7 @@ class TestDirectPartials:
             series = TaylorSeries(coeffs=coeffs)
             m = n - 1
             for k in range(1, 6):
-                assert direct_coeffk_partial(series, k, m) == double_sum_form(
+                assert direct_partial(series, k, m) == double_sum_form(
                     coeffs, k, m
                 ), (coeffs, k, m)
 
@@ -174,10 +200,9 @@ class TestDirectPartials:
         with localcontext() as ctx:
             ctx.prec = 7
             for m in (4, 30):
-                pairs = [(direct_coeff0_partial(series, m), direct_coeff0_partial(exact, m))]
-                pairs += [
-                    (direct_coeffk_partial(series, k, m), direct_coeffk_partial(exact, k, m))
-                    for k in (1, 2, 5)
+                pairs = [
+                    (direct_partial(series, k, m), direct_coeffk_partial(exact, k, m))
+                    for k in (0, 1, 2, 5)
                 ]
                 for got, want in pairs:
                     assert isinstance(got, Decimal)
@@ -185,11 +210,13 @@ class TestDirectPartials:
 
     def test_argument_validation(self):
         series = build_series("pole:2", 5)
-        assert direct_coeffk_partial(series, 0, 3) == direct_coeff0_partial(series, 3)
+        assert direct_partial(series, 0, 3) == direct_coeffk_partial(series, 0, 3)
         with pytest.raises(ValueError, match=r"^k must be >= 0$"):
-            direct_coeffk_partial(series, -1, 3)
-        with pytest.raises(ValueError):
-            direct_coeff0_partial(series, 10)
+            direct_trace(series, -1, [3])
+        with pytest.raises(ValueError, match=r"^need m\+1 = 11 coefficients, got 5$"):
+            direct_trace(series, 0, [10])
+        with pytest.raises(ValueError, match=r"^m must be >= 0$"):
+            direct_trace(series, 0, [-1, 3])
 
 
 class TestDirectTrace:
@@ -198,6 +225,35 @@ class TestDirectTrace:
         trace = direct_trace(build_series("pole:2", 11), 10**12, range(5, 11))
         assert trace.partials == tuple((m, 0) for m in range(5, 11))
         assert all(type(v) is Fraction for _, v in trace.partials)
+
+    def test_one_companion_transform_per_trace(self, monkeypatch):
+        # every partial comes off one transform of the prefix up to the largest m
+        lengths = []
+
+        def counted(coeffs, alternating=False):
+            lengths.append(len(coeffs))
+            return binomial_transform(coeffs, alternating)
+
+        monkeypatch.setattr(conversion, "binomial_transform", counted)
+        trace = direct_trace(build_series("pole:2", 250), 1, range(5, 201))
+        assert lengths == [201]
+        assert [m for m, _ in trace.partials] == list(range(5, 201))
+
+    @pytest.mark.parametrize(
+        "name, prec",
+        [("pole:3/2", 28), ("random-1", 28), ("random-2", 28), ("decimal-19", 7),
+         ("decimal-19", 19)],
+    )
+    def test_dense_schedule_matches_closed_form(self, name, prec):
+        series = DENSE_SERIES[name]
+        with localcontext() as ctx:
+            ctx.prec = prec
+            for k in (0, 1, 2, 5, 10**12):
+                got = direct_trace(series, k, range(151)).partials
+                want = [(m, direct_coeffk_partial(series, k, m)) for m in range(151)]
+                # Decimals compare by their text, so the exponent must match too
+                assert [(m, type(v), str(v)) for m, v in got] == [
+                    (m, type(v), str(v)) for m, v in want], (name, k)
 
     def test_pole_two_converges_to_zero(self):
         series = build_series("pole:2", 25)
@@ -332,8 +388,8 @@ class TestPipelineConsistency:
         for got, want in zip(shifted.coeffs, to_decimals(closed, 38)):
             assert abs(got - want) < tol
 
-        direct0 = direct_coeff0_partial(series, 150)
-        direct1 = direct_coeffk_partial(series, 1, 150)
+        direct0 = direct_partial(series, 0, 150)
+        direct1 = direct_partial(series, 1, 150)
         assert abs(direct0 - closed[0]) < F(1, 10**12)
         assert abs(direct1 - closed[1]) < F(1, 10**12)
 

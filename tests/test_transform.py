@@ -519,6 +519,10 @@ class TestSeriesTypes:
         with pytest.raises(ValueError):
             AssociatedSeries(coeffs=())
 
+    def test_series_have_a_length(self):
+        assert len(TaylorSeries((1, 2, 3))) == 3
+        assert len(AssociatedSeries([F(1, 2)])) == 1
+
     @pytest.mark.parametrize(
         "value, same, other, text",
         [
@@ -529,6 +533,11 @@ class TestSeriesTypes:
              TaylorSeries((1, 0)), "TaylorSeries(coeffs=(1,))"),
             (AssociatedSeries([0, F(-2, 3)]), AssociatedSeries(coeffs=(0, F(-2, 3))),
              (0, F(-2, 3)), "AssociatedSeries(coeffs=(0, Fraction(-2, 3)))"),
+            # the two series share one body, but never equal each other
+            (TaylorSeries((1, 2)), TaylorSeries(coeffs=[1, 2]), AssociatedSeries((1, 2)),
+             "TaylorSeries(coeffs=(1, 2))"),
+            (AssociatedSeries((1, 2)), AssociatedSeries(coeffs=[1, 2]), TaylorSeries((1, 2)),
+             "AssociatedSeries(coeffs=(1, 2))"),
             (RadiusEstimate(4), RadiusEstimate(lag=4, values=(), limit_guess=None),
              RadiusEstimate(4, (), 1.0), "RadiusEstimate(lag=4, values=(), limit_guess=None)"),
             (RadiusEstimate(1, (1.5, 2.0), 2.0),
