@@ -26,7 +26,7 @@ from .continuation import (
     _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
-    shared_first_step,
+    shared_steps,
     to_decimals,
 )
 from .conversion import (
@@ -280,25 +280,44 @@ def cmd_direct(args) -> int:
 
 # -------------------------------------------------------------------- sweep
 
-def _run_pair(payload):
+# The rounded prefix and err reference of the sweep whose tasks a pool
+# worker runs, set once in each worker by _start_worker.
+_WORKER = {}
+
+
+def _start_worker(coeffs, reference):
+    """Hold the sweep's rounded prefix and err reference for every task of
+    this pool worker: the pool calls it once in each worker."""
+    _WORKER["sweep"] = (coeffs, reference)
+
+
+def _run_pair(configs, sweep=None):
     """The sweep rows of one (m, dx) pair, one per alpha, in alpha order.
 
-    The pair's first step is shifted once, for all its alphas, and each
-    alpha continues from its own first-step state.
+    `sweep` is the rounded prefix and the err reference, by default those
+    of this pool worker.  The pair's first two steps are shifted once, for
+    all its alphas (:func:`shared_steps`), and each alpha continues from its
+    own states.
     """
-    assoc, configs, reference = payload
+    coeffs, reference = sweep or _WORKER["sweep"]
+    assoc = AssociatedSeries(coeffs[: configs[0].m])
     try:
-        firsts = shared_first_step(assoc, configs)
+        starts = shared_steps(assoc, configs)
     except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
         return [_error_row(config, e) for config in configs]
-    return [_run_cell(assoc, config, reference, first) for config, first in zip(configs, firsts)]
+    return [_run_cell(assoc, config, start, reference)
+            for config, start in zip(configs, starts)]
 
 
-def _run_cell(assoc, config, reference, first):
-    """The sweep row of one (m, dx, alpha) cell, continued from the state
-    `first` after its first step, with err |c - r| for each c at 1 with a reference r."""
+def _run_cell(assoc, config, start, reference):
+    """The sweep row of one (m, dx, alpha) cell, continued from its states
+    `start` after the shared steps, with err |c - r| for each c at 1 with a
+    reference r; the error row when `start` is the ArithmeticError of those
+    steps."""
+    if isinstance(start, ArithmeticError):
+        return _error_row(config, start)
     try:
-        state, _ = continue_to_one_with_steps(assoc, config, _first=first)
+        state, _ = continue_to_one_with_steps(assoc, config, _start=start)
         head = state.coeffs[:2]
         with localcontext() as ctx:
             ctx.prec = config.digits + 8
@@ -374,19 +393,23 @@ def cmd_sweep(args) -> int:
     coeffs = to_decimals(assoc.coeffs, digits)
     # u's first two coefficients at 1, rounded once for every cell's err columns
     reference = to_decimals(companion_at_one(args.input, 2) or (), digits + 8)
-    # one task per (m, dx) pair: its alphas share the first step
+    # one task per (m, dx) pair, its configs alone: its alphas share the first steps
     per_pair = len(alpha_list)
-    pairs = [
-        (AssociatedSeries(coeffs[: group[0].m]), group, reference)
-        for group in (configs[i : i + per_pair] for i in range(0, len(configs), per_pair))
-    ]
+    pairs = [configs[i : i + per_pair] for i in range(0, len(configs), per_pair)]
+    # the largest pairs first (most coefficients, then most steps), so that no
+    # worker starts one late; the rows stay in grid order
+    order = sorted(range(len(pairs)), key=lambda i: (-pairs[i][0].m, pairs[i][0].step))
+    tasks = [pairs[i] for i in order]
     # with fork, the pool starts all its workers at once: start no idle ones
     workers = min(jobs, len(pairs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            row_groups = list(pool.map(_run_pair, pairs))
+        # each worker gets the prefix once, not once per task
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(coeffs, reference)) as pool:
+            done = list(pool.map(_run_pair, tasks))
     else:
-        row_groups = [_run_pair(pair) for pair in pairs]
+        done = [_run_pair(task, (coeffs, reference)) for task in tasks]
+    row_groups = [group for _, group in sorted(zip(order, done))]
     rows = [row for group in row_groups for row in group]
     _write_rows(args.out, SWEEP_HEADER, rows)
     return EXIT_OK

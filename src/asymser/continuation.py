@@ -30,8 +30,10 @@ depend only on a step's input, so they are decided first, each by an exact
 integer comparison of one trailing term with alpha, and a step that is not
 the last computes only the block it carries.
 
-Continuations that differ only in alpha share their first step: each starts
-from its own first-step state, cut from one shift (:func:`shared_first_step`).
+Continuations that differ only in alpha share their first two steps
+(:func:`shared_steps`): each first-step state is a leading block of one
+shift, and the second steps of those blocks share one integer shift, each
+block's sums derived from a longer block's, then rounded on its own.
 """
 from __future__ import annotations
 
@@ -184,6 +186,8 @@ def recenter_step(
     alpha: CoeffLike,
     digits: int = DEFAULT_DIGITS,
     carried_only: bool = False,
+    *,
+    _count: int | None = None,
 ) -> ContinuationState:
     """Advance the expansion center by `step`, summing all available terms.
 
@@ -203,6 +207,9 @@ def recenter_step(
     when nothing converged -- and the passes stop after that block, so the
     step costs sum_{k<K} (m-k) additions for K kept outputs instead of about
     m**2/2.  Every kept coefficient is the same either way.
+
+    `_count`, the converged count of this step when the caller has decided
+    it already (:func:`shared_steps`), spares deciding it again.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
@@ -210,7 +217,7 @@ def recenter_step(
     if dx <= 0:
         raise ValueError("step must be positive")
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
-    count, length = _output_length(state.coeffs, dx, thr, carried_only)
+    count, length = _output_length(state.coeffs, dx, thr, carried_only, _count)
     with localcontext() as ctx:
         ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
         center = state.center + dx
@@ -221,6 +228,25 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
     """The first `length` outputs of the exact shift of `coeffs` by dx:
     exact for exact input, else each rounded once to `digits` digits (see
     :func:`recenter_step`)."""
+    (sums,), outs, decimal = _shift_sums(coeffs, dx, [(len(coeffs), length)])
+    return _quotients(sums, outs, decimal, digits)
+
+
+def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, bool]:
+    """The integer sums B_k of the exact shifts by dx of leading blocks of
+    `coeffs`, all over the denominators of the whole vector (see
+    :func:`recenter_step`).
+
+    `cuts` lists pairs (K, L), with K falling from len(coeffs): for each,
+    the first L sums of the block coeffs[:K].  The whole vector is summed
+    once, up to the largest L.  Each shorter block, K long, then takes the
+    sums of the block before it, K' long, less those of the stretch between
+    them: B_k - sum_{n=K}^{K'-1} C(n, k) * A_n, with A_n the scaled row,
+    one product per term of that stretch instead of a pass over the block.  The row's common power of
+    two is dropped before the sums and put back after them.  Returns each
+    cut's sums, the denominators of the first outputs, output k being
+    sums[k] / dens[k], and whether the outputs are Decimals.
+    """
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
     nums, den, decimal = scale_to_integers(coeffs)
@@ -228,22 +254,58 @@ def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
     # den * q**j, each from the last by one small multiplication
     dens = list(accumulate(repeat(q, m - 1), operator.mul, initial=den))
     ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
-    # kept reversed, so that each pass of running sums ends on B_k
-    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
-    outs = [dens[m - 1 - k] * ppow[k] for k in range(length)]
-    shifted = []
+    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)]
+    twos = min(((a & -a).bit_length() - 1 for a in row if a), default=0)
+    row = [a >> twos for a in row]
+    # the sums each block needs: the largest L of the cuts from it on
+    needs = list(accumulate((length for _, length in reversed(cuts)), max))[::-1]
+    sums = _running_sums(row, needs[0])
+    blocks, end = [], m
+    for (stop, length), need in zip(cuts, needs):
+        if stop < end:
+            sums = list(map(operator.sub, sums, _stretch_sums(row[stop:end], stop, need)))
+            end = stop
+        blocks.append([b << twos for b in sums[:length]])
+    return blocks, [dens[m - 1 - k] * ppow[k] for k in range(needs[0])], decimal
+
+
+def _running_sums(row: list, length: int) -> list:
+    """B_k = sum_{n>=k} C(n, k) * row[n] for k < length, by k + 1 passes of
+    suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997)."""
+    row = row[::-1]  # reversed, so that each pass of running sums ends on B_k
+    sums = []
     for _ in range(length):
         row = list(accumulate(row))
-        shifted.append(row.pop())
+        sums.append(row.pop())
+    return sums
+
+
+def _stretch_sums(stretch: list, start: int, length: int) -> list:
+    """sum_n C(n, k) * stretch[n - start] for k < length <= start."""
+    ns = range(start, start + len(stretch))
+    combs, sums = [1] * len(stretch), []
+    for k in range(length):
+        sums.append(sum(map(operator.mul, combs, stretch)))
+        combs = [c * (n - k) // (k + 1) for c, n in zip(combs, ns)]
+    return sums
+
+
+def _quotients(sums: list, dens: list, decimal: bool, digits: int) -> tuple:
+    """Each sum over its denominator: a Fraction, or a Decimal rounded once
+    to `digits` significant digits."""
     with localcontext() as ctx:
         ctx.prec = digits
-        return tuple(exact_quotient(b, d, decimal) for b, d in zip(shifted, outs))
+        return tuple(exact_quotient(b, d, decimal) for b, d in zip(sums, dens))
 
 
-def _output_length(coeffs: tuple, dx: Decimal, thr: Decimal, carried_only: bool) -> tuple:
-    """The converged count of the step from `coeffs`, and how many of its
-    outputs are needed: the carried block with `carried_only`, else all."""
-    count = _converged_prefix(coeffs, dx, thr)
+def _output_length(
+    coeffs: tuple, dx: Decimal, thr: Decimal, carried_only: bool, count: int | None = None
+) -> tuple:
+    """The converged count of the step from `coeffs`, unless given, and how
+    many of its outputs are needed: the carried block with `carried_only`,
+    else all."""
+    if count is None:
+        count = _converged_prefix(coeffs, dx, thr)
     return count, count if carried_only and count >= 1 else len(coeffs)
 
 
@@ -262,7 +324,10 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
       L and m - 1 have only zero trailing terms.
 
     With a_L = n/d, dx = p/q and thr = t/u the test is the integer
-    inequality |n| * u * C(L, k) * p**(L-k) < t * d * q**(L-k).
+    inequality |n| * u * C(L, k) * p**(L-k) < t * d * q**(L-k).  A product
+    x * y is below 2**(bl(x) + bl(y)), bl the bit length, so it is formed
+    only when bl(x) + bl(y) >= bl(rhs); below that it is less than
+    2**(bl(rhs) - 1) <= rhs, and the flag holds.
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
@@ -274,7 +339,7 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
     # C(L, k), |n| * u * p**(L-k) and t * d * q**(L-k), from k = 0
     comb, lhs, rhs = 1, abs(num) * u * p**last, t * den * q**last
     for k in range(last + 1 if last == m - 1 else last):
-        if comb * lhs >= rhs:
+        if comb.bit_length() + lhs.bit_length() >= rhs.bit_length() and comb * lhs >= rhs:
             return k
         comb = comb * (last - k) // (k + 1)
         lhs //= p
@@ -283,7 +348,7 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
 
 
 def continue_to_one_with_steps(
-    assoc: AssociatedSeries, config: SchemeConfig, *, _first: ContinuationState | None = None
+    assoc: AssociatedSeries, config: SchemeConfig, *, _start: list | None = None
 ) -> tuple[ContinuationState, list[ContinuationState]]:
     """Run the full 0 -> 1 continuation, returning the state after each step.
 
@@ -294,14 +359,14 @@ def continue_to_one_with_steps(
     state's center, carried length (its number of coefficients) and
     converged count are the step's diagnostics.
 
-    `_first`, one of the states of :func:`shared_first_step`, is the state
-    after the first step; the run continues from it and is the same as
-    without it.
+    `_start`, one run's states from :func:`shared_steps`, are the states
+    after the first steps; the run continues from the last of them and is
+    the same as without them.
     """
-    if _first is None:
+    if _start is None:
         state, states = _initial_state(assoc, config.m, config.digits), []
     else:
-        state, states = _first, [_first]
+        state, states = _start[-1], list(_start)
     for i in range(len(states), config.steps):
         state = recenter_step(
             state, config.step, config.alpha, config.digits, carried_only=i < config.steps - 1
@@ -310,32 +375,86 @@ def continue_to_one_with_steps(
     return state, states
 
 
-def shared_first_step(
-    assoc: AssociatedSeries, configs: list[SchemeConfig]
-) -> list[ContinuationState]:
-    """The state after the first step of each of `configs`, continuations
-    that differ only in alpha.
+def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
+    """The states after the first two steps (one, when that is the whole
+    path) of each of `configs`, continuations that differ only in alpha.
 
-    The first step does not depend on alpha, except in its converged count
-    and so in how many of its outputs are carried.  The prefix is rounded
-    once, each config's count and length are decided once, and one shift
-    reaches the longest of those lengths; each config's state holds its own
-    prefix of that shift.  A run continues from its state through
-    ``continue_to_one_with_steps(assoc, config, _first=state)``.
+    A step does not depend on alpha, except in its converged count and so in
+    how many of its outputs are carried.  The prefix is rounded once, each
+    config's counts and lengths are decided once, and one shift reaches the
+    longest first-step length; each config's first state holds its own
+    prefix of that shift.  Those prefixes are leading blocks of one vector,
+    so their second steps share integer shifts too (:func:`_second_steps`).
+
+    Returns, for each config, its list of states, or the ArithmeticError
+    raised while rounding its second state.  A run continues from its
+    states through ``continue_to_one_with_steps(assoc, config, _start=states)``.
     """
     m, step, digits = configs[0].m, configs[0].step, configs[0].digits
     if any((c.m, c.step, c.digits) != (m, step, digits) for c in configs):
         raise ValueError("configs must share m, step and digits")
     state = _initial_state(assoc, m, digits)
-    carried_only = configs[0].steps > 1
-    decided = [_output_length(state.coeffs, step, c.alpha, carried_only) for c in configs]
-    lengths = [length for _, length in decided]
-    widest = configs[lengths.index(max(lengths))]
+    steps = configs[0].steps
+    decided = [_output_length(state.coeffs, step, c.alpha, steps > 1) for c in configs]
+    widest = max(range(len(configs)), key=lambda i: decided[i][1])
     # through recenter_step, so that whatever wraps it sees the shared step too
-    first = recenter_step(state, step, widest.alpha, digits, carried_only=carried_only)
-    return [
+    first = recenter_step(
+        state, step, configs[widest].alpha, digits, carried_only=steps > 1,
+        _count=decided[widest][0],
+    )
+    firsts = [
         ContinuationState(first.center, first.coeffs[:length], count) for count, length in decided
     ]
+    if steps == 1:
+        return [[f] for f in firsts]
+    seconds = _second_steps(firsts, step, [c.alpha for c in configs], digits, steps > 2)
+    return [
+        second if isinstance(second, ArithmeticError) else [f, second]
+        for f, second in zip(firsts, seconds)
+    ]
+
+
+# A block is derived from the next longer one while it is at least this many
+# times longer than the stretch between them.  Measured on arctan blocks of
+# 60 to 500 coefficients, the stretch then costs 0.4 to 0.7 times the
+# block's own passes, and 0.8 to 2 times them at a ratio of 8.
+_STRETCH = 16
+
+
+def _second_steps(firsts: list, dx: Decimal, alphas: list, digits: int, carried_only: bool):
+    """The step by dx from each of `firsts`, states whose coefficients are
+    leading blocks of one vector, each with its own alpha: the state after
+    it, or the ArithmeticError raised while rounding it.
+
+    The blocks are taken longest first.  Each is derived from the next
+    longer one (:func:`_shift_sums`) while the stretch between them is
+    short, and starts a shift of its own otherwise, as the block next to an
+    alpha that keeps the whole vector does.  Each block's sums are rounded
+    on their own, to the same values as its unshared step.
+    """
+    decided = [_output_length(f.coeffs, dx, a, carried_only) for f, a in zip(firsts, alphas)]
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        center = firsts[0].center + dx
+    groups, last = [], None
+    for i in sorted(range(len(firsts)), key=lambda i: -len(firsts[i].coeffs)):
+        size = len(firsts[i].coeffs)
+        if last is None or _STRETCH * (last - size) > size:
+            groups.append([])
+        groups[-1].append(i)
+        last = size
+    seconds = [None] * len(firsts)
+    for group in groups:
+        cuts = [(len(firsts[i].coeffs), decided[i][1]) for i in group]
+        blocks, dens, decimal = _shift_sums(firsts[group[0]].coeffs, dx, cuts)
+        for i, sums in zip(group, blocks):
+            try:
+                coeffs = _quotients(sums, dens, decimal, digits)
+            except ArithmeticError as e:  # spoils only this block's run
+                seconds[i] = e
+            else:
+                seconds[i] = ContinuationState(center, coeffs, decided[i][0])
+    return seconds
 
 
 def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> ContinuationState:

@@ -440,9 +440,10 @@ class TestSweepPool:
         assert main(grid + ["--jobs", "1", "--out", str(serial)]) == 0
         started = []
 
-        class RecordingPool:  # runs the tasks in-process, starts no worker
-            def __init__(self, max_workers):
+        class RecordingPool:  # runs the initializer and the tasks in-process
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -458,6 +459,46 @@ class TestSweepPool:
         assert main(grid + ["--jobs", jobs, "--out", str(out)]) == 0
         assert started == started_with
         assert out.read_text() == serial.read_text()
+
+    def test_prefix_travels_once(self, tmp_path, monkeypatch):
+        """The rounded prefix and the err reference reach each worker once,
+        through the pool's initializer; a task holds only its pair's configs,
+        and the largest pairs go first."""
+        grid = ["sweep", "--input", "pole:3/2", "--m", "22,40", "--dx", "0.25,0.5",
+                "--alpha", "0.01,0.1"]
+        serial = tmp_path / "serial.csv"
+        assert main(grid + ["--jobs", "1", "--out", str(serial)]) == 0
+        pools = []
+
+        class RecordingPool:  # runs the initializer and the tasks in-process
+            def __init__(self, max_workers, initializer, initargs):
+                self.initargs, self.tasks = initargs, []
+                pools.append(self)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                self.tasks = list(tasks)
+                return map(fn, self.tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "pooled.csv"
+        assert main(grid + ["--jobs", "2", "--out", str(out)]) == 0
+        assert out.read_text() == serial.read_text()
+        (pool,) = pools
+        coeffs, reference = pool.initargs
+        assert len(coeffs) == 40 and all(isinstance(c, Decimal) for c in coeffs)
+        assert len(reference) == 2
+        assert [[(c.m, str(c.step), str(c.alpha)) for c in task] for task in pool.tasks] == [
+            [(m, dx, a) for a in ("0.01", "0.1")]
+            for m, dx in ((40, "0.25"), (40, "0.5"), (22, "0.25"), (22, "0.5"))
+        ]
+        assert all(type(c) is continuation.SchemeConfig for task in pool.tasks for c in task)
 
 
 class TestSweepGrouping:
@@ -489,14 +530,19 @@ class TestSweepGrouping:
     def test_arithmetic_error_spoils_only_its_cell(self, tmp_path, monkeypatch):
         alphas = ["0.01", "0.1", "0.5"]
         clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
-        recenter = continuation.recenter_step
+        # the pair's second steps are rounded one alpha at a time: fail 0.1's at dx 0.25
+        config = continuation.SchemeConfig(m=98, step="0.25", alpha="0.1")
+        _, states = continuation.continue_to_one_with_steps(
+            functions.build_companion("arctan", 98), config)
+        quotients = continuation._quotients
 
-        def failing(state, step, alpha, *args, **kwargs):
-            if state.center == Decimal("0.25") and Decimal(alpha) == Decimal("0.1"):
+        def failing(*args):
+            coeffs = quotients(*args)
+            if coeffs == states[1].coeffs:
                 raise ArithmeticError("injected in the second step")
-            return recenter(state, step, alpha, *args, **kwargs)
+            return coeffs
 
-        monkeypatch.setattr(continuation, "recenter_step", failing)
+        monkeypatch.setattr(continuation, "_quotients", failing)
         rows = self.sweep(tmp_path, "spoilt.csv", alphas, 1, m="98", dx="0.25,0.5")
         assert len(rows) == len(clean) == 6
         for got, want in zip(rows, clean):
@@ -524,14 +570,14 @@ class TestSweepGrouping:
     def test_first_step_error_spoils_its_pair(self, tmp_path, monkeypatch):
         alphas = ["0.01", "0.1"]
         clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
-        first_step = cli.shared_first_step
+        first_step = cli.shared_steps
 
         def failing(assoc, configs):
             if configs[0].step == Decimal("0.25"):
                 raise ArithmeticError("injected in the shared first step")
             return first_step(assoc, configs)
 
-        monkeypatch.setattr(cli, "shared_first_step", failing)
+        monkeypatch.setattr(cli, "shared_steps", failing)
         rows = self.sweep(tmp_path, "spoilt.csv", alphas, 1, m="98", dx="0.25,0.5")
         assert rows[2:] == clean[2:]
         assert [(r["dx"], r["alpha"]) for r in rows[:2]] == [("0.25", a) for a in alphas]

@@ -24,7 +24,7 @@ from asymser import (
     to_decimals,
 )
 from asymser import continuation
-from asymser.continuation import _exact_decimal, shared_first_step
+from asymser.continuation import _exact_decimal, shared_steps
 from helpers import (
     assert_value_contract,
     continue_to_one,
@@ -411,8 +411,13 @@ def run_key(state, states):
     )
 
 
+def state_key(state):
+    """A state's value and repr, each coefficient down to its digits and exponent."""
+    return state, repr(state)
+
+
 class TestPrefixOnlyContinuation:
-    """Steps that compute only the carried block, alone or from a first step
+    """Steps that compute only the carried block, alone or from the steps
     shared across alphas, must equal full-length steps truncated afterwards."""
 
     # 1e-300 converges nothing on the first step, so the whole vector is kept
@@ -422,16 +427,16 @@ class TestPrefixOnlyContinuation:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
     def test_arctan_prefix(self, arctan_assoc_701, m, step):
         configs = [SchemeConfig(m=m, step=step, alpha=a) for a in self.ALPHAS]
-        firsts = shared_first_step(arctan_assoc_701, configs)
-        for config, first in zip(configs, firsts):
+        starts = shared_steps(arctan_assoc_701, configs)
+        for config, start in zip(configs, starts):
             want = run_key(*reference_continue(arctan_assoc_701, config))
             alone = continue_to_one_with_steps(arctan_assoc_701, config)
             assert run_key(*alone) == want
-            assert first == alone[1][0]
-            shared = continue_to_one_with_steps(arctan_assoc_701, config, _first=first)
+            assert start == alone[1][: len(start)]
+            shared = continue_to_one_with_steps(arctan_assoc_701, config, _start=start)
             assert run_key(*shared) == want
         # the longest first state is the whole vector: 1e-300 converges nothing
-        assert max(len(first.coeffs) for first in firsts) == m
+        assert max(len(start[0].coeffs) for start in starts) == m
 
     def test_first_step_keeps_everything_when_nothing_converges(self, arctan_assoc_701):
         config = SchemeConfig(m=120, step="0.25", alpha="1e-300")
@@ -447,33 +452,120 @@ class TestPrefixOnlyContinuation:
             return shifts[-1]
 
         monkeypatch.setattr(continuation, "recenter_step", recording)
-        firsts = shared_first_step(arctan_assoc_701, configs)
+        starts = shared_steps(arctan_assoc_701, configs)
         monkeypatch.undo()
         _, states = continue_to_one_with_steps(arctan_assoc_701, configs[1])
-        assert firsts[1] == states[0]
+        assert starts[1] == states[:2]
+        # the first step is one recenter_step; the second steps shift no block through it
         assert len(shifts) == 1
         assert len(shifts[0].coeffs) == len(states[0].coeffs) < 301
         with pytest.raises(ValueError):
-            shared_first_step(
+            shared_steps(
                 arctan_assoc_701, configs + [SchemeConfig(m=301, step="0.5", alpha="0.1")]
             )
 
-    def test_random_vectors_and_alpha_sets(self):
-        rng = random.Random(7)
-        for _ in range(40):
+    @staticmethod
+    def assert_shared_equal_unshared(assoc, configs):
+        """Each config's states after the shared steps are those of its own
+        run, in value and repr, and its run continues from them unchanged."""
+        for config, start in zip(configs, shared_steps(assoc, configs)):
+            _, states = continue_to_one_with_steps(assoc, config)
+            assert len(start) == min(2, config.steps)
+            assert list(map(state_key, start)) == list(map(state_key, states[: len(start)]))
+            shared = continue_to_one_with_steps(assoc, config, _start=start)
+            assert run_key(*shared) == run_key(*reference_continue(assoc, config))
+
+    @pytest.mark.parametrize("digits", [2, 19, 30])
+    @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
+    @pytest.mark.parametrize("alphas", [("0.01", "0.1"), ("1e-300", "1e-5", "0.01", "0.1", "0.5")])
+    def test_states_after_the_shared_steps(self, arctan_assoc_701, digits, step, alphas):
+        """Neighbouring alphas take the short-stretch route; 1e-300, which
+        keeps the whole vector, starts a shift of its own."""
+        pole = build_companion("pole:-3", 98)
+        for assoc, m in ((arctan_assoc_701, 120), (arctan_assoc_701, 301), (pole, 98)):
+            configs = [SchemeConfig(m=m, step=step, alpha=a, digits=digits) for a in alphas]
+            self.assert_shared_equal_unshared(assoc, configs)
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2])
+    def test_random_vectors_and_alpha_sets(self, zeros):
+        rng = random.Random(7 + zeros)
+        for _ in range(30):
             values = [
                 "0" if rng.random() < 0.25
                 else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-30, 5)}"
                 for _ in range(rng.randint(1, 40))
-            ]
+            ] + ["1E-3"] + ["0"] * zeros
             assoc = AssociatedSeries(coeffs=tuple(D(v) for v in values))
             step = rng.choice(["0.125", "0.25", "0.5", "1"])
-            alphas = rng.sample(["1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
-            configs = [SchemeConfig(m=len(values), step=step, alpha=a) for a in alphas]
-            firsts = shared_first_step(assoc, configs)
-            for config, first in zip(configs, firsts):
-                shared = continue_to_one_with_steps(assoc, config, _first=first)
-                assert run_key(*shared) == run_key(*reference_continue(assoc, config))
+            alphas = rng.sample(["1e-300", "1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
+            digits = rng.choice([2, 19, 30])
+            configs = [SchemeConfig(m=len(values), step=step, alpha=a, digits=digits)
+                       for a in alphas]
+            self.assert_shared_equal_unshared(assoc, configs)
+
+    def test_exact_blocks_are_exact_shifts(self):
+        """The shared sums of every block, exact or decimal, are its exact
+        shift: over the common denominators they equal the term-by-term sums."""
+        rng = random.Random(3)
+        for trial in range(20):
+            m = rng.randint(2, 30)
+            coeffs = tuple(F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(m))
+            if trial % 2:
+                coeffs = to_decimals(coeffs, 19)
+            step = D(rng.choice(["0.125", "0.25", "0.5", "1", "0.375"]))
+            stops = sorted({m, *rng.sample(range(1, m + 1), rng.randint(1, min(4, m)))},
+                           reverse=True)
+            cuts = [(stop, rng.randint(1, stop)) for stop in stops]
+            blocks, dens, decimal = continuation._shift_sums(coeffs, step, cuts)
+            assert decimal is bool(trial % 2)
+            for (stop, length), sums in zip(cuts, blocks):
+                want = exact_recenter(coeffs[:stop], step)[:length]
+                assert [F(b, d) for b, d in zip(sums, dens)] == want
+                assert continuation._quotients(sums, dens, decimal, 19) == continuation._shift(
+                    coeffs[:stop], step, 19, length)
+
+    def test_each_block_takes_its_route(self, arctan_assoc_701, monkeypatch):
+        """One shift per run of blocks with short stretches between them: at
+        m=301 dx=0.125 the first states of 0.01 and 0.1 differ by one
+        coefficient and share one shift, while 1e-300's whole vector is too
+        far from them and is shifted alone."""
+        calls = []
+        shift_sums = continuation._shift_sums
+
+        def recording(coeffs, dx, cuts):
+            calls.append((len(coeffs), cuts))
+            return shift_sums(coeffs, dx, cuts)
+
+        monkeypatch.setattr(continuation, "_shift_sums", recording)
+        alphas = ("0.1", "1e-300", "0.01")
+        configs = [SchemeConfig(m=301, step="0.125", alpha=a) for a in alphas]
+        starts = shared_steps(arctan_assoc_701, configs)
+        first_lengths = [len(start[0].coeffs) for start in starts]
+        second_lengths = [len(start[1].coeffs) for start in starts]
+        assert first_lengths == [153, 301, 152]
+        # the first step, then the whole vector alone, then 0.1's block serving 0.01's
+        assert calls == [
+            (301, [(301, 301)]),
+            (301, [(301, second_lengths[1])]),
+            (153, [(153, second_lengths[0]), (152, second_lengths[2])]),
+        ]
+        self.assert_shared_equal_unshared(arctan_assoc_701, configs)
+
+    def test_rounding_error_spoils_only_its_alpha(self, arctan_assoc_701, monkeypatch):
+        configs = [SchemeConfig(m=120, step="0.25", alpha=a) for a in ("0.01", "0.1", "0.5")]
+        clean = shared_steps(arctan_assoc_701, configs)
+        quotients = continuation._quotients
+
+        def failing(sums, dens, decimal, digits):
+            coeffs = quotients(sums, dens, decimal, digits)
+            if coeffs == clean[1][1].coeffs:
+                raise ArithmeticError("injected in the second step of 0.1")
+            return coeffs
+
+        monkeypatch.setattr(continuation, "_quotients", failing)
+        spoilt = shared_steps(arctan_assoc_701, configs)
+        assert isinstance(spoilt[1], ArithmeticError)
+        assert [spoilt[0], spoilt[2]] == [clean[0], clean[2]]
 
     def test_higher_precision(self, arctan_assoc_701):
         for alpha in ("1e-300", "1e-12"):

@@ -455,6 +455,27 @@ class TestRationalTaylor:
         assert rational_taylor(p, q, F(1, 2), 60, integrate=True) == [
             r[k - 1] / k for k in range(1, 61)]
 
+    @pytest.mark.parametrize("a", ["3/2", "-5/3", "2", "1", "-3", "7/11"])
+    def test_linear_q_is_the_closed_form(self, a):
+        """Past deg P a linear Q gives each coefficient from the last by one
+        Fraction product; the values and types are the closed form's."""
+        got = build_series(f"pole:{a}", 4002).coeffs
+        want = [pole_taylor_coeff(F(a), n) for n in range(4002)]
+        assert list(got) == want
+        assert all(type(g) is Fraction for g in got)
+        assert build_companion(f"pole:{a}", 301) == associated(build_series(f"pole:{a}", 301))
+
+    @pytest.mark.parametrize("p, q", [((1,), (F(3, 2), 1)), ((2, -1, 5), (-3, 7)),
+                                      ((1, 4), (5, 0))])
+    @pytest.mark.parametrize("center", [0, F(1, 3)])
+    def test_linear_q_past_p_is_long_division(self, p, q, center):
+        r = quotient_taylor(p, q, center, 40)
+        assert rational_taylor(p, q, center, 40) == r
+        assert rational_taylor(p, q, center, 40, integrate=True) == [
+            r[k - 1] / k for k in range(1, 41)]
+        for count in (1, 2, 3):
+            assert rational_taylor(p, q, center, count) == r[:count]
+
     def test_float_center_rejected(self):
         with pytest.raises(TypeError, match="not float"):
             rational_taylor((1,), (1, 1), 0.1, 2)
