@@ -186,8 +186,6 @@ def recenter_step(
     alpha: CoeffLike,
     digits: int = DEFAULT_DIGITS,
     carried_only: bool = False,
-    *,
-    _count: int | None = None,
 ) -> ContinuationState:
     """Advance the expansion center by `step`, summing all available terms.
 
@@ -207,9 +205,6 @@ def recenter_step(
     when nothing converged -- and the passes stop after that block, so the
     step costs sum_{k<K} (m-k) additions for K kept outputs instead of about
     m**2/2.  Every kept coefficient is the same either way.
-
-    `_count`, the converged count of this step when the caller has decided
-    it already (:func:`shared_steps`), spares deciding it again.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
@@ -217,7 +212,7 @@ def recenter_step(
     if dx <= 0:
         raise ValueError("step must be positive")
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
-    count, length = _output_length(state.coeffs, dx, thr, carried_only, _count)
+    count, length = _output_length(state.coeffs, dx, thr, carried_only)
     with localcontext() as ctx:
         ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
         center = state.center + dx
@@ -242,10 +237,9 @@ def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, boo
     once, up to the largest L.  Each shorter block, K long, then takes the
     sums of the block before it, K' long, less those of the stretch between
     them: B_k - sum_{n=K}^{K'-1} C(n, k) * A_n, with A_n the scaled row,
-    one product per term of that stretch instead of a pass over the block.  The row's common power of
-    two is dropped before the sums and put back after them.  Returns each
-    cut's sums, the denominators of the first outputs, output k being
-    sums[k] / dens[k], and whether the outputs are Decimals.
+    one product per term of that stretch instead of a pass over the block.
+    Returns each cut's sums, the denominators of the first outputs, output
+    k being sums[k] / dens[k], and whether the outputs are Decimals.
     """
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
@@ -255,8 +249,6 @@ def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, boo
     dens = list(accumulate(repeat(q, m - 1), operator.mul, initial=den))
     ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
     row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)]
-    twos = min(((a & -a).bit_length() - 1 for a in row if a), default=0)
-    row = [a >> twos for a in row]
     # the sums each block needs: the largest L of the cuts from it on
     needs = list(accumulate((length for _, length in reversed(cuts)), max))[::-1]
     sums = _running_sums(row, needs[0])
@@ -265,7 +257,7 @@ def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, boo
         if stop < end:
             sums = list(map(operator.sub, sums, _stretch_sums(row[stop:end], stop, need)))
             end = stop
-        blocks.append([b << twos for b in sums[:length]])
+        blocks.append(sums[:length])
     return blocks, [dens[m - 1 - k] * ppow[k] for k in range(needs[0])], decimal
 
 
@@ -298,14 +290,10 @@ def _quotients(sums: list, dens: list, decimal: bool, digits: int) -> tuple:
         return tuple(exact_quotient(b, d, decimal) for b, d in zip(sums, dens))
 
 
-def _output_length(
-    coeffs: tuple, dx: Decimal, thr: Decimal, carried_only: bool, count: int | None = None
-) -> tuple:
-    """The converged count of the step from `coeffs`, unless given, and how
-    many of its outputs are needed: the carried block with `carried_only`,
-    else all."""
-    if count is None:
-        count = _converged_prefix(coeffs, dx, thr)
+def _output_length(coeffs: tuple, dx: Decimal, thr: Decimal, carried_only: bool) -> tuple:
+    """The converged count of the step from `coeffs`, and how many of its
+    outputs are needed: the carried block with `carried_only`, else all."""
+    count = _converged_prefix(coeffs, dx, thr)
     return count, count if carried_only and count >= 1 else len(coeffs)
 
 
@@ -324,10 +312,7 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
       L and m - 1 have only zero trailing terms.
 
     With a_L = n/d, dx = p/q and thr = t/u the test is the integer
-    inequality |n| * u * C(L, k) * p**(L-k) < t * d * q**(L-k).  A product
-    x * y is below 2**(bl(x) + bl(y)), bl the bit length, so it is formed
-    only when bl(x) + bl(y) >= bl(rhs); below that it is less than
-    2**(bl(rhs) - 1) <= rhs, and the flag holds.
+    inequality |n| * u * C(L, k) * p**(L-k) < t * d * q**(L-k).
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
@@ -339,7 +324,7 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
     # C(L, k), |n| * u * p**(L-k) and t * d * q**(L-k), from k = 0
     comb, lhs, rhs = 1, abs(num) * u * p**last, t * den * q**last
     for k in range(last + 1 if last == m - 1 else last):
-        if comb.bit_length() + lhs.bit_length() >= rhs.bit_length() and comb * lhs >= rhs:
+        if comb * lhs >= rhs:
             return k
         comb = comb * (last - k) // (k + 1)
         lhs //= p
@@ -380,11 +365,11 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     path) of each of `configs`, continuations that differ only in alpha.
 
     A step does not depend on alpha, except in its converged count and so in
-    how many of its outputs are carried.  The prefix is rounded once, each
-    config's counts and lengths are decided once, and one shift reaches the
-    longest first-step length; each config's first state holds its own
-    prefix of that shift.  Those prefixes are leading blocks of one vector,
-    so their second steps share integer shifts too (:func:`_second_steps`).
+    how many of its outputs are carried.  The prefix is rounded once, and one
+    shift reaches the longest first-step length; each config's first state
+    holds its own prefix of that shift.  Those prefixes are leading blocks
+    of one vector, so their second steps share one integer shift too
+    (:func:`_second_steps`).
 
     Returns, for each config, its list of states, or the ArithmeticError
     raised while rounding its second state.  A run continues from its
@@ -396,12 +381,10 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     state = _initial_state(assoc, m, digits)
     steps = configs[0].steps
     decided = [_output_length(state.coeffs, step, c.alpha, steps > 1) for c in configs]
-    widest = max(range(len(configs)), key=lambda i: decided[i][1])
+    lengths = [length for _, length in decided]
+    widest = configs[lengths.index(max(lengths))]
     # through recenter_step, so that whatever wraps it sees the shared step too
-    first = recenter_step(
-        state, step, configs[widest].alpha, digits, carried_only=steps > 1,
-        _count=decided[widest][0],
-    )
+    first = recenter_step(state, step, widest.alpha, digits, carried_only=steps > 1)
     firsts = [
         ContinuationState(first.center, first.coeffs[:length], count) for count, length in decided
     ]
@@ -414,46 +397,30 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     ]
 
 
-# A block is derived from the next longer one while it is at least this many
-# times longer than the stretch between them.  Measured on arctan blocks of
-# 60 to 500 coefficients, the stretch then costs 0.4 to 0.7 times the
-# block's own passes, and 0.8 to 2 times them at a ratio of 8.
-_STRETCH = 16
-
-
 def _second_steps(firsts: list, dx: Decimal, alphas: list, digits: int, carried_only: bool):
     """The step by dx from each of `firsts`, states whose coefficients are
     leading blocks of one vector, each with its own alpha: the state after
     it, or the ArithmeticError raised while rounding it.
 
-    The blocks are taken longest first.  Each is derived from the next
-    longer one (:func:`_shift_sums`) while the stretch between them is
-    short, and starts a shift of its own otherwise, as the block next to an
-    alpha that keeps the whole vector does.  Each block's sums are rounded
-    on their own, to the same values as its unshared step.
+    The blocks are taken longest first, and each block's sums are derived
+    from those of the next longer one (:func:`_shift_sums`).  Each block's
+    sums are rounded on their own, to the same values as its unshared step.
     """
     decided = [_output_length(f.coeffs, dx, a, carried_only) for f, a in zip(firsts, alphas)]
     with localcontext() as ctx:
         ctx.prec = MAX_PREC
         center = firsts[0].center + dx
-    groups, last = [], None
-    for i in sorted(range(len(firsts)), key=lambda i: -len(firsts[i].coeffs)):
-        size = len(firsts[i].coeffs)
-        if last is None or _STRETCH * (last - size) > size:
-            groups.append([])
-        groups[-1].append(i)
-        last = size
+    order = sorted(range(len(firsts)), key=lambda i: -len(firsts[i].coeffs))
+    cuts = [(len(firsts[i].coeffs), decided[i][1]) for i in order]
+    blocks, dens, decimal = _shift_sums(firsts[order[0]].coeffs, dx, cuts)
     seconds = [None] * len(firsts)
-    for group in groups:
-        cuts = [(len(firsts[i].coeffs), decided[i][1]) for i in group]
-        blocks, dens, decimal = _shift_sums(firsts[group[0]].coeffs, dx, cuts)
-        for i, sums in zip(group, blocks):
-            try:
-                coeffs = _quotients(sums, dens, decimal, digits)
-            except ArithmeticError as e:  # spoils only this block's run
-                seconds[i] = e
-            else:
-                seconds[i] = ContinuationState(center, coeffs, decided[i][0])
+    for i, sums in zip(order, blocks):
+        try:
+            coeffs = _quotients(sums, dens, decimal, digits)
+        except ArithmeticError as e:  # spoils only this block's run
+            seconds[i] = e
+        else:
+            seconds[i] = ContinuationState(center, coeffs, decided[i][0])
     return seconds
 
 

@@ -190,8 +190,8 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     q0 = q[0]
     if q0 == 0:
         raise ZeroDivisionError(f"Q vanishes at the center {center}")
-    # a linear Q needs the integer recurrence only up to deg P
-    head = min(count, len(p)) if len(q) == 2 else count
+    # a linear Q needs the integer recurrence only up to deg P (one term at least)
+    head = min(count, max(len(p), 1)) if len(q) == 2 else count
     weights = [w * q0 ** (j - 1) for j, w in enumerate(q[1:], 1)]
     N, powers = [], [1]  # powers[n] = q0**n
     for n in range(head):

@@ -479,22 +479,43 @@ class TestPrefixOnlyContinuation:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
     @pytest.mark.parametrize("alphas", [("0.01", "0.1"), ("1e-300", "1e-5", "0.01", "0.1", "0.5")])
     def test_states_after_the_shared_steps(self, arctan_assoc_701, digits, step, alphas):
-        """Neighbouring alphas take the short-stretch route; 1e-300, which
-        keeps the whole vector, starts a shift of its own."""
+        """Neighbouring alphas differ by a short stretch; 1e-300 keeps the
+        whole vector, a long stretch above its neighbour's block."""
         pole = build_companion("pole:-3", 98)
         for assoc, m in ((arctan_assoc_701, 120), (arctan_assoc_701, 301), (pole, 98)):
             configs = [SchemeConfig(m=m, step=step, alpha=a, digits=digits) for a in alphas]
             self.assert_shared_equal_unshared(assoc, configs)
 
-    @pytest.mark.parametrize("zeros", [0, 1, 2])
-    def test_random_vectors_and_alpha_sets(self, zeros):
-        rng = random.Random(7 + zeros)
-        for _ in range(30):
+    def test_random_vectors_and_alpha_sets(self):
+        rng = random.Random(7)
+        for _ in range(40):
             values = [
                 "0" if rng.random() < 0.25
                 else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-30, 5)}"
                 for _ in range(rng.randint(1, 40))
-            ] + ["1E-3"] + ["0"] * zeros
+            ]
+            assoc = AssociatedSeries(coeffs=tuple(D(v) for v in values))
+            step = rng.choice(["0.125", "0.25", "0.5", "1"])
+            alphas = rng.sample(["1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
+            configs = [SchemeConfig(m=len(values), step=step, alpha=a) for a in alphas]
+            starts = shared_steps(assoc, configs)
+            for config, start in zip(configs, starts):
+                shared = continue_to_one_with_steps(assoc, config, _start=start)
+                assert run_key(*shared) == run_key(*reference_continue(assoc, config))
+            self.assert_shared_equal_unshared(assoc, configs)
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2])
+    def test_random_vectors_with_trailing_zeros(self, zeros):
+        """Random vectors whose last nonzero term, itself random, is followed
+        by exactly `zeros` zeros, at 2, 19 and 30 digits."""
+        rng = random.Random(100 + zeros)
+        for _ in range(30):
+            values = [
+                "0" if rng.random() < 0.25
+                else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-30, 5)}"
+                for _ in range(rng.randint(0, 40))
+            ] + [f"{rng.choice([-1, 1]) * rng.randint(1, 10**19 - 1)}E{rng.randint(-30, 5)}"]
+            values += ["0"] * zeros
             assoc = AssociatedSeries(coeffs=tuple(D(v) for v in values))
             step = rng.choice(["0.125", "0.25", "0.5", "1"])
             alphas = rng.sample(["1e-300", "1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
@@ -524,11 +545,10 @@ class TestPrefixOnlyContinuation:
                 assert continuation._quotients(sums, dens, decimal, 19) == continuation._shift(
                     coeffs[:stop], step, 19, length)
 
-    def test_each_block_takes_its_route(self, arctan_assoc_701, monkeypatch):
-        """One shift per run of blocks with short stretches between them: at
-        m=301 dx=0.125 the first states of 0.01 and 0.1 differ by one
-        coefficient and share one shift, while 1e-300's whole vector is too
-        far from them and is shifted alone."""
+    def test_blocks_share_one_shift(self, arctan_assoc_701, monkeypatch):
+        """The second steps of a pair take one shift: at m=301 dx=0.125 the
+        whole vector of 1e-300 is summed once, and the first states of 0.1
+        and 0.01, one coefficient apart, are derived from it in turn."""
         calls = []
         shift_sums = continuation._shift_sums
 
@@ -543,11 +563,11 @@ class TestPrefixOnlyContinuation:
         first_lengths = [len(start[0].coeffs) for start in starts]
         second_lengths = [len(start[1].coeffs) for start in starts]
         assert first_lengths == [153, 301, 152]
-        # the first step, then the whole vector alone, then 0.1's block serving 0.01's
+        # the first step, then one shift for the three second steps, longest first
         assert calls == [
             (301, [(301, 301)]),
-            (301, [(301, second_lengths[1])]),
-            (153, [(153, second_lengths[0]), (152, second_lengths[2])]),
+            (301, [(301, second_lengths[1]), (153, second_lengths[0]),
+                   (152, second_lengths[2])]),
         ]
         self.assert_shared_equal_unshared(arctan_assoc_701, configs)
 

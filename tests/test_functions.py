@@ -466,7 +466,7 @@ class TestRationalTaylor:
         assert build_companion(f"pole:{a}", 301) == associated(build_series(f"pole:{a}", 301))
 
     @pytest.mark.parametrize("p, q", [((1,), (F(3, 2), 1)), ((2, -1, 5), (-3, 7)),
-                                      ((1, 4), (5, 0))])
+                                      ((1, 4), (5, 0)), ((), (1, 1)), ((0,), (2, -3))])
     @pytest.mark.parametrize("center", [0, F(1, 3)])
     def test_linear_q_past_p_is_long_division(self, p, q, center):
         r = quotient_taylor(p, q, center, 40)
