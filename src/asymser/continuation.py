@@ -30,10 +30,11 @@ depend only on a step's input, so they are decided first, each by an exact
 integer comparison of one trailing term with alpha, and a step that is not
 the last computes only the block it carries.
 
-Continuations that differ only in alpha share their first two steps
-(:func:`shared_steps`): each first-step state is a leading block of one
-shift, and the second steps of those blocks share one integer shift, each
-block's sums derived from a longer block's, then rounded on its own.
+One function, :func:`_steps`, takes every step; :func:`recenter_step` is
+its case of one state.  Continuations that differ only in alpha share their
+first two steps (:func:`shared_steps`): each first-step state is a leading
+block of one shift, and their second steps are one call of :func:`_steps`,
+which shifts the blocks together and rounds each on its own.
 """
 from __future__ import annotations
 
@@ -190,13 +191,8 @@ def recenter_step(
     """Advance the expansion center by `step`, summing all available terms.
 
     Each output b_k = sum_{n>=k} a_n * C(n, k) * step**(n-k) is the exact
-    shift of the given coefficients: a Fraction when they are all exact,
-    else rounded once to `digits` significant digits.  With step = p/q and
-    the inputs over one common denominator den, the integers
-    A_n = a_n * den * p**n * q**(m-1-n) turn the sums into a unit Taylor
-    shift B_k = sum_{n>=k} C(n, k) * A_n, built by k+1 passes of suffix sums
-    (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
-    b_k = B_k / (den * p**k * q**(m-1-k)).
+    shift of the given coefficients (:func:`_shift_sums`): a Fraction when
+    they are all exact, else rounded once to `digits` significant digits.
 
     The convergence flags are those of :func:`_converged_prefix`; they need
     only the input, so they are decided before the sums.  By default the
@@ -205,6 +201,9 @@ def recenter_step(
     when nothing converged -- and the passes stop after that block, so the
     step costs sum_{k<K} (m-k) additions for K kept outputs instead of about
     m**2/2.  Every kept coefficient is the same either way.
+
+    The arguments are checked here; the step is :func:`_steps` on this one
+    state, and an ArithmeticError of its rounding is raised.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
@@ -212,41 +211,35 @@ def recenter_step(
     if dx <= 0:
         raise ValueError("step must be positive")
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
-    count, length = _output_length(state.coeffs, dx, thr, carried_only)
-    with localcontext() as ctx:
-        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
-        center = state.center + dx
-    return ContinuationState(center, _shift(state.coeffs, dx, digits, length), count)
-
-
-def _shift(coeffs: tuple, dx: Decimal, digits: int, length: int) -> tuple:
-    """The first `length` outputs of the exact shift of `coeffs` by dx:
-    exact for exact input, else each rounded once to `digits` digits (see
-    :func:`recenter_step`)."""
-    (sums,), outs, decimal = _shift_sums(coeffs, dx, [(len(coeffs), length)])
-    return _quotients(sums, outs, decimal, digits)
+    (after,) = _steps([state], dx, [thr], digits, carried_only)
+    if isinstance(after, ArithmeticError):
+        raise after
+    return after
 
 
 def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, bool]:
     """The integer sums B_k of the exact shifts by dx of leading blocks of
-    `coeffs`, all over the denominators of the whole vector (see
-    :func:`recenter_step`).
+    `coeffs`, all over the denominators of the whole vector.
+
+    With dx = p/q and the m inputs over one common denominator den, the
+    integers A_n = a_n * den * p**n * q**(m-1-n) turn the shift into a unit
+    Taylor shift B_k = sum_{n>=k} C(n, k) * A_n, built by k+1 passes of
+    suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
+    output k is b_k = B_k / (den * p**k * q**(m-1-k)).
 
     `cuts` lists pairs (K, L), with K falling from len(coeffs): for each,
     the first L sums of the block coeffs[:K].  The whole vector is summed
     once, up to the largest L.  Each shorter block, K long, then takes the
     sums of the block before it, K' long, less those of the stretch between
-    them: B_k - sum_{n=K}^{K'-1} C(n, k) * A_n, with A_n the scaled row,
-    one product per term of that stretch instead of a pass over the block.
-    Returns each cut's sums, the denominators of the first outputs, output
-    k being sums[k] / dens[k], and whether the outputs are Decimals.
+    them: B_k - sum_{n=K}^{K'-1} C(n, k) * A_n, one product per term of that
+    stretch instead of a pass over the block.  Returns each cut's sums, the
+    denominators of the first outputs, output k being sums[k] / dens[k], and
+    whether the outputs are Decimals.
     """
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
     nums, den, decimal = scale_to_integers(coeffs)
     qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
-    # den * q**j, each from the last by one small multiplication
-    dens = list(accumulate(repeat(q, m - 1), operator.mul, initial=den))
     ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
     row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)]
     # the sums each block needs: the largest L of the cuts from it on
@@ -258,7 +251,7 @@ def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, boo
             sums = list(map(operator.sub, sums, _stretch_sums(row[stop:end], stop, need)))
             end = stop
         blocks.append(sums[:length])
-    return blocks, [dens[m - 1 - k] * ppow[k] for k in range(needs[0])], decimal
+    return blocks, [den * qpow[m - 1 - k] * ppow[k] for k in range(needs[0])], decimal
 
 
 def _running_sums(row: list, length: int) -> list:
@@ -369,7 +362,7 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     shift reaches the longest first-step length; each config's first state
     holds its own prefix of that shift.  Those prefixes are leading blocks
     of one vector, so their second steps share one integer shift too
-    (:func:`_second_steps`).
+    (:func:`_steps`).
 
     Returns, for each config, its list of states, or the ArithmeticError
     raised while rounding its second state.  A run continues from its
@@ -390,38 +383,40 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     ]
     if steps == 1:
         return [[f] for f in firsts]
-    seconds = _second_steps(firsts, step, [c.alpha for c in configs], digits, steps > 2)
+    seconds = _steps(firsts, step, [c.alpha for c in configs], digits, steps > 2)
     return [
         second if isinstance(second, ArithmeticError) else [f, second]
         for f, second in zip(firsts, seconds)
     ]
 
 
-def _second_steps(firsts: list, dx: Decimal, alphas: list, digits: int, carried_only: bool):
-    """The step by dx from each of `firsts`, states whose coefficients are
-    leading blocks of one vector, each with its own alpha: the state after
-    it, or the ArithmeticError raised while rounding it.
+def _steps(states: list, dx: Decimal, alphas: list, digits: int, carried_only: bool) -> list:
+    """The step by dx from each of `states`, whose coefficients are leading
+    blocks of one vector, each with its own alpha: the state after it, or
+    the ArithmeticError raised while rounding it.
 
-    The blocks are taken longest first, and each block's sums are derived
-    from those of the next longer one (:func:`_shift_sums`).  Each block's
-    sums are rounded on their own, to the same values as its unshared step.
+    Each step's flags and kept length are those of :func:`_output_length`,
+    decided from its input.  The blocks are taken longest first, and each
+    block's sums are derived from those of the next longer one
+    (:func:`_shift_sums`); each block's sums are rounded on their own, to the
+    same values as its unshared step.
     """
-    decided = [_output_length(f.coeffs, dx, a, carried_only) for f, a in zip(firsts, alphas)]
+    decided = [_output_length(s.coeffs, dx, a, carried_only) for s, a in zip(states, alphas)]
     with localcontext() as ctx:
-        ctx.prec = MAX_PREC
-        center = firsts[0].center + dx
-    order = sorted(range(len(firsts)), key=lambda i: -len(firsts[i].coeffs))
-    cuts = [(len(firsts[i].coeffs), decided[i][1]) for i in order]
-    blocks, dens, decimal = _shift_sums(firsts[order[0]].coeffs, dx, cuts)
-    seconds = [None] * len(firsts)
+        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
+        center = states[0].center + dx
+    order = sorted(range(len(states)), key=lambda i: -len(states[i].coeffs))
+    cuts = [(len(states[i].coeffs), decided[i][1]) for i in order]
+    blocks, dens, decimal = _shift_sums(states[order[0]].coeffs, dx, cuts)
+    afters = [None] * len(states)
     for i, sums in zip(order, blocks):
         try:
             coeffs = _quotients(sums, dens, decimal, digits)
         except ArithmeticError as e:  # spoils only this block's run
-            seconds[i] = e
+            afters[i] = e
         else:
-            seconds[i] = ContinuationState(center, coeffs, decided[i][0])
-    return seconds
+            afters[i] = ContinuationState(center, coeffs, decided[i][0])
+    return afters
 
 
 def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> ContinuationState:

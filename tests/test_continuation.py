@@ -154,6 +154,32 @@ class TestRecenterStep:
         b = recenter_step(state, "0.125", "0.01")
         assert a == b
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_is_the_step_of_one_state(self, exact):
+        """recenter_step is _steps on one state: the same state after it, at
+        every digits and either carry rule."""
+        coeffs = [F(1, n + 1) * (-1) ** (n // 3) for n in range(40)]
+        state = ContinuationState(D("0.25"), coeffs if exact else to_decimals(coeffs, 30), 40)
+        for step, alpha, digits, carried_only in [("0.125", "0.01", 19, True),
+                                                  ("0.25", "1e-300", 2, True),
+                                                  ("0.5", "0.1", 30, False),
+                                                  ("1", "1e6", 19, True)]:
+            (after,) = continuation._steps([state], D(step), [D(alpha)], digits, carried_only)
+            stepped = recenter_step(state, step, alpha, digits, carried_only)
+            assert state_key(after) == state_key(stepped)
+
+    def test_rounding_error_is_raised_by_one_and_returned_by_the_other(self, monkeypatch):
+        state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
+
+        def failing(*args):
+            raise ArithmeticError("injected in the rounding")
+
+        monkeypatch.setattr(continuation, "_quotients", failing)
+        (after,) = continuation._steps([state], D("0.25"), [D("0.01")], 19, True)
+        assert isinstance(after, ArithmeticError)
+        with pytest.raises(ArithmeticError, match="injected in the rounding"):
+            recenter_step(state, "0.25", "0.01", 19, True)
+
 
 def assert_exact_step(state, step, alpha, digits=19):
     """recenter_step must give the exact shift of its input decimals, each
@@ -542,8 +568,10 @@ class TestPrefixOnlyContinuation:
             for (stop, length), sums in zip(cuts, blocks):
                 want = exact_recenter(coeffs[:stop], step)[:length]
                 assert [F(b, d) for b, d in zip(sums, dens)] == want
-                assert continuation._quotients(sums, dens, decimal, 19) == continuation._shift(
-                    coeffs[:stop], step, 19, length)
+                (alone,), alone_dens, _ = continuation._shift_sums(
+                    coeffs[:stop], step, [(stop, length)])
+                assert continuation._quotients(sums, dens, decimal, 19) == continuation._quotients(
+                    alone, alone_dens, decimal, 19)
 
     def test_blocks_share_one_shift(self, arctan_assoc_701, monkeypatch):
         """The second steps of a pair take one shift: at m=301 dx=0.125 the
