@@ -38,6 +38,7 @@ from .conversion import (
 )
 from .functions import (
     DegeneratePoleError,
+    _int_text,
     _write_text,
     build_companion,
     build_series,
@@ -152,8 +153,8 @@ def cmd_transform(args) -> int:
         if exact:
             cf, wf = Fraction(c), Fraction(w)
             rows.append(
-                [n, cf.numerator, cf.denominator, format_decimal(cf),
-                 wf.numerator, wf.denominator, format_decimal(wf)]
+                [n, _int_text(cf.numerator), _int_text(cf.denominator), format_decimal(cf),
+                 _int_text(wf.numerator), _int_text(wf.denominator), format_decimal(wf)]
             )
         else:
             rows.append([n, "", "", format_decimal(c), "", "", format_decimal(w)])

@@ -38,14 +38,18 @@ which shifts the blocks together and rounds each on its own.
 """
 from __future__ import annotations
 
+import math
 import operator
 from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .transform import AssociatedSeries, Expansion, Value, exact_quotient, scale_to_integers
+from .transform import (AssociatedSeries, Expansion, Value, _power_of_ten, exact_quotient,
+                        scale_to_integers)
 
 DEFAULT_DIGITS = 19
+
+_LOG2_10 = math.log2(10)
 
 CoeffLike = int | str | Fraction | Decimal
 
@@ -90,16 +94,17 @@ def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
     """Convert a step/threshold parameter, requiring exact representability.
 
     A Fraction is divided out in a context that traps Inexact.  Its
-    precision, the numerator's digits plus the denominator's bit length,
-    holds every terminating quotient: with den = 2**a * 5**b the quotient
-    has at most digits(num) + max(a, b) significant digits.
+    precision, num.bit_length() // 3 + 1 (at least the numerator's digits,
+    counted without text) plus the denominator's bit length, holds every
+    terminating quotient: with den = 2**a * 5**b the quotient has at most
+    digits(num) + max(a, b) significant digits.
     """
     if isinstance(value, float):
         raise TypeError(f"{what} must be exact (str, Decimal, Fraction, int), not float")
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator
         with localcontext() as ctx:
-            ctx.prec = len(str(abs(num))) + den.bit_length()
+            ctx.prec = num.bit_length() // 3 + 1 + den.bit_length()
             ctx.traps[Inexact] = True
             try:
                 return exact_quotient(num, den, True)
@@ -152,6 +157,8 @@ class SchemeConfig(Value):
         if step <= 0:
             raise NonIntegralPathError("step must be positive")
         _check_alpha(alpha)
+        if step > 1:  # refused before 1/step is built: it may have millions of digits
+            raise NonIntegralPathError(f"step {step} is greater than 1, the length of the path")
         inv = Fraction(1) / Fraction(step)
         if inv.denominator != 1:
             raise NonIntegralPathError(f"1/step = {inv} is not an integer")
@@ -304,25 +311,49 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
       flagged while |a_L| * C(L, k) * dx**(L-k) < thr; the outputs between
       L and m - 1 have only zero trailing terms.
 
-    With a_L = n/d, dx = p/q and thr = t/u the test is the integer
-    inequality |n| * u * C(L, k) * p**(L-k) < t * d * q**(L-k).
+    With a_L = n/d * 10**e, dx = p/q and thr = t/u * 10**f (e and f the
+    exponents of Decimals, else 0) the test is the integer inequality
+    |n| * u * C(L, k) * p**(L-k) * 10**(e-f) < t * d * q**(L-k).  The bit
+    lengths of the two sides, with (e - f) * log2(10), decide it when they
+    are more than a margin apart; only near a tie is 10**|e-f| formed, so an
+    alpha such as 1e-30000000 costs no more than 0.1.
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
     if last < 0 or m - 1 - last >= 2:
         return m
-    num, den = coeffs[last].as_integer_ratio()
+    num, den, e = _decimal_ratio(coeffs[last])
+    t, u, f = _decimal_ratio(thr)
     p, q = dx.as_integer_ratio()
-    t, u = thr.as_integer_ratio()
+    e -= f
+    # log2(10**e), and a margin for its rounding and for the bit lengths,
+    # which place comb * lhs in [2**(a-2), 2**a) and rhs in [2**(b-1), 2**b)
+    tens = e * _LOG2_10
+    margin = 2 + abs(tens) * 2.0**-40
     # C(L, k), |n| * u * p**(L-k) and t * d * q**(L-k), from k = 0
     comb, lhs, rhs = 1, abs(num) * u * p**last, t * den * q**last
     for k in range(last + 1 if last == m - 1 else last):
-        if comb * lhs >= rhs:
+        gap = comb.bit_length() + lhs.bit_length() + tens - rhs.bit_length()
+        if gap > -margin and (
+            gap >= margin
+            or (comb * lhs * _power_of_ten(e) >= rhs if e >= 0
+                else comb * lhs >= rhs * _power_of_ten(-e))
+        ):
             return k
         comb = comb * (last - k) // (k + 1)
         lhs //= p
         rhs //= q
     return m
+
+
+def _decimal_ratio(value) -> tuple[int, int, int]:
+    """(n, d, e) with value = n/d * 10**e: a finite Decimal's digits and
+    exponent, over d = 1, else its integer ratio and e = 0.  10**|e| is
+    never formed."""
+    if isinstance(value, Decimal) and value.is_finite():
+        sign, digits, e = value.as_tuple()
+        return int(Decimal((sign, digits, 0))), 1, e
+    return (*value.as_integer_ratio(), 0)
 
 
 def continue_to_one_with_steps(

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -212,6 +213,26 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     return r
 
 
+# str(n) and int(text) keep to the interpreter's limit on the digits of an
+# integer/string conversion (4300 by default); Decimal keeps to none.
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _int_text(n: int) -> str:
+    """str(n), for an int of any number of digits."""
+    return str(Decimal(n))
+
+
+def _text_int(text: str) -> int:
+    """int(text), for an integer text of any number of digits."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _INTEGER_TEXT.fullmatch(text):
+            raise
+        return int(Decimal(text))
+
+
 def _holds_json(path: str) -> bool:
     """The one format rule of coefficient files, for reading and writing: a
     `.json` name holds decimal strings, any other name exact CSV rows."""
@@ -237,8 +258,8 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
         for i, row in enumerate(reader):
             try:
                 n = int(row["n"])
-                num = int(row["numerator"])
-                den = int(row["denominator"])
+                num = _text_int(row["numerator"])
+                den = _text_int(row["denominator"])
             except (TypeError, ValueError) as e:
                 raise CoefficientParseError(f"bad row {i}: {row}") from e
             if n != i:
@@ -291,7 +312,7 @@ def save_coeffs(series: TaylorSeries, path: str | os.PathLike | None) -> None:
     else:
         fractions = enumerate(map(Fraction, coeffs))
         text = "n,numerator,denominator\n" + "".join(
-            f"{n},{f.numerator},{f.denominator}\n" for n, f in fractions)
+            f"{n},{_int_text(f.numerator)},{_int_text(f.denominator)}\n" for n, f in fractions)
     _write_text(text, path)
 
 

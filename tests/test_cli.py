@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
@@ -79,6 +80,15 @@ class TestTransformCommand:
         assert [r["assoc_dec"] for r in rows] == ["0.5", "-0.25", "-0.125", "-0.0625"]
         assert {r[col] for r in rows for col in ("taylor_num", "taylor_den",
                                                  "assoc_num", "assoc_den")} == {""}
+
+    def test_exact_columns_past_the_conversion_limit(self, tmp_path, capsys):
+        # c_1499 of pole:1/1000 is 1000**1500: 4501 digits, past the
+        # interpreter's default limit of 4300 on int/str conversion
+        out = tmp_path / "t.csv"
+        assert main(["transform", "--input", "pole:1/1000", "--count", "1500",
+                     "--out", str(out)]) == 0
+        last = read_csv(out)[-1]
+        assert (last["taylor_num"], last["taylor_den"]) == ("-1" + "0" * 4500, "1")
 
     def test_stable_radius_estimate_line(self, tmp_path, capsys):
         assert main(["transform", "--input", "pole:2", "--count", "30",
@@ -228,6 +238,14 @@ class TestConvertCommand:
                      "--out", str(mid)]) == 0
         assert main(["convert", str(mid), "--direction", "to-qprime",
                      "--out", str(back)]) == 0
+        assert back.read_text() == src.read_text()
+
+    def test_integers_past_the_conversion_limit_both_ways(self, tmp_path):
+        src = tmp_path / "v.csv"
+        save_coeffs(build_series("pole:1/1000", 1500), src)
+        mid, back = tmp_path / "q.csv", tmp_path / "back.csv"
+        assert main(["convert", str(src), "--direction", "to-plain", "--out", str(mid)]) == 0
+        assert main(["convert", str(mid), "--direction", "to-shifted", "--out", str(back)]) == 0
         assert back.read_text() == src.read_text()
 
     def test_single_value(self, tmp_path, capsys):
@@ -708,6 +726,34 @@ class TestExitCodes:
         assert main(["continue", "--input", "arctan", "--m", "20", "--dx", dx,
                      "--alpha", alpha]) == 3
         assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("command, dx, shown", [
+        ("continue", "1e3000000", "1E+3000000"), ("continue", "2", "2"),
+        ("sweep", "0.25,1e3000000", "1E+3000000")])
+    def test_step_above_one_exits_4_at_once(self, capsys, command, dx, shown):
+        """A step above 1 is refused before 1/step, a million digits long, is built."""
+        started = time.perf_counter()
+        assert main([command, "--input", "arctan", "--m", "20", "--dx", dx,
+                     "--alpha", "0.1"]) == 4
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == (
+            f"error: step {shown} is greater than 1, the length of the path\n")
+
+    @pytest.mark.parametrize("command", ["continue", "sweep"])
+    def test_alpha_of_thirty_million_decades(self, command):
+        """The flags compare magnitudes before they form 10**30000000."""
+        env = {**os.environ, "PYTHONPATH": SRC}
+        argv = [command, "--input", "arctan", "--m", "5", "--dx", "0.5", "--alpha", "1e-30000000"]
+        if command == "continue":
+            argv += ["--count", "0"]
+        proc = subprocess.run([sys.executable, "-m", "asymser", *argv], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        if command == "continue":
+            assert json.loads(proc.stdout)["converged_count"] == 0
+        else:
+            (row,) = csv.DictReader(proc.stdout.splitlines())
+            assert (row["alpha"], row["converged_count"]) == ("1E-30000000", "0")
 
     @pytest.mark.parametrize("alpha", ["inf", "Infinity"])
     def test_infinite_continue_alpha_exits_3(self, tmp_path, capsys, alpha):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from decimal import ROUND_UP, Decimal, localcontext
 from fractions import Fraction
@@ -310,6 +311,36 @@ class TestExactFlags:
             for step in ("0.3", "1", "0.125"):
                 for alpha in ("1e-9", "0.1", "1e6"):
                     self.assert_flags(coeffs, step, alpha)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_alphas_across_eight_hundred_decades(self, exact):
+        """Alphas c * 10**e with e in [-400, 400], most of them far from every
+        trailing term, where the bit lengths decide; and alphas at a trailing
+        term and a hair either side of it, where only the exact comparison can."""
+        rng = random.Random(11 + exact)
+        for _ in range(80):
+            if exact:
+                coeffs = [F(0) if rng.random() < 0.25
+                          else F(rng.randint(-10**6, 10**6), rng.choice([1, 3, 4, 25, 80]))
+                          for _ in range(rng.randint(1, 30))]
+            else:
+                coeffs = list(to_decimals(
+                    ["0" if rng.random() < 0.25
+                     else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-400, 400)}"
+                     for _ in range(rng.randint(1, 30))], 19))
+            coeffs += [F(0) if exact else D(0)] * rng.randint(0, 1)
+            step = rng.choice(["0.125", "0.25", "0.375", "0.5", "0.75", "1"])
+            alphas = [f"{rng.randint(1, 10**6)}E{rng.randint(-400, 400)}" for _ in range(6)]
+            nonzero = [n for n, c in enumerate(coeffs) if c]
+            if nonzero:
+                last = nonzero[-1]
+                k = rng.randint(0, last)
+                term = abs(F(coeffs[last])) * math.comb(last, k) * F(step) ** (last - k)
+                if term.denominator % 3:  # a terminating decimal
+                    alphas += [_exact_decimal(a, "alpha") for a in
+                               (term, term * (1 + F(1, 10**30)), term * (1 - F(1, 10**30)))]
+            for alpha in alphas:
+                self.assert_flags(coeffs, step, alpha)
 
     @pytest.mark.parametrize(
         "coeffs, want",

@@ -251,6 +251,23 @@ class TestFileRoundTrip:
         back = load_coeffs(path)
         assert back.coeffs == series.coeffs
 
+    def test_csv_integers_of_any_length(self, tmp_path):
+        """pole:1/1000 has c_n = (-1)**n * 1000**(n+1): 4501 digits at n = 1499,
+        past the interpreter's default limit of 4300 on int/str conversion."""
+        series = build_series("pole:1/1000", 1500)
+        path = tmp_path / "big.csv"
+        save_coeffs(series, path)
+        assert path.read_text().splitlines()[-1] == "1499,-1" + "0" * 4500 + ",1"
+        assert load_coeffs(path).coeffs == series.coeffs
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "x", "1e" + "0" * 5000, "1." + "0" * 5000,
+                                      "--" + "1" * 5000])
+    def test_long_non_integers_are_bad_rows(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,numerator,denominator\n0,1,1\n1,{text},1\n")
+        with pytest.raises(CoefficientParseError, match="bad row 1"):
+            load_coeffs(path)
+
     def test_csv_matches_builtin(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(
