@@ -159,9 +159,12 @@ class SchemeConfig(Value):
         _check_alpha(alpha)
         if step > 1:  # refused before 1/step is built: it may have millions of digits
             raise NonIntegralPathError(f"step {step} is greater than 1, the length of the path")
-        inv = Fraction(1) / Fraction(step)
-        if inv.denominator != 1:
-            raise NonIntegralPathError(f"1/step = {inv} is not an integer")
+        n, _, e = _decimal_ratio(step)
+        if pow(10, max(-e, 0), n):  # step = n * 10**e: 1/step is whole iff n divides 10**-e
+            raise NonIntegralPathError(
+                f"1/step = {Fraction(1) / Fraction(step)} is not an integer"
+                if len(step.as_tuple().digits) - e <= 100  # short enough to show exactly
+                else f"1/step is not an integer for step {step}")
         self._set(m=m, step=step, alpha=alpha, digits=digits)
 
     @property

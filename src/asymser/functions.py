@@ -225,12 +225,9 @@ def _int_text(n: int) -> str:
 
 def _text_int(text: str) -> int:
     """int(text), for an integer text of any number of digits."""
-    try:
-        return int(text)
-    except ValueError:
-        if not _INTEGER_TEXT.fullmatch(text):
-            raise
-        return int(Decimal(text))
+    if not _INTEGER_TEXT.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(Decimal(text))
 
 
 def _holds_json(path: str) -> bool:
