@@ -298,25 +298,24 @@ def _run_pair(configs, sweep=None):
     `sweep` is the rounded prefix and the err reference, by default those
     of this pool worker.  The pair's first two steps are shifted once, for
     all its alphas (:func:`shared_steps`), and each alpha continues from its
-    own states.
+    own states.  When a shared step blows up, each alpha runs alone, so that
+    every row is its own cell's run whatever step fails.
     """
     coeffs, reference = sweep or _WORKER["sweep"]
     assoc = AssociatedSeries(coeffs[: configs[0].m])
     try:
         starts = shared_steps(assoc, configs)
-    except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
-        return [_error_row(config, e) for config in configs]
+    except ArithmeticError:
+        starts = [None] * len(configs)
     return [_run_cell(assoc, config, start, reference)
             for config, start in zip(configs, starts)]
 
 
 def _run_cell(assoc, config, start, reference):
     """The sweep row of one (m, dx, alpha) cell, continued from its states
-    `start` after the shared steps, with err |c - r| for each c at 1 with a
-    reference r; the error row when `start` is the ArithmeticError of those
-    steps."""
-    if isinstance(start, ArithmeticError):
-        return _error_row(config, start)
+    `start` after the shared steps (from 0 when None), with err |c - r| for
+    each c at 1 with a reference r.  A numerical blow-up gives an error row
+    that names the error's class."""
     try:
         state, _ = continue_to_one_with_steps(assoc, config, _start=start)
         head = state.coeffs[:2]
@@ -331,12 +330,8 @@ def _run_cell(assoc, config, start, reference):
             *values, *errs, state.converged_count, status,
         ]
     except ArithmeticError as e:  # numerical blow-up is recorded, not fatal
-        return _error_row(config, e)
-
-
-def _error_row(config, error):
-    return [config.m, str(config.step), str(config.alpha), config.digits, "",
-            "unconverged", "unconverged", "", "", 0, f"error:{type(error).__name__}"]
+        return [config.m, str(config.step), str(config.alpha), config.digits, "",
+                "unconverged", "unconverged", "", "", 0, f"error:{type(e).__name__}"]
 
 
 SWEEP_HEADER = [
@@ -491,6 +486,9 @@ def main(argv=None) -> int:
     except (NonIntegralPathError, InsufficientConvergedError, EmptyStateError,
             DegeneratePoleError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as e:  # as a sweep's error row names it
+        print(f"error: numerical blow-up: {type(e).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as e:  # parse errors of files and JSON are ValueErrors
         print(f"error: {e}", file=sys.stderr)

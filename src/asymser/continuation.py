@@ -34,7 +34,9 @@ One function, :func:`_steps`, takes every step; :func:`recenter_step` is
 its case of one state.  Continuations that differ only in alpha share their
 first two steps (:func:`shared_steps`): each first-step state is a leading
 block of one shift, and their second steps are one call of :func:`_steps`,
-which shifts the blocks together and rounds each on its own.
+which shifts the blocks together and rounds each on its own.  A numerical
+blow-up, an ArithmeticError of the rounding, is raised wherever it occurs;
+a shared step that raises one leaves each continuation to run alone.
 """
 from __future__ import annotations
 
@@ -125,6 +127,15 @@ def _check_digits(digits: int) -> int:
     return digits
 
 
+def _check_step(step: Decimal, exc=ValueError) -> Decimal:
+    """`step` if finite and positive, else `exc`."""
+    if not step.is_finite():
+        raise exc(f"step {step} is not finite")
+    if step <= 0:
+        raise exc("step must be positive")
+    return step
+
+
 def _check_alpha(alpha: Decimal) -> Decimal:
     """`alpha` if finite and positive (an infinite one would claim anything)."""
     if alpha.is_nan():
@@ -152,10 +163,7 @@ class SchemeConfig(Value):
         if m < 1:
             raise ValueError("m must be >= 1")
         _check_digits(digits)
-        if not step.is_finite():
-            raise NonIntegralPathError(f"step {step} is not finite")
-        if step <= 0:
-            raise NonIntegralPathError("step must be positive")
+        _check_step(step, NonIntegralPathError)
         _check_alpha(alpha)
         if step > 1:  # refused before 1/step is built: it may have millions of digits
             raise NonIntegralPathError(f"step {step} is greater than 1, the length of the path")
@@ -212,19 +220,15 @@ def recenter_step(
     step costs sum_{k<K} (m-k) additions for K kept outputs instead of about
     m**2/2.  Every kept coefficient is the same either way.
 
-    The arguments are checked here; the step is :func:`_steps` on this one
-    state, and an ArithmeticError of its rounding is raised.
+    The arguments are checked here, a step that is not finite and positive
+    raising ValueError; the step is :func:`_steps` on this one state, so an
+    ArithmeticError of its rounding propagates.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
-    dx = _exact_decimal(step, "step")
-    if dx <= 0:
-        raise ValueError("step must be positive")
+    dx = _check_step(_exact_decimal(step, "step"))
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
-    (after,) = _steps([state], dx, [thr], digits, carried_only)
-    if isinstance(after, ArithmeticError):
-        raise after
-    return after
+    return _steps([state], dx, [thr], digits, carried_only)[0]
 
 
 def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, bool]:
@@ -398,9 +402,11 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     of one vector, so their second steps share one integer shift too
     (:func:`_steps`).
 
-    Returns, for each config, its list of states, or the ArithmeticError
-    raised while rounding its second state.  A run continues from its
-    states through ``continue_to_one_with_steps(assoc, config, _start=states)``.
+    Returns, for each config, its list of states; a run continues from them
+    through ``continue_to_one_with_steps(assoc, config, _start=states)``.
+    An ArithmeticError of a shared step, first or second, is raised: the
+    widest block may blow up where a narrower one would not, so the caller
+    runs each config alone instead.
     """
     m, step, digits = configs[0].m, configs[0].step, configs[0].digits
     if any((c.m, c.step, c.digits) != (m, step, digits) for c in configs):
@@ -418,22 +424,19 @@ def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
     if steps == 1:
         return [[f] for f in firsts]
     seconds = _steps(firsts, step, [c.alpha for c in configs], digits, steps > 2)
-    return [
-        second if isinstance(second, ArithmeticError) else [f, second]
-        for f, second in zip(firsts, seconds)
-    ]
+    return [[f, second] for f, second in zip(firsts, seconds)]
 
 
 def _steps(states: list, dx: Decimal, alphas: list, digits: int, carried_only: bool) -> list:
-    """The step by dx from each of `states`, whose coefficients are leading
-    blocks of one vector, each with its own alpha: the state after it, or
-    the ArithmeticError raised while rounding it.
+    """The state after the step by dx from each of `states`, whose
+    coefficients are leading blocks of one vector, each with its own alpha.
 
     Each step's flags and kept length are those of :func:`_output_length`,
     decided from its input.  The blocks are taken longest first, and each
     block's sums are derived from those of the next longer one
     (:func:`_shift_sums`); each block's sums are rounded on their own, to the
-    same values as its unshared step.
+    same values as its unshared step.  An ArithmeticError of any block's
+    rounding propagates.
     """
     decided = [_output_length(s.coeffs, dx, a, carried_only) for s, a in zip(states, alphas)]
     with localcontext() as ctx:
@@ -444,12 +447,8 @@ def _steps(states: list, dx: Decimal, alphas: list, digits: int, carried_only: b
     blocks, dens, decimal = _shift_sums(states[order[0]].coeffs, dx, cuts)
     afters = [None] * len(states)
     for i, sums in zip(order, blocks):
-        try:
-            coeffs = _quotients(sums, dens, decimal, digits)
-        except ArithmeticError as e:  # spoils only this block's run
-            afters[i] = e
-        else:
-            afters[i] = ContinuationState(center, coeffs, decided[i][0])
+        afters[i] = ContinuationState(center, _quotients(sums, dens, decimal, digits),
+                                      decided[i][0])
     return afters
 
 

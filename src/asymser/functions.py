@@ -236,6 +236,20 @@ def _holds_json(path: str) -> bool:
     return os.path.splitext(path)[1].lower() == ".json"
 
 
+_SHOWN = 40  # characters of a text that an error message shows
+
+
+def _shown(value) -> str:
+    """repr(value), but a text longer than _SHOWN characters as its start
+    and its length, so that an error message stays short.  A list, a CSV
+    row's fields past its header, shows each of its texts so."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, str) and len(value) > _SHOWN:
+        return f"{value[:_SHOWN]!r}... ({len(value)} characters)"
+    return repr(value)
+
+
 def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> TaylorSeries:
     """Load coefficients from a file in the format its name names (see
     :func:`_holds_json`): exact rationals from CSV, or decimals read at
@@ -258,7 +272,8 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
                 num = _text_int(row["numerator"])
                 den = _text_int(row["denominator"])
             except (TypeError, ValueError) as e:
-                raise CoefficientParseError(f"bad row {i}: {row}") from e
+                shown = ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in row.items())
+                raise CoefficientParseError(f"bad row {i}: {{{shown}}}") from e
             if n != i:
                 raise CoefficientParseError(f"row {i} has index {n}; rows must be 0,1,2,...")
             if den <= 0:
@@ -282,9 +297,9 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
             try:
                 value = _rounded(item)
             except ArithmeticError as e:
-                raise CoefficientParseError(f"entry {i} is not a decimal: {item!r}") from e
+                raise CoefficientParseError(f"entry {i} is not a decimal: {_shown(item)}") from e
             if not value.is_finite():
-                raise CoefficientParseError(f"entry {i} is not finite: {item!r}")
+                raise CoefficientParseError(f"entry {i} is not finite: {_shown(item)}")
             coeffs.append(value)
     return TaylorSeries(coeffs)
 

@@ -27,6 +27,11 @@ F = Fraction
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
+# 9E+55 * C(20, k) / 2**(20 - k) overflows a decimal context with Emax 57
+# in the first step of an alpha that carries the whole vector at dx 0.5
+OVERFLOWING = ["1"] + ["0"] * 19 + ["9E+55"]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -126,6 +131,17 @@ class TestContinueCommand:
         code = main(["continue", "--input", "arctan", "--m", "20",
                      "--dx", "0.3", "--alpha", "0.1"])
         assert code == 4
+
+    def test_numerical_blow_up_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(OVERFLOWING))
+        out = tmp_path / "out.json"
+        with localcontext() as ctx:
+            ctx.Emax = 57
+            assert main(["continue", "--input", f"file:{path}", "--m", "21", "--dx", "0.5",
+                         "--alpha", "1e-30", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: numerical blow-up: Overflow\n"
+        assert not out.exists()
 
     def test_extraction_beyond_converged_exits_4(self):
         # alpha below every term: nothing converges, extraction must refuse
@@ -584,7 +600,7 @@ class TestSweepGrouping:
             assert int(row["converged_count"]) == doc["converged_count"]
             assert int(row["steps"]) == len(doc["steps"])
 
-    def test_first_step_error_spoils_its_pair(self, tmp_path, monkeypatch):
+    def test_shared_step_error_reruns_each_alpha_alone(self, tmp_path, monkeypatch):
         alphas = ["0.01", "0.1"]
         clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
         first_step = cli.shared_steps
@@ -595,13 +611,29 @@ class TestSweepGrouping:
             return first_step(assoc, configs)
 
         monkeypatch.setattr(cli, "shared_steps", failing)
-        rows = self.sweep(tmp_path, "spoilt.csv", alphas, 1, m="98", dx="0.25,0.5")
-        assert rows[2:] == clean[2:]
-        assert [(r["dx"], r["alpha"]) for r in rows[:2]] == [("0.25", a) for a in alphas]
-        for row in rows[:2]:
-            assert [row[k] for k in ("steps", "c0_at_1", "c1_at_1", "err0", "err1",
-                                     "converged_count", "status")] == [
-                "", "unconverged", "unconverged", "", "", "0", "error:ArithmeticError"]
+        rows = self.sweep(tmp_path, "rerun.csv", alphas, 1, m="98", dx="0.25,0.5")
+        assert rows == clean
+
+    def test_overflow_in_a_shared_step_spoils_only_its_alpha(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(OVERFLOWING))
+        flags = ["--input", f"file:{path}", "--m", "21", "--dx", "0.5"]
+        out, report = tmp_path / "s.csv", tmp_path / "c.json"
+        with localcontext() as ctx:
+            ctx.Emax = 57
+            assert main(["sweep", *flags, "--alpha", "1e-30,1E+55", "--jobs", "1",
+                         "--out", str(out)]) == 0
+            assert main(["continue", *flags, "--alpha", "1E+55", "--count", "0",
+                         "--out", str(report)]) == 0
+        overflowed, row = read_csv(out)
+        assert (overflowed["alpha"], overflowed["status"]) == ("1E-30", "error:Overflow")
+        doc = json.loads(report.read_text())
+        assert [row["steps"], row["c0_at_1"], row["c1_at_1"], row["converged_count"],
+                row["status"]] == [
+            str(len(doc["steps"])), *doc["coefficients_at_one"][:2],
+            str(doc["converged_count"]), "converged"]
+        assert (row["steps"], row["c0_at_1"], row["converged_count"]) == (
+            "2", "5.318069458007812500E+53", "3")
 
 
 class TestExitCodes:

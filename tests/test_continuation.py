@@ -149,6 +149,24 @@ class TestRecenterStep:
         with pytest.raises(EmptyStateError):
             recenter_step(state, "0.25", "0.1")
 
+    @pytest.mark.parametrize("step, message", [
+        ("inf", "step Infinity is not finite"),
+        ("-inf", "step -Infinity is not finite"),
+        ("nan", "step NaN is not finite"),
+        ("snan", "step sNaN is not finite"),
+        ("0", "step must be positive"),
+        ("-0", "step must be positive"),
+    ])
+    def test_step_not_finite_and_positive_is_a_bad_argument(self, step, message):
+        """Refused as SchemeConfig refuses it, by the same text, as a
+        ValueError: not an ArithmeticError, which reads as a blow-up."""
+        with pytest.raises(ValueError) as info:
+            recenter_step(make_state(["1", "0.5"]), step, "0.1")
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+        with pytest.raises(NonIntegralPathError) as info:
+            SchemeConfig(m=10, step=step, alpha="0.1")
+        assert str(info.value) == message
+
     def test_determinism(self):
         state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
         a = recenter_step(state, "0.125", "0.01")
@@ -169,15 +187,15 @@ class TestRecenterStep:
             stepped = recenter_step(state, step, alpha, digits, carried_only)
             assert state_key(after) == state_key(stepped)
 
-    def test_rounding_error_is_raised_by_one_and_returned_by_the_other(self, monkeypatch):
+    def test_rounding_error_is_raised_by_both(self, monkeypatch):
         state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
 
         def failing(*args):
             raise ArithmeticError("injected in the rounding")
 
         monkeypatch.setattr(continuation, "_quotients", failing)
-        (after,) = continuation._steps([state], D("0.25"), [D("0.01")], 19, True)
-        assert isinstance(after, ArithmeticError)
+        with pytest.raises(ArithmeticError, match="injected in the rounding"):
+            continuation._steps([state], D("0.25"), [D("0.01")], 19, True)
         with pytest.raises(ArithmeticError, match="injected in the rounding"):
             recenter_step(state, "0.25", "0.01", 19, True)
 
@@ -630,7 +648,9 @@ class TestPrefixOnlyContinuation:
         ]
         self.assert_shared_equal_unshared(arctan_assoc_701, configs)
 
-    def test_rounding_error_spoils_only_its_alpha(self, arctan_assoc_701, monkeypatch):
+    def test_rounding_error_of_a_shared_step_is_raised(self, arctan_assoc_701, monkeypatch):
+        """An error in one alpha's second step is raised for the pair; the
+        other alphas, run alone, still take their clean steps."""
         configs = [SchemeConfig(m=120, step="0.25", alpha=a) for a in ("0.01", "0.1", "0.5")]
         clean = shared_steps(arctan_assoc_701, configs)
         quotients = continuation._quotients
@@ -642,9 +662,13 @@ class TestPrefixOnlyContinuation:
             return coeffs
 
         monkeypatch.setattr(continuation, "_quotients", failing)
-        spoilt = shared_steps(arctan_assoc_701, configs)
-        assert isinstance(spoilt[1], ArithmeticError)
-        assert [spoilt[0], spoilt[2]] == [clean[0], clean[2]]
+        with pytest.raises(ArithmeticError, match="injected in the second step of 0.1"):
+            shared_steps(arctan_assoc_701, configs)
+        for i in (0, 2):
+            _, states = continue_to_one_with_steps(arctan_assoc_701, configs[i])
+            assert states[:2] == clean[i]
+        with pytest.raises(ArithmeticError, match="injected in the second step of 0.1"):
+            continue_to_one_with_steps(arctan_assoc_701, configs[1])
 
     def test_higher_precision(self, arctan_assoc_701):
         for alpha in ("1e-300", "1e-12"):

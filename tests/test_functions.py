@@ -268,6 +268,28 @@ class TestFileRoundTrip:
         with pytest.raises(CoefficientParseError, match="bad row 1"):
             load_coeffs(path)
 
+    LONG = "1" * 4999 + "x"
+    SHOWN = f"{LONG[:40]!r}... (5000 characters)"
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.csv", f"n,numerator,denominator\n0,1,1\n1,{LONG},1\n",
+         f"bad row 1: {{'n': '1', 'numerator': {SHOWN}, 'denominator': '1'}}"),
+        ("bad.csv", f"n,numerator,denominator\n0,1,1\n1,x,1,{LONG},2\n",
+         f"bad row 1: {{'n': '1', 'numerator': 'x', 'denominator': '1', None: [{SHOWN}, '2']}}"),
+        ("bad.json", f'["1", "{LONG}"]', f"entry 1 is not a decimal: {SHOWN}"),
+        ("bad.json", f'["1", "NaN{LONG[:-1]}"]',  # a NaN with a 4999-digit payload
+         f"entry 1 is not finite: {'NaN' + LONG[:37]!r}... (5002 characters)"),
+    ])
+    def test_long_values_are_shown_short(self, tmp_path, name, text, message):
+        """A long value is shown by its start and its length: the message
+        names the row or entry and stays under 200 characters."""
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(CoefficientParseError) as info:
+            load_coeffs(path)
+        assert str(info.value) == message
+        assert len(message) < 200
+
     def test_csv_matches_builtin(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(
