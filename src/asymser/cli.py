@@ -296,9 +296,9 @@ def _run_pair(configs, sweep=None):
     """The sweep rows of one (m, dx) pair, one per alpha, in alpha order.
 
     `sweep` is the rounded prefix and the err reference, by default those
-    of this pool worker.  The pair's first two steps are shifted once, for
-    all its alphas (:func:`shared_steps`), and each alpha continues from its
-    own states.  When a shared step blows up, each alpha runs alone, so that
+    of this pool worker.  The pair's first step is shifted once, for all its
+    alphas (:func:`shared_steps`), and each alpha continues from its own
+    state.  When the shared step blows up, each alpha runs alone, so that
     every row is its own cell's run whatever step fails.
     """
     coeffs, reference = sweep or _WORKER["sweep"]
@@ -312,8 +312,8 @@ def _run_pair(configs, sweep=None):
 
 
 def _run_cell(assoc, config, start, reference):
-    """The sweep row of one (m, dx, alpha) cell, continued from its states
-    `start` after the shared steps (from 0 when None), with err |c - r| for
+    """The sweep row of one (m, dx, alpha) cell, continued from its state
+    `start` after the shared first step (from 0 when None), with err |c - r| for
     each c at 1 with a reference r.  A numerical blow-up gives an error row
     that names the error's class."""
     try:
@@ -389,7 +389,7 @@ def cmd_sweep(args) -> int:
     coeffs = to_decimals(assoc.coeffs, digits)
     # u's first two coefficients at 1, rounded once for every cell's err columns
     reference = to_decimals(companion_at_one(args.input, 2) or (), digits + 8)
-    # one task per (m, dx) pair, its configs alone: its alphas share the first steps
+    # one task per (m, dx) pair, its configs alone: its alphas share the first step
     per_pair = len(alpha_list)
     pairs = [configs[i : i + per_pair] for i in range(0, len(configs), per_pair)]
     # the largest pairs first (most coefficients, then most steps), so that no

@@ -30,13 +30,11 @@ depend only on a step's input, so they are decided first, each by an exact
 integer comparison of one trailing term with alpha, and a step that is not
 the last computes only the block it carries.
 
-One function, :func:`_steps`, takes every step; :func:`recenter_step` is
-its case of one state.  Continuations that differ only in alpha share their
-first two steps (:func:`shared_steps`): each first-step state is a leading
-block of one shift, and their second steps are one call of :func:`_steps`,
-which shifts the blocks together and rounds each on its own.  A numerical
-blow-up, an ArithmeticError of the rounding, is raised wherever it occurs;
-a shared step that raises one leaves each continuation to run alone.
+Every step is one :func:`recenter_step` from one state.  Continuations that
+differ only in alpha share their first step (:func:`shared_steps`): one
+shift of the rounded prefix, of which each takes its own leading block.  A
+numerical blow-up, an ArithmeticError of the rounding, is raised wherever it
+occurs; a shared step that raises one leaves each continuation to run alone.
 """
 from __future__ import annotations
 
@@ -221,72 +219,43 @@ def recenter_step(
     m**2/2.  Every kept coefficient is the same either way.
 
     The arguments are checked here, a step that is not finite and positive
-    raising ValueError; the step is :func:`_steps` on this one state, so an
-    ArithmeticError of its rounding propagates.
+    raising ValueError; an ArithmeticError of the rounding propagates.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
     dx = _check_step(_exact_decimal(step, "step"))
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
-    return _steps([state], dx, [thr], digits, carried_only)[0]
+    count, length = _output_length(state.coeffs, dx, thr, carried_only)
+    sums, dens, decimal = _shift_sums(state.coeffs, dx, length)
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
+        center = state.center + dx
+    return ContinuationState(center, _quotients(sums, dens, decimal, digits), count)
 
 
-def _shift_sums(coeffs: tuple, dx: Decimal, cuts: list) -> tuple[list, list, bool]:
-    """The integer sums B_k of the exact shifts by dx of leading blocks of
-    `coeffs`, all over the denominators of the whole vector.
+def _shift_sums(coeffs: tuple, dx: Decimal, length: int) -> tuple[list, list, bool]:
+    """The integer sums B_k, k < length, of the exact shift of `coeffs` by dx.
 
     With dx = p/q and the m inputs over one common denominator den, the
     integers A_n = a_n * den * p**n * q**(m-1-n) turn the shift into a unit
     Taylor shift B_k = sum_{n>=k} C(n, k) * A_n, built by k+1 passes of
     suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
-    output k is b_k = B_k / (den * p**k * q**(m-1-k)).
-
-    `cuts` lists pairs (K, L), with K falling from len(coeffs): for each,
-    the first L sums of the block coeffs[:K].  The whole vector is summed
-    once, up to the largest L.  Each shorter block, K long, then takes the
-    sums of the block before it, K' long, less those of the stretch between
-    them: B_k - sum_{n=K}^{K'-1} C(n, k) * A_n, one product per term of that
-    stretch instead of a pass over the block.  Returns each cut's sums, the
-    denominators of the first outputs, output k being sums[k] / dens[k], and
-    whether the outputs are Decimals.
+    output k is b_k = B_k / (den * p**k * q**(m-1-k)).  Returns the sums,
+    their denominators, output k being sums[k] / dens[k], and whether the
+    outputs are Decimals.
     """
     m = len(coeffs)
     p, q = dx.as_integer_ratio()
     nums, den, decimal = scale_to_integers(coeffs)
     qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
     ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
-    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)]
-    # the sums each block needs: the largest L of the cuts from it on
-    needs = list(accumulate((length for _, length in reversed(cuts)), max))[::-1]
-    sums = _running_sums(row, needs[0])
-    blocks, end = [], m
-    for (stop, length), need in zip(cuts, needs):
-        if stop < end:
-            sums = list(map(operator.sub, sums, _stretch_sums(row[stop:end], stop, need)))
-            end = stop
-        blocks.append(sums[:length])
-    return blocks, [den * qpow[m - 1 - k] * ppow[k] for k in range(needs[0])], decimal
-
-
-def _running_sums(row: list, length: int) -> list:
-    """B_k = sum_{n>=k} C(n, k) * row[n] for k < length, by k + 1 passes of
-    suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997)."""
-    row = row[::-1]  # reversed, so that each pass of running sums ends on B_k
+    # reversed, so that each pass of running sums ends on B_k
+    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
     sums = []
     for _ in range(length):
         row = list(accumulate(row))
         sums.append(row.pop())
-    return sums
-
-
-def _stretch_sums(stretch: list, start: int, length: int) -> list:
-    """sum_n C(n, k) * stretch[n - start] for k < length <= start."""
-    ns = range(start, start + len(stretch))
-    combs, sums = [1] * len(stretch), []
-    for k in range(length):
-        sums.append(sum(map(operator.mul, combs, stretch)))
-        combs = [c * (n - k) // (k + 1) for c, n in zip(combs, ns)]
-    return sums
+    return sums, [den * qpow[m - 1 - k] * ppow[k] for k in range(length)], decimal
 
 
 def _quotients(sums: list, dens: list, decimal: bool, digits: int) -> tuple:
@@ -375,14 +344,13 @@ def continue_to_one_with_steps(
     state's center, carried length (its number of coefficients) and
     converged count are the step's diagnostics.
 
-    `_start`, one run's states from :func:`shared_steps`, are the states
-    after the first steps; the run continues from the last of them and is
-    the same as without them.
+    `_start`, one run's state from :func:`shared_steps`, is the state after
+    the first step; the run continues from it and is the same as without it.
     """
     if _start is None:
         state, states = _initial_state(assoc, config.m, config.digits), []
     else:
-        state, states = _start[-1], list(_start)
+        state, states = _start, [_start]
     for i in range(len(states), config.steps):
         state = recenter_step(
             state, config.step, config.alpha, config.digits, carried_only=i < config.steps - 1
@@ -392,64 +360,33 @@ def continue_to_one_with_steps(
 
 
 def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
-    """The states after the first two steps (one, when that is the whole
-    path) of each of `configs`, continuations that differ only in alpha.
+    """The state after the first step of each of `configs`, continuations
+    that differ only in alpha.
 
     A step does not depend on alpha, except in its converged count and so in
     how many of its outputs are carried.  The prefix is rounded once, and one
-    shift reaches the longest first-step length; each config's first state
-    holds its own prefix of that shift.  Those prefixes are leading blocks
-    of one vector, so their second steps share one integer shift too
-    (:func:`_steps`).
+    :func:`recenter_step` reaches the longest first-step length; each
+    config's state holds its own leading block of that shift, which is the
+    same as its own first step.
 
-    Returns, for each config, its list of states; a run continues from them
-    through ``continue_to_one_with_steps(assoc, config, _start=states)``.
-    An ArithmeticError of a shared step, first or second, is raised: the
-    widest block may blow up where a narrower one would not, so the caller
-    runs each config alone instead.
+    Returns one state per config; a run continues from it through
+    ``continue_to_one_with_steps(assoc, config, _start=state)``.  An
+    ArithmeticError of the shared step is raised: the widest block may blow
+    up where a narrower one would not, so the caller runs each config alone
+    instead.
     """
     m, step, digits = configs[0].m, configs[0].step, configs[0].digits
     if any((c.m, c.step, c.digits) != (m, step, digits) for c in configs):
         raise ValueError("configs must share m, step and digits")
     state = _initial_state(assoc, m, digits)
-    steps = configs[0].steps
-    decided = [_output_length(state.coeffs, step, c.alpha, steps > 1) for c in configs]
+    carried_only = configs[0].steps > 1
+    decided = [_output_length(state.coeffs, step, c.alpha, carried_only) for c in configs]
     lengths = [length for _, length in decided]
     widest = configs[lengths.index(max(lengths))]
     # through recenter_step, so that whatever wraps it sees the shared step too
-    first = recenter_step(state, step, widest.alpha, digits, carried_only=steps > 1)
-    firsts = [
-        ContinuationState(first.center, first.coeffs[:length], count) for count, length in decided
-    ]
-    if steps == 1:
-        return [[f] for f in firsts]
-    seconds = _steps(firsts, step, [c.alpha for c in configs], digits, steps > 2)
-    return [[f, second] for f, second in zip(firsts, seconds)]
-
-
-def _steps(states: list, dx: Decimal, alphas: list, digits: int, carried_only: bool) -> list:
-    """The state after the step by dx from each of `states`, whose
-    coefficients are leading blocks of one vector, each with its own alpha.
-
-    Each step's flags and kept length are those of :func:`_output_length`,
-    decided from its input.  The blocks are taken longest first, and each
-    block's sums are derived from those of the next longer one
-    (:func:`_shift_sums`); each block's sums are rounded on their own, to the
-    same values as its unshared step.  An ArithmeticError of any block's
-    rounding propagates.
-    """
-    decided = [_output_length(s.coeffs, dx, a, carried_only) for s, a in zip(states, alphas)]
-    with localcontext() as ctx:
-        ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
-        center = states[0].center + dx
-    order = sorted(range(len(states)), key=lambda i: -len(states[i].coeffs))
-    cuts = [(len(states[i].coeffs), decided[i][1]) for i in order]
-    blocks, dens, decimal = _shift_sums(states[order[0]].coeffs, dx, cuts)
-    afters = [None] * len(states)
-    for i, sums in zip(order, blocks):
-        afters[i] = ContinuationState(center, _quotients(sums, dens, decimal, digits),
-                                      decided[i][0])
-    return afters
+    first = recenter_step(state, step, widest.alpha, digits, carried_only)
+    return [ContinuationState(first.center, first.coeffs[:length], count)
+            for count, length in decided]
 
 
 def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> ContinuationState:

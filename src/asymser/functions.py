@@ -92,15 +92,20 @@ def reaches_singularity(text: str, step, steps: int) -> bool:
     center c = k*step with k < `steps`, within the exact `step` of a singularity
     of u or u' = P_u/Q_u.  Every built-in Q_u of degree d has one real zero z or a
     conjugate pair z, z*, or none (altgeom's 1 + 0x, q_d = 0), so the exact test
-    |Q_u(c)| <= |q_d| step**d is |c - z| <= step.  A file: input has no data."""
+    |Q_u(c)| <= |q_d| step**d is |c - z| <= step.  Along the real line |c - z|
+    grows with |c - Re z|, Re z = -q_{d-1}/(d q_d), so only the centers next to
+    Re z are tested, whatever `steps` is.  A file: input has no data."""
     h = _exact_fraction(step)
     spec = _parse_input(text)
     if isinstance(spec, str):
         return False
     _, q, _ = _companion(*spec)
     d = len(q) - 1
-    return any(abs(sum(a * (k * h) ** i for i, a in enumerate(q))) <= abs(q[-1]) * h ** d
-               for k in range(steps))
+    if not q[-1] or steps < 1:
+        return False
+    k = math.floor(Fraction(-q[-2]) / (d * q[-1] * h))
+    return any(abs(sum(a * (c * h) ** i for i, a in enumerate(q))) <= abs(q[-1]) * h ** d
+               for c in {min(max(j, 0), steps - 1) for j in (k, k + 1)})
 
 
 def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorSeries:

@@ -180,11 +180,12 @@ def exact_quotient(num: int, den: int, decimal: bool):
     value of y.  When the division leaves a remainder, the exact quotient
     and y followed by a sticky digit 1 both lie strictly between y and
     y + 1, so rounding the latter once gives the same Decimal and the same
-    Inexact and Rounded flags.  An exact quotient keeps the ideal exponent
-    of a division (10/4 gives 2.5), and quotients near the ends of the
-    exponent range may be subnormal or overflow, so those, a zero num, a
-    nonpositive den and operands too short to pay for the integer route
-    are divided as Decimals.
+    Inexact and Rounded flags.  An exact quotient y * 10**-e first drops
+    trailing zeros of y while e > 0, as a division does down to its ideal
+    exponent 0 (10/4 gives 2.5).  Quotients near the ends of the exponent
+    range may be subnormal or overflow, so those, a zero num, a nonpositive
+    den and operands too short to pay for the integer route are divided as
+    Decimals.
     """
     if not decimal:
         return Fraction(num, den)
@@ -207,8 +208,10 @@ def exact_quotient(num: int, den: int, decimal: bool):
             else:
                 y, rem = divmod(abs(num), den * _power_of_ten(-e))
             if rem:
-                y = 10 * y + 1
-                return Decimal(y if num > 0 else -y).scaleb(-e - 1)
+                y, e = 10 * y + 1, e + 1
+            while not y % 10 and e > 0:  # exact: down to the ideal exponent, 0
+                y, e = y // 10, e - 1
+            return Decimal(y if num > 0 else -y).scaleb(-e)
     return Decimal(num) / den
 
 

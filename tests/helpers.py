@@ -60,6 +60,41 @@ def arctan_assoc_coeff(n: int) -> Fraction:
     return Fraction((-1) ** (n // 4) * 2 ** (n // 2), n)
 
 
+def arctan_bounds(x: Fraction, width: Fraction = Fraction(1, 10**40)) -> tuple:
+    """Fractions lo <= arctan(x) <= hi, hi - lo <= width, for a rational x.
+
+    Euler's series arctan(x) = x/(1 + x**2) * sum_n t_n, with y = x**2/(1 + x**2),
+    t_0 = 1 and t_n = t_{n-1} * y * 2n/(2n + 1), has positive terms whose
+    ratios stay below y, so the tail after t_N is below t_N * y/(1 - y).  An
+    |x| > 1 is first reduced by arctan(x) = arctan(1) + arctan((x - 1)/(x + 1))
+    for x > 0, and arctan(-x) = -arctan(x), so that y <= 1/2 in every sum.
+    """
+    x = Fraction(x)
+    if x < 0:
+        lo, hi = arctan_bounds(-x, width)
+        return -hi, -lo
+    if x > 1:
+        lo1, hi1 = arctan_bounds(Fraction(1), width / 2)
+        lo2, hi2 = arctan_bounds((x - 1) / (x + 1), width / 2)
+        return lo1 + lo2, hi1 + hi2
+    y, scale = x * x / (1 + x * x), x / (1 + x * x)
+    total, term, n = Fraction(0), Fraction(1), 0
+    while True:
+        total += term
+        tail = term * y / (1 - y)
+        if scale * tail <= width:
+            return scale * total, scale * (total + tail)
+        n += 1
+        term *= y * 2 * n / (2 * n + 1)
+
+
+def arctan_companion_bounds(c: Fraction) -> tuple:
+    """Bounds on arctan's companion u(c) = arctan(c/(1 - c)) at a rational
+    0 <= c < 1, as :func:`arctan_bounds` gives them: u's value at a center
+    of the continuation's path, such as u(j/8) = arctan(j/(8 - j))."""
+    return arctan_bounds(Fraction(c) / (1 - Fraction(c)))
+
+
 def direct_partial(taylor, k: int, m: int):
     """m-th partial sum of the k-th shifted coefficient, by the library:
     direct_trace over the one-entry schedule [m]."""

@@ -59,21 +59,26 @@ def test_traced_convert_and_direct_show_their_layers(tmp_path):
 def test_shared_first_steps_are_traced_recenter_steps(tmp_path):
     """Each (m, dx) pair of a sweep shifts its first step once, through
     recenter_step, outside every continuation.continue span: the traced
-    benchmark sees the shared step as one recenter_step span per pair."""
+    benchmark sees the shared step as one recenter_step span per pair, and
+    every later step of a cell inside that cell's continuation.continue."""
     with spans.Tracer().installed() as tracer:
         assert cli.main(["sweep", "--input", "arctan", "--m", "30,40", "--dx", "0.25,0.5,1",
                          "--alpha", "1e-300,0.01,0.1", "--jobs", "1",
                          "--out", str(tmp_path / "s.csv")]) == 0
     by_id = {s["id"]: s for s in tracer.spans}
 
-    def inside_continue(span):
+    def enclosing_continue(span):
         while span["parent"] is not None:
             span = by_id[span["parent"]]
             if span["name"] == "continuation.continue":
-                return True
-        return False
+                return span["id"]
+        return None
 
-    shared = [s for s in tracer.named("continuation.recenter_step") if not inside_continue(s)]
-    assert len(shared) == 6  # 2 values of m times 3 of dx
-    assert sorted(s["attrs"]["n"] for s in shared) == [30] * 3 + [40] * 3
-    assert len(tracer.named("continuation.continue")) == 18
+    steps = tracer.named("continuation.recenter_step")
+    shared = [s for s in steps if enclosing_continue(s) is None]
+    # the pairs run largest first: m = 40, then 30, each at dx 0.25, 0.5 and 1
+    assert [s["attrs"]["n"] for s in shared] == [40] * 3 + [30] * 3
+    inside = [enclosing_continue(s) for s in steps]
+    per_cell = [inside.count(c["id"]) for c in tracer.named("continuation.continue")]
+    # each cell's steps but the shared first: 4 - 1, 2 - 1 and 1 - 1, per alpha
+    assert per_cell == ([3] * 3 + [1] * 3 + [0] * 3) * 2

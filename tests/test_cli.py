@@ -791,6 +791,23 @@ class TestExitCodes:
             (row,) = csv.DictReader(proc.stdout.splitlines())
             assert (row["alpha"], row["converged_count"]) == ("1E-30000000", "0")
 
+    def test_input_term_of_three_hundred_thousand_digits(self, tmp_path):
+        """Each step's sums are exact multiples of their long denominators:
+        those quotients are divided as integers, not by converting an int
+        of 300,000 digits to Decimal, which is quadratic."""
+        prefix = tmp_path / "long.json"
+        prefix.write_text(json.dumps(["1"] + ["0"] * 19 + ["9E+299998"]))
+        env = {**os.environ, "PYTHONPATH": SRC}
+        argv = ["continue", "--input", f"file:{prefix}", "--m", "21", "--dx", "0.5",
+                "--alpha", "1e-30", "--count", "0"]
+        proc = subprocess.run([sys.executable, "-m", "asymser", *argv], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["coefficients_at_one"][:2] == ["9.000000000000000000E+299998",
+                                                  "1.800000000000000000E+300000"]
+        assert [s["carried"] for s in doc["steps"]] == [21, 21]
+
     @pytest.mark.parametrize("alpha", ["inf", "Infinity"])
     def test_infinite_continue_alpha_exits_3(self, tmp_path, capsys, alpha):
         # it would claim every coefficient: c0 = 55.13 where the truth is pi/2

@@ -174,28 +174,31 @@ class TestRecenterStep:
         assert a == b
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_is_the_step_of_one_state(self, exact):
-        """recenter_step is _steps on one state: the same state after it, at
-        every digits and either carry rule."""
+    def test_step_away_from_zero_is_the_exact_shift(self, exact):
+        """From a center away from 0, at every digits and either carry rule,
+        the step keeps the exact shift, each coefficient rounded once, up to
+        the carried block, with the exact per-term loop's converged count."""
         coeffs = [F(1, n + 1) * (-1) ** (n // 3) for n in range(40)]
         state = ContinuationState(D("0.25"), coeffs if exact else to_decimals(coeffs, 30), 40)
         for step, alpha, digits, carried_only in [("0.125", "0.01", 19, True),
                                                   ("0.25", "1e-300", 2, True),
                                                   ("0.5", "0.1", 30, False),
                                                   ("1", "1e6", 19, True)]:
-            (after,) = continuation._steps([state], D(step), [D(alpha)], digits, carried_only)
+            count = exact_converged_count(state.coeffs, step, alpha)
+            kept = count if carried_only and count >= 1 else len(coeffs)
+            shift = exact_recenter(state.coeffs, D(step))[:kept]
+            want = ContinuationState(D("0.25") + D(step),
+                                     shift if exact else to_decimals(shift, digits), count)
             stepped = recenter_step(state, step, alpha, digits, carried_only)
-            assert state_key(after) == state_key(stepped)
+            assert state_key(stepped) == state_key(want)
 
-    def test_rounding_error_is_raised_by_both(self, monkeypatch):
+    def test_rounding_error_is_raised(self, monkeypatch):
         state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
 
         def failing(*args):
             raise ArithmeticError("injected in the rounding")
 
         monkeypatch.setattr(continuation, "_quotients", failing)
-        with pytest.raises(ArithmeticError, match="injected in the rounding"):
-            continuation._steps([state], D("0.25"), [D("0.01")], 19, True)
         with pytest.raises(ArithmeticError, match="injected in the rounding"):
             recenter_step(state, "0.25", "0.01", 19, True)
 
@@ -492,8 +495,9 @@ def state_key(state):
 
 
 class TestPrefixOnlyContinuation:
-    """Steps that compute only the carried block, alone or from the steps
-    shared across alphas, must equal full-length steps truncated afterwards."""
+    """Steps that compute only the carried block, alone or from the first
+    step shared across alphas, must equal full-length steps truncated
+    afterwards."""
 
     # 1e-300 converges nothing on the first step, so the whole vector is kept
     ALPHAS = ("1e-300", "1e-6", "0.1")
@@ -507,11 +511,11 @@ class TestPrefixOnlyContinuation:
             want = run_key(*reference_continue(arctan_assoc_701, config))
             alone = continue_to_one_with_steps(arctan_assoc_701, config)
             assert run_key(*alone) == want
-            assert start == alone[1][: len(start)]
+            assert start == alone[1][0]
             shared = continue_to_one_with_steps(arctan_assoc_701, config, _start=start)
             assert run_key(*shared) == want
         # the longest first state is the whole vector: 1e-300 converges nothing
-        assert max(len(start[0].coeffs) for start in starts) == m
+        assert max(len(start.coeffs) for start in starts) == m
 
     def test_first_step_keeps_everything_when_nothing_converges(self, arctan_assoc_701):
         config = SchemeConfig(m=120, step="0.25", alpha="1e-300")
@@ -530,8 +534,8 @@ class TestPrefixOnlyContinuation:
         starts = shared_steps(arctan_assoc_701, configs)
         monkeypatch.undo()
         _, states = continue_to_one_with_steps(arctan_assoc_701, configs[1])
-        assert starts[1] == states[:2]
-        # the first step is one recenter_step; the second steps shift no block through it
+        assert starts[1] == states[0]
+        # the shared step is one recenter_step, to the longest first-step block
         assert len(shifts) == 1
         assert len(shifts[0].coeffs) == len(states[0].coeffs) < 301
         with pytest.raises(ValueError):
@@ -541,12 +545,11 @@ class TestPrefixOnlyContinuation:
 
     @staticmethod
     def assert_shared_equal_unshared(assoc, configs):
-        """Each config's states after the shared steps are those of its own
-        run, in value and repr, and its run continues from them unchanged."""
+        """Each config's state after the shared step is that of its own run,
+        in value and repr, and its run continues from it unchanged."""
         for config, start in zip(configs, shared_steps(assoc, configs)):
             _, states = continue_to_one_with_steps(assoc, config)
-            assert len(start) == min(2, config.steps)
-            assert list(map(state_key, start)) == list(map(state_key, states[: len(start)]))
+            assert state_key(start) == state_key(states[0])
             shared = continue_to_one_with_steps(assoc, config, _start=start)
             assert run_key(*shared) == run_key(*reference_continue(assoc, config))
 
@@ -554,8 +557,8 @@ class TestPrefixOnlyContinuation:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
     @pytest.mark.parametrize("alphas", [("0.01", "0.1"), ("1e-300", "1e-5", "0.01", "0.1", "0.5")])
     def test_states_after_the_shared_steps(self, arctan_assoc_701, digits, step, alphas):
-        """Neighbouring alphas differ by a short stretch; 1e-300 keeps the
-        whole vector, a long stretch above its neighbour's block."""
+        """Neighbouring alphas' first-step blocks differ by a short stretch;
+        1e-300 keeps the whole vector, a long stretch above its neighbour's."""
         pole = build_companion("pole:-3", 98)
         for assoc, m in ((arctan_assoc_701, 120), (arctan_assoc_701, 301), (pole, 98)):
             configs = [SchemeConfig(m=m, step=step, alpha=a, digits=digits) for a in alphas]
@@ -600,8 +603,8 @@ class TestPrefixOnlyContinuation:
             self.assert_shared_equal_unshared(assoc, configs)
 
     def test_exact_blocks_are_exact_shifts(self):
-        """The shared sums of every block, exact or decimal, are its exact
-        shift: over the common denominators they equal the term-by-term sums."""
+        """The sums of every leading block, exact or decimal, are its exact
+        shift: over their denominators they equal the term-by-term sums."""
         rng = random.Random(3)
         for trial in range(20):
             m = rng.randint(2, 30)
@@ -611,64 +614,39 @@ class TestPrefixOnlyContinuation:
             step = D(rng.choice(["0.125", "0.25", "0.5", "1", "0.375"]))
             stops = sorted({m, *rng.sample(range(1, m + 1), rng.randint(1, min(4, m)))},
                            reverse=True)
-            cuts = [(stop, rng.randint(1, stop)) for stop in stops]
-            blocks, dens, decimal = continuation._shift_sums(coeffs, step, cuts)
-            assert decimal is bool(trial % 2)
-            for (stop, length), sums in zip(cuts, blocks):
+            for stop in stops:
+                length = rng.randint(1, stop)
+                sums, dens, decimal = continuation._shift_sums(coeffs[:stop], step, length)
+                assert decimal is bool(trial % 2)
                 want = exact_recenter(coeffs[:stop], step)[:length]
                 assert [F(b, d) for b, d in zip(sums, dens)] == want
-                (alone,), alone_dens, _ = continuation._shift_sums(
-                    coeffs[:stop], step, [(stop, length)])
-                assert continuation._quotients(sums, dens, decimal, 19) == continuation._quotients(
-                    alone, alone_dens, decimal, 19)
 
-    def test_blocks_share_one_shift(self, arctan_assoc_701, monkeypatch):
-        """The second steps of a pair take one shift: at m=301 dx=0.125 the
-        whole vector of 1e-300 is summed once, and the first states of 0.1
-        and 0.01, one coefficient apart, are derived from it in turn."""
-        calls = []
-        shift_sums = continuation._shift_sums
-
-        def recording(coeffs, dx, cuts):
-            calls.append((len(coeffs), cuts))
-            return shift_sums(coeffs, dx, cuts)
-
-        monkeypatch.setattr(continuation, "_shift_sums", recording)
-        alphas = ("0.1", "1e-300", "0.01")
-        configs = [SchemeConfig(m=301, step="0.125", alpha=a) for a in alphas]
-        starts = shared_steps(arctan_assoc_701, configs)
-        first_lengths = [len(start[0].coeffs) for start in starts]
-        second_lengths = [len(start[1].coeffs) for start in starts]
-        assert first_lengths == [153, 301, 152]
-        # the first step, then one shift for the three second steps, longest first
-        assert calls == [
-            (301, [(301, 301)]),
-            (301, [(301, second_lengths[1]), (153, second_lengths[0]),
-                   (152, second_lengths[2])]),
-        ]
-        self.assert_shared_equal_unshared(arctan_assoc_701, configs)
-
-    def test_rounding_error_of_a_shared_step_is_raised(self, arctan_assoc_701, monkeypatch):
-        """An error in one alpha's second step is raised for the pair; the
-        other alphas, run alone, still take their clean steps."""
+    def test_rounding_error_of_the_shared_step_is_raised(self, arctan_assoc_701, monkeypatch):
+        """An error in the shared first step, which rounds the widest block,
+        is raised for the pair; the other alphas, run alone, still take
+        their clean steps.  An error in a later step is its own alpha's."""
         configs = [SchemeConfig(m=120, step="0.25", alpha=a) for a in ("0.01", "0.1", "0.5")]
         clean = shared_steps(arctan_assoc_701, configs)
+        wide = max(range(3), key=lambda i: len(clean[i].coeffs))
+        second = continue_to_one_with_steps(arctan_assoc_701, configs[1])[1][1]
         quotients = continuation._quotients
 
         def failing(sums, dens, decimal, digits):
             coeffs = quotients(sums, dens, decimal, digits)
-            if coeffs == clean[1][1].coeffs:
-                raise ArithmeticError("injected in the second step of 0.1")
+            if coeffs in (clean[wide].coeffs, second.coeffs):
+                raise ArithmeticError("injected")
             return coeffs
 
         monkeypatch.setattr(continuation, "_quotients", failing)
-        with pytest.raises(ArithmeticError, match="injected in the second step of 0.1"):
+        with pytest.raises(ArithmeticError, match="injected"):
             shared_steps(arctan_assoc_701, configs)
-        for i in (0, 2):
+        for i in {0, 2} - {wide}:
             _, states = continue_to_one_with_steps(arctan_assoc_701, configs[i])
-            assert states[:2] == clean[i]
-        with pytest.raises(ArithmeticError, match="injected in the second step of 0.1"):
+            assert states[0] == clean[i]
+        with pytest.raises(ArithmeticError, match="injected"):
             continue_to_one_with_steps(arctan_assoc_701, configs[1])
+        with pytest.raises(ArithmeticError, match="injected"):
+            continue_to_one_with_steps(arctan_assoc_701, configs[1], _start=clean[1])
 
     def test_higher_precision(self, arctan_assoc_701):
         for alpha in ("1e-300", "1e-12"):

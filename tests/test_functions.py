@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -30,6 +32,8 @@ from helpers import (
     COEFF_FILE_NAMES,
     ROUND_TRIP_SERIES,
     arctan_assoc_coeff,
+    arctan_bounds,
+    arctan_companion_bounds,
     arctan_taylor_coeff,
     pole_taylor_coeff,
     quotient_taylor,
@@ -160,6 +164,42 @@ class TestReferenceAtOne:
         assert str(info.value) == message
 
 
+class TestArctanBounds:
+    """The Fraction enclosures of arctan that give u(j/8) = arctan(j/(8 - j)),
+    arctan's companion at the centers of the path, against pi/2 from
+    companion_at_one and against identities that tie the series together."""
+
+    # |u(1) - pi/2| <= 10**-49 for the 50-digit Decimal u(1)
+    SLACK = F(1, 10**49)
+
+    @staticmethod
+    def half_pi():
+        return F(companion_at_one("arctan", 1)[0])
+
+    def encloses(self, bounds, value):
+        lo, hi = bounds
+        return lo - self.SLACK <= value <= hi + self.SLACK
+
+    def test_one_is_a_quarter_pi(self):
+        lo, hi = arctan_companion_bounds(F(4, 8))
+        assert 0 < hi - lo <= F(1, 10**40)
+        assert self.encloses((lo, hi), self.half_pi() / 2)
+
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_reciprocals_sum_to_half_pi(self, j):
+        lo, hi = arctan_companion_bounds(F(j, 8))
+        lo2, hi2 = arctan_companion_bounds(F(8 - j, 8))
+        assert self.encloses((lo + lo2, hi + hi2), self.half_pi())
+        assert abs(float(lo) - math.atan(j / (8 - j))) < 1e-15
+        assert arctan_bounds(F(-j, 8 - j)) == (-hi, -lo)
+
+    def test_machin(self):
+        lo5, hi5 = arctan_bounds(F(1, 5))
+        lo239, hi239 = arctan_bounds(F(1, 239))
+        lo1, hi1 = arctan_bounds(F(1))
+        assert 4 * lo5 - hi239 <= hi1 and lo1 <= 4 * hi5 - lo239
+
+
 class TestReachesSingularity:
     """The step-start test against the distance from each center k*h to the
     zeros of Q_u, computed from their closed forms: z = A/(A - 1) for
@@ -184,6 +224,39 @@ class TestReachesSingularity:
             assert reaches_singularity("arctan", h, int(1 / h)) == want, h
         assert [reaches_singularity("arctan", D(h), int(1 / F(h)))
                 for h in ("0.5", "0.25", "0.125")] == [True, False, False]
+
+    @pytest.mark.parametrize("text", ["arctan", "altgeom", "pole:3/2", "pole:-3", "pole:-5/3",
+                                      "pole:2"])
+    def test_nearest_centers_decide(self, text):
+        """Testing the centers next to Re z gives the all-centers loop's
+        answer, for every step 2**-j up to 1/64 and every count of steps."""
+        _, q, _ = functions._companion(*functions._parse_input(text))
+        for j in range(7):
+            h = F(1, 2**j)
+            for steps in range(1, 2**j + 2):
+                want = any(abs(sum(a * (k * h) ** i for i, a in enumerate(q)))
+                           <= abs(q[-1]) * h ** (len(q) - 1) for k in range(steps))
+                assert reaches_singularity(text, h, steps) == want, (h, steps)
+
+    def test_nearest_centers_of_any_zero(self, monkeypatch):
+        """The same for random Q_u, a real zero or a conjugate pair, with Re z
+        anywhere between two centers: the next center up may be the nearer."""
+        rng = random.Random(26)
+        for _ in range(300):
+            re, im = F(rng.randint(-40, 80), 64), F(rng.randint(0, 20), 64)
+            scale = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+            q = ((-re * scale, scale) if rng.random() < 0.3
+                 else (scale * (re * re + im * im), -2 * re * scale, scale))
+            monkeypatch.setattr(functions, "_companion", lambda *_: ((1,), q, None))
+            h = F(1, rng.randint(1, 20))
+            steps = rng.randint(1, 25)
+            want = any(abs(sum(a * (k * h) ** i for i, a in enumerate(q)))
+                       <= abs(q[-1]) * h ** (len(q) - 1) for k in range(steps))
+            assert reaches_singularity("pole:2", h, steps) == want, (q, h, steps)
+
+    def test_step_count_costs_nothing(self):
+        assert not reaches_singularity("arctan", F(1, 10**30), 10**30)
+        assert reaches_singularity("pole:-3", F(1, 10**30), 10**30)  # z = 3/4
 
     def test_float_step_rejected(self):
         # the binary 0.1 is not the step 1/10

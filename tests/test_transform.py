@@ -379,6 +379,23 @@ class TestExactQuotient:
             assert_same_as_division(num, den, context)
         assert len(integer_route) > cases // 3
 
+    def test_exact_quotients_of_long_operands(self, integer_route):
+        """Quotients with and without a remainder, of operands long enough
+        for the integer route: an exact one drops the trailing zeros a
+        division drops, down to its ideal exponent 0, and rounds past prec
+        digits with the same flags."""
+        rng = random.Random(26)
+        cases = 20000
+        for i in range(cases):
+            prec = (2, 5, 19, 30)[i % 4]
+            base = rng.getrandbits(rng.randint(600, 700)) | 1
+            quotient = rng.randint(1, 10 ** rng.randint(1, 2 * prec)) * 10 ** rng.randint(0, 8)
+            den = base * 2 ** rng.randint(0, 40) * 5 ** rng.randint(0, 40)
+            num = rng.choice((1, -1)) * (quotient * base + (i % 3 == 0) * rng.randint(1, base))
+            context = Context(prec=prec, rounding=rng.choice(ROUNDINGS), traps=[])
+            assert_same_as_division(num, den, context)
+        assert len(integer_route) == cases
+
     @pytest.mark.parametrize("rounding", ROUNDINGS)
     @pytest.mark.parametrize("prec", [1, 2, 19, 60, 120])
     def test_halfway_and_next_to_it(self, integer_route, prec, rounding):
