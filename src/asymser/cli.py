@@ -26,7 +26,7 @@ from .continuation import (
     _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
-    shared_steps,
+    shared_first_shift,
     to_decimals,
 )
 from .conversion import (
@@ -296,28 +296,22 @@ def _run_pair(configs, sweep=None):
     """The sweep rows of one (m, dx) pair, one per alpha, in alpha order.
 
     `sweep` is the rounded prefix and the err reference, by default those
-    of this pool worker.  The pair's first step is shifted once, for all its
-    alphas (:func:`shared_steps`), and each alpha continues from its own
-    state.  When the shared step blows up, each alpha runs alone, so that
-    every row is its own cell's run whatever step fails.
+    of this pool worker.  Each row is its own cell's continuation; inside
+    one :func:`shared_first_shift` block, the alphas' first steps make the
+    integer shift of the prefix once, and each rounds its own block.
     """
     coeffs, reference = sweep or _WORKER["sweep"]
     assoc = AssociatedSeries(coeffs[: configs[0].m])
-    try:
-        starts = shared_steps(assoc, configs)
-    except ArithmeticError:
-        starts = [None] * len(configs)
-    return [_run_cell(assoc, config, start, reference)
-            for config, start in zip(configs, starts)]
+    with shared_first_shift():
+        return [_run_cell(assoc, config, reference) for config in configs]
 
 
-def _run_cell(assoc, config, start, reference):
-    """The sweep row of one (m, dx, alpha) cell, continued from its state
-    `start` after the shared first step (from 0 when None), with err |c - r| for
-    each c at 1 with a reference r.  A numerical blow-up gives an error row
-    that names the error's class."""
+def _run_cell(assoc, config, reference):
+    """The sweep row of one (m, dx, alpha) cell, with err |c - r| for each c
+    at 1 with a reference r.  A numerical blow-up gives an error row that
+    names the error's class."""
     try:
-        state, _ = continue_to_one_with_steps(assoc, config, _start=start)
+        state, _ = continue_to_one_with_steps(assoc, config)
         head = state.coeffs[:2]
         with localcontext() as ctx:
             ctx.prec = config.digits + 8
@@ -389,7 +383,7 @@ def cmd_sweep(args) -> int:
     coeffs = to_decimals(assoc.coeffs, digits)
     # u's first two coefficients at 1, rounded once for every cell's err columns
     reference = to_decimals(companion_at_one(args.input, 2) or (), digits + 8)
-    # one task per (m, dx) pair, its configs alone: its alphas share the first step
+    # one task per (m, dx) pair, its configs alone: its alphas share the first shift
     per_pair = len(alpha_list)
     pairs = [configs[i : i + per_pair] for i in range(0, len(configs), per_pair)]
     # the largest pairs first (most coefficients, then most steps), so that no

@@ -30,16 +30,19 @@ depend only on a step's input, so they are decided first, each by an exact
 integer comparison of one trailing term with alpha, and a step that is not
 the last computes only the block it carries.
 
-Every step is one :func:`recenter_step` from one state.  Continuations that
-differ only in alpha share their first step (:func:`shared_steps`): one
-shift of the rounded prefix, of which each takes its own leading block.  A
-numerical blow-up, an ArithmeticError of the rounding, is raised wherever it
-occurs; a shared step that raises one leaves each continuation to run alone.
+Every step is one :func:`recenter_step` from one state, and a numerical
+blow-up, an ArithmeticError of the rounding, is raised by the step that
+rounds it.  Continuations that differ only in alpha make the same integer
+shift of the rounded prefix on their first step: inside one
+:func:`shared_first_shift` block the first of them makes it, and the others
+reuse its integer sums, each rounding its own block.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+from contextvars import ContextVar
 from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -225,12 +228,38 @@ def recenter_step(
         raise EmptyStateError("state has no coefficients")
     dx = _check_step(_exact_decimal(step, "step"))
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
-    count, length = _output_length(state.coeffs, dx, thr, carried_only)
+    count = _converged_prefix(state.coeffs, dx, thr)
+    length = count if carried_only and count >= 1 else len(state.coeffs)
     sums, dens, decimal = _shift_sums(state.coeffs, dx, length)
     with localcontext() as ctx:
         ctx.prec = MAX_PREC  # the center is exact: the path lands on 1 at any digits
         center = state.center + dx
     return ContinuationState(center, _quotients(sums, dens, decimal, digits), count)
+
+
+# The first shift made inside the open shared_first_shift() block, as the
+# list [key, den, ppow, qpow, row, sums, decimal]: empty until it is made,
+# None outside every block.
+_first_shift = ContextVar("first_shift", default=None)
+
+
+@contextlib.contextmanager
+def shared_first_shift():
+    """A block whose shifts reuse the integers of its first shift.
+
+    Inside it, :func:`_shift_sums` keeps the integers of the first shift it
+    makes, and a later shift of equal coefficients, of the same types, by an
+    equal step takes its sums from them, running only the passes they lack.
+    A sweep pair's alphas, whose first steps shift the same rounded prefix,
+    run inside one block; every result is the same as outside it.  Nothing
+    is kept after the block, so repeated runs outside it each do all their
+    work.
+    """
+    token = _first_shift.set([])
+    try:
+        yield
+    finally:
+        _first_shift.reset(token)
 
 
 def _shift_sums(coeffs: tuple, dx: Decimal, length: int) -> tuple[list, list, bool]:
@@ -242,20 +271,29 @@ def _shift_sums(coeffs: tuple, dx: Decimal, length: int) -> tuple[list, list, bo
     suffix sums (additions only; von zur Gathen & Gerhard, ISSAC 1997), and
     output k is b_k = B_k / (den * p**k * q**(m-1-k)).  Returns the sums,
     their denominators, output k being sums[k] / dens[k], and whether the
-    outputs are Decimals.
+    outputs are Decimals.  Inside a :func:`shared_first_shift` block, the
+    block's first shift keeps den, the powers, the live row and its sums.
     """
     m = len(coeffs)
-    p, q = dx.as_integer_ratio()
-    nums, den, decimal = scale_to_integers(coeffs)
-    qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
-    ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
-    # reversed, so that each pass of running sums ends on B_k
-    row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
-    sums = []
-    for _ in range(length):
+    kept = _first_shift.get()
+    key = kept is not None and (coeffs, tuple(map(type, coeffs)), dx)
+    reuse = bool(kept) and kept[0] == key
+    if reuse:
+        _, den, ppow, qpow, row, sums, decimal = kept
+    else:
+        p, q = dx.as_integer_ratio()
+        nums, den, decimal = scale_to_integers(coeffs)
+        qpow = list(accumulate(repeat(q, m - 1), operator.mul, initial=1))
+        ppow = list(accumulate(repeat(p, m - 1), operator.mul, initial=1))
+        # reversed, so that each pass of running sums ends on B_k
+        row = [a * ppow[n] * qpow[m - 1 - n] for n, a in enumerate(nums)][::-1]
+        sums = []
+    for _ in range(len(sums), length):
         row = list(accumulate(row))
         sums.append(row.pop())
-    return sums, [den * qpow[m - 1 - k] * ppow[k] for k in range(length)], decimal
+    if reuse or kept == []:
+        kept[:] = [key, den, ppow, qpow, row, sums, decimal]
+    return sums[:length], [den * qpow[m - 1 - k] * ppow[k] for k in range(length)], decimal
 
 
 def _quotients(sums: list, dens: list, decimal: bool, digits: int) -> tuple:
@@ -264,13 +302,6 @@ def _quotients(sums: list, dens: list, decimal: bool, digits: int) -> tuple:
     with localcontext() as ctx:
         ctx.prec = digits
         return tuple(exact_quotient(b, d, decimal) for b, d in zip(sums, dens))
-
-
-def _output_length(coeffs: tuple, dx: Decimal, thr: Decimal, carried_only: bool) -> tuple:
-    """The converged count of the step from `coeffs`, and how many of its
-    outputs are needed: the carried block with `carried_only`, else all."""
-    count = _converged_prefix(coeffs, dx, thr)
-    return count, count if carried_only and count >= 1 else len(coeffs)
 
 
 def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
@@ -333,68 +364,28 @@ def _decimal_ratio(value) -> tuple[int, int, int]:
 
 
 def continue_to_one_with_steps(
-    assoc: AssociatedSeries, config: SchemeConfig, *, _start: list | None = None
+    assoc: AssociatedSeries, config: SchemeConfig
 ) -> tuple[ContinuationState, list[ContinuationState]]:
     """Run the full 0 -> 1 continuation, returning the state after each step.
 
-    Between steps the state is truncated to its converged block; when nothing
-    converged the full vector is kept instead, so that exactly representable
-    inputs (polynomials with alpha below every term) continue losslessly.
-    Every step but the last computes only that block (`carried_only`).  Each
-    state's center, carried length (its number of coefficients) and
-    converged count are the step's diagnostics.
-
-    `_start`, one run's state from :func:`shared_steps`, is the state after
-    the first step; the run continues from it and is the same as without it.
+    The first config.m coefficients, rounded to config.digits digits, are
+    the state at center 0.  Between steps the state is truncated to its
+    converged block; when nothing converged the full vector is kept instead,
+    so that exactly representable inputs (polynomials with alpha below every
+    term) continue losslessly.  Every step but the last computes only that
+    block (`carried_only`).  Each state's center, carried length (its number
+    of coefficients) and converged count are the step's diagnostics.
     """
-    if _start is None:
-        state, states = _initial_state(assoc, config.m, config.digits), []
-    else:
-        state, states = _start, [_start]
-    for i in range(len(states), config.steps):
+    if len(assoc.coeffs) < config.m:
+        raise ValueError(f"need at least m={config.m} coefficients, got {len(assoc.coeffs)}")
+    coeffs = to_decimals(assoc.coeffs[: config.m], config.digits)
+    state, states = ContinuationState(Decimal(0), coeffs, len(coeffs)), []
+    for i in range(config.steps):
         state = recenter_step(
             state, config.step, config.alpha, config.digits, carried_only=i < config.steps - 1
         )
         states.append(state)
     return state, states
-
-
-def shared_steps(assoc: AssociatedSeries, configs: list[SchemeConfig]) -> list:
-    """The state after the first step of each of `configs`, continuations
-    that differ only in alpha.
-
-    A step does not depend on alpha, except in its converged count and so in
-    how many of its outputs are carried.  The prefix is rounded once, and one
-    :func:`recenter_step` reaches the longest first-step length; each
-    config's state holds its own leading block of that shift, which is the
-    same as its own first step.
-
-    Returns one state per config; a run continues from it through
-    ``continue_to_one_with_steps(assoc, config, _start=state)``.  An
-    ArithmeticError of the shared step is raised: the widest block may blow
-    up where a narrower one would not, so the caller runs each config alone
-    instead.
-    """
-    m, step, digits = configs[0].m, configs[0].step, configs[0].digits
-    if any((c.m, c.step, c.digits) != (m, step, digits) for c in configs):
-        raise ValueError("configs must share m, step and digits")
-    state = _initial_state(assoc, m, digits)
-    carried_only = configs[0].steps > 1
-    decided = [_output_length(state.coeffs, step, c.alpha, carried_only) for c in configs]
-    lengths = [length for _, length in decided]
-    widest = configs[lengths.index(max(lengths))]
-    # through recenter_step, so that whatever wraps it sees the shared step too
-    first = recenter_step(state, step, widest.alpha, digits, carried_only)
-    return [ContinuationState(first.center, first.coeffs[:length], count)
-            for count, length in decided]
-
-
-def _initial_state(assoc: AssociatedSeries, m: int, digits: int) -> ContinuationState:
-    """The first m coefficients at center 0, rounded to `digits` digits."""
-    if len(assoc.coeffs) < m:
-        raise ValueError(f"need at least m={m} coefficients, got {len(assoc.coeffs)}")
-    coeffs = to_decimals(assoc.coeffs[:m], digits)
-    return ContinuationState(center=Decimal(0), coeffs=coeffs, converged_count=len(coeffs))
 
 
 def extract_shifted(state: ContinuationState, count: int) -> ShiftedExpansion:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from decimal import Decimal, getcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext
 from fractions import Fraction
 
 
@@ -155,6 +155,8 @@ def scale_to_integers(values) -> tuple[list, int, bool]:
 
 
 _LOG10_2 = math.log10(2)
+# Scales a Decimal by any power of ten exactly, whatever the ambient context.
+_WIDE = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
 
 
 @functools.lru_cache(maxsize=256)
@@ -182,10 +184,11 @@ def exact_quotient(num: int, den: int, decimal: bool):
     y + 1, so rounding the latter once gives the same Decimal and the same
     Inexact and Rounded flags.  An exact quotient y * 10**-e first drops
     trailing zeros of y while e > 0, as a division does down to its ideal
-    exponent 0 (10/4 gives 2.5).  Quotients near the ends of the exponent
-    range may be subnormal or overflow, so those, a zero num, a nonpositive
-    den and operands too short to pay for the integer route are divided as
-    Decimals.
+    exponent 0 (10/4 gives 2.5).  y * 10**-e is formed exactly in a context
+    of the widest exponent range and rounded once in the ambient one, so a
+    subnormal, clamped or overflowing quotient is rounded as a division
+    rounds it.  A zero num, a nonpositive den and operands too short to pay
+    for the integer route are divided as Decimals.
     """
     if not decimal:
         return Fraction(num, den)
@@ -197,21 +200,18 @@ def exact_quotient(num: int, den: int, decimal: bool):
     # (at 19 digits the two break even near two 512-bit operands).
     if num and den > 0 and nbits + dbits > 4 * prec + 1024:
         # |num/den| > 2**(nbits - 1 - dbits) >= 10**lo, up to the float's
-        # error, so the result's adjusted exponent lies in [lo, lo + 2]: keep
-        # a decade of margin from Emin and Emax, within which scaleb takes
-        # -e - 1 too
+        # error, so the result's adjusted exponent lies in [lo, lo + 2]
         lo = math.floor((nbits - 1 - dbits) * _LOG10_2)
-        if max(ctx.Emin, -ctx.Emax) + 1 < lo < ctx.Emax - 3:
-            e = prec + 1 - lo
-            if e >= 0:
-                y, rem = divmod(abs(num) * _power_of_ten(e), den)
-            else:
-                y, rem = divmod(abs(num), den * _power_of_ten(-e))
-            if rem:
-                y, e = 10 * y + 1, e + 1
-            while not y % 10 and e > 0:  # exact: down to the ideal exponent, 0
-                y, e = y // 10, e - 1
-            return Decimal(y if num > 0 else -y).scaleb(-e)
+        e = prec + 1 - lo
+        if e >= 0:
+            y, rem = divmod(abs(num) * _power_of_ten(e), den)
+        else:
+            y, rem = divmod(abs(num), den * _power_of_ten(-e))
+        if rem:
+            y, e = 10 * y + 1, e + 1
+        while not y % 10 and e > 0:  # exact: down to the ideal exponent, 0
+            y, e = y // 10, e - 1
+        return ctx.plus(Decimal(y if num > 0 else -y).scaleb(-e, _WIDE))
     return Decimal(num) / den
 
 

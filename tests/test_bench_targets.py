@@ -57,10 +57,10 @@ def test_traced_convert_and_direct_show_their_layers(tmp_path):
 
 
 def test_shared_first_steps_are_traced_recenter_steps(tmp_path):
-    """Each (m, dx) pair of a sweep shifts its first step once, through
-    recenter_step, outside every continuation.continue span: the traced
-    benchmark sees the shared step as one recenter_step span per pair, and
-    every later step of a cell inside that cell's continuation.continue."""
+    """Each alpha of a sweep pair takes its first step, from the shared
+    first shift, as its own recenter_step: every recenter_step span lies
+    inside its cell's continuation.continue span, the first one of each cell
+    over all m coefficients, and each cell holds one span per step."""
     with spans.Tracer().installed() as tracer:
         assert cli.main(["sweep", "--input", "arctan", "--m", "30,40", "--dx", "0.25,0.5,1",
                          "--alpha", "1e-300,0.01,0.1", "--jobs", "1",
@@ -75,10 +75,10 @@ def test_shared_first_steps_are_traced_recenter_steps(tmp_path):
         return None
 
     steps = tracer.named("continuation.recenter_step")
-    shared = [s for s in steps if enclosing_continue(s) is None]
-    # the pairs run largest first: m = 40, then 30, each at dx 0.25, 0.5 and 1
-    assert [s["attrs"]["n"] for s in shared] == [40] * 3 + [30] * 3
     inside = [enclosing_continue(s) for s in steps]
-    per_cell = [inside.count(c["id"]) for c in tracer.named("continuation.continue")]
-    # each cell's steps but the shared first: 4 - 1, 2 - 1 and 1 - 1, per alpha
-    assert per_cell == ([3] * 3 + [1] * 3 + [0] * 3) * 2
+    assert None not in inside
+    cells = tracer.named("continuation.continue")
+    # the pairs run largest first: m = 40, then 30, each at dx 0.25, 0.5 and 1
+    assert [inside.count(c["id"]) for c in cells] == ([4] * 3 + [2] * 3 + [1] * 3) * 2
+    firsts = [steps[inside.index(c["id"])]["attrs"]["n"] for c in cells]
+    assert firsts == [40] * 9 + [30] * 9

@@ -600,20 +600,6 @@ class TestSweepGrouping:
             assert int(row["converged_count"]) == doc["converged_count"]
             assert int(row["steps"]) == len(doc["steps"])
 
-    def test_shared_step_error_reruns_each_alpha_alone(self, tmp_path, monkeypatch):
-        alphas = ["0.01", "0.1"]
-        clean = self.sweep(tmp_path, "clean.csv", alphas, 1, m="98", dx="0.25,0.5")
-        first_step = cli.shared_steps
-
-        def failing(assoc, configs):
-            if configs[0].step == Decimal("0.25"):
-                raise ArithmeticError("injected in the shared first step")
-            return first_step(assoc, configs)
-
-        monkeypatch.setattr(cli, "shared_steps", failing)
-        rows = self.sweep(tmp_path, "rerun.csv", alphas, 1, m="98", dx="0.25,0.5")
-        assert rows == clean
-
     def test_overflow_in_a_shared_step_spoils_only_its_alpha(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(OVERFLOWING))
@@ -807,6 +793,19 @@ class TestExitCodes:
         assert doc["coefficients_at_one"][:2] == ["9.000000000000000000E+299998",
                                                   "1.800000000000000000E+300000"]
         assert [s["carried"] for s in doc["steps"]] == [21, 21]
+
+    def test_input_term_next_to_the_largest_exponent(self, tmp_path):
+        """Quotients of a million digits near Emax 999999 are divided as
+        integers too, and the one that overflows is a numerical blow-up."""
+        prefix = tmp_path / "long.json"
+        prefix.write_text(json.dumps(["1"] + ["0"] * 19 + ["9E+999998"]))
+        env = {**os.environ, "PYTHONPATH": SRC}
+        argv = ["continue", "--input", f"file:{prefix}", "--m", "21", "--dx", "0.5",
+                "--alpha", "1e-30", "--count", "0"]
+        proc = subprocess.run([sys.executable, "-m", "asymser", *argv], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: numerical blow-up: Overflow\n"
 
     @pytest.mark.parametrize("alpha", ["inf", "Infinity"])
     def test_infinite_continue_alpha_exits_3(self, tmp_path, capsys, alpha):

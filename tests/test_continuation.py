@@ -25,7 +25,7 @@ from asymser import (
     to_decimals,
 )
 from asymser import continuation
-from asymser.continuation import _exact_decimal, shared_steps
+from asymser.continuation import _exact_decimal, shared_first_shift
 from helpers import (
     assert_value_contract,
     continue_to_one,
@@ -301,7 +301,7 @@ class TestExactFlags:
             for alpha in ("1e-300", "0.01", "0.1", "0.5"):
                 config = SchemeConfig(m, step, alpha)
                 _, states = continue_to_one_with_steps(assoc, config)
-                inputs = [continuation._initial_state(assoc, m, 19), *states[:-1]]
+                inputs = [make_state(to_decimals(assoc.coeffs[:m], 19)), *states[:-1]]
                 for before, after in zip(inputs, states):
                     self.assert_flags(before.coeffs, step, alpha)
                     assert after.converged_count == exact_converged_count(
@@ -404,7 +404,7 @@ class TestExactFlags:
 
     def test_flags_ignore_the_ambient_context(self):
         assoc = build_companion("arctan", 98)
-        state = continuation._initial_state(assoc, 98, 19)
+        state = make_state(to_decimals(assoc.coeffs, 19))
         want = [exact_converged_count(state.coeffs, "0.25", a) for a in ("0.01", "0.1", "0.5")]
         with localcontext() as ctx:
             ctx.prec, ctx.rounding = 2, ROUND_UP
@@ -494,10 +494,29 @@ def state_key(state):
     return state, repr(state)
 
 
+def record_passes(monkeypatch):
+    """The calls of accumulate in continuation, recorded in order: "powers"
+    for a list of powers of p or q, "pass" for one pass of running sums."""
+    calls, accumulate = [], continuation.accumulate
+
+    def recording(*args, **kwargs):
+        calls.append("powers" if kwargs else "pass")
+        return accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "accumulate", recording)
+    return calls
+
+
+def shared_runs(assoc, configs):
+    """Each config's continuation, all run inside one shared_first_shift()."""
+    with shared_first_shift():
+        return [continue_to_one_with_steps(assoc, config) for config in configs]
+
+
 class TestPrefixOnlyContinuation:
-    """Steps that compute only the carried block, alone or from the first
-    step shared across alphas, must equal full-length steps truncated
-    afterwards."""
+    """Steps that compute only the carried block, alone or inside a block
+    that shares the first shift across alphas, must equal full-length steps
+    truncated afterwards."""
 
     # 1e-300 converges nothing on the first step, so the whole vector is kept
     ALPHAS = ("1e-300", "1e-6", "0.1")
@@ -506,16 +525,14 @@ class TestPrefixOnlyContinuation:
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
     def test_arctan_prefix(self, arctan_assoc_701, m, step):
         configs = [SchemeConfig(m=m, step=step, alpha=a) for a in self.ALPHAS]
-        starts = shared_steps(arctan_assoc_701, configs)
-        for config, start in zip(configs, starts):
+        shared = shared_runs(arctan_assoc_701, configs)
+        for config, run in zip(configs, shared):
             want = run_key(*reference_continue(arctan_assoc_701, config))
             alone = continue_to_one_with_steps(arctan_assoc_701, config)
             assert run_key(*alone) == want
-            assert start == alone[1][0]
-            shared = continue_to_one_with_steps(arctan_assoc_701, config, _start=start)
-            assert run_key(*shared) == want
+            assert run_key(*run) == want
         # the longest first state is the whole vector: 1e-300 converges nothing
-        assert max(len(start.coeffs) for start in starts) == m
+        assert max(len(states[0].coeffs) for _, states in shared) == m
 
     def test_first_step_keeps_everything_when_nothing_converges(self, arctan_assoc_701):
         config = SchemeConfig(m=120, step="0.25", alpha="1e-300")
@@ -523,35 +540,89 @@ class TestPrefixOnlyContinuation:
         assert (len(states[0].coeffs), states[0].converged_count) == (120, 0)
 
     def test_shared_sums_stop_at_the_largest_block(self, arctan_assoc_701, monkeypatch):
-        configs = [SchemeConfig(m=301, step="0.25", alpha=a) for a in ("0.01", "0.1")]
-        shifts = []
+        """Inside one block, a later alpha's first step forms no powers and
+        runs only the passes its block needs past those already run."""
+        state = make_state(to_decimals(arctan_assoc_701.coeffs[:301], 19))
+        alphas = ("0.01", "0.1", "0.01")
+        alone = [recenter_step(state, "0.25", a, carried_only=True) for a in alphas]
+        short, wide = len(alone[0].coeffs), len(alone[1].coeffs)
+        assert short < wide < 301
+        calls = record_passes(monkeypatch)
+        with shared_first_shift():
+            for i, passes in enumerate((short, wide - short, 0)):
+                start = len(calls)
+                got = recenter_step(state, "0.25", alphas[i], carried_only=True)
+                assert state_key(got) == state_key(alone[i])
+                assert calls[start:] == ["powers"] * 2 * (i == 0) + ["pass"] * passes
+            # a full-length step extends the kept sums to the whole vector
+            start = len(calls)
+            got = recenter_step(state, "0.25", "0.1")
+            assert calls[start:] == ["pass"] * (301 - wide)
+        assert state_key(got) == state_key(recenter_step(state, "0.25", "0.1"))
 
-        def recording(*args, **kwargs):
-            shifts.append(recenter_step(*args, **kwargs))
-            return shifts[-1]
+    def test_repeated_runs_outside_a_block_do_all_their_work(self, arctan_assoc_701,
+                                                             monkeypatch):
+        config = SchemeConfig(m=120, step="0.25", alpha="0.1")
+        calls = record_passes(monkeypatch)
+        first = continue_to_one_with_steps(arctan_assoc_701, config)
+        once = list(calls)
+        second = continue_to_one_with_steps(arctan_assoc_701, config)
+        assert run_key(*first) == run_key(*second)
+        assert calls == once * 2
+        assert once.count("powers") == 2 * config.steps
+        assert once.count("pass") == sum(len(s.coeffs) for s in first[1])
+        assert continuation._first_shift.get() is None
 
-        monkeypatch.setattr(continuation, "recenter_step", recording)
-        starts = shared_steps(arctan_assoc_701, configs)
-        monkeypatch.undo()
-        _, states = continue_to_one_with_steps(arctan_assoc_701, configs[1])
-        assert starts[1] == states[0]
-        # the shared step is one recenter_step, to the longest first-step block
-        assert len(shifts) == 1
-        assert len(shifts[0].coeffs) == len(states[0].coeffs) < 301
-        with pytest.raises(ValueError):
-            shared_steps(
-                arctan_assoc_701, configs + [SchemeConfig(m=301, step="0.5", alpha="0.1")]
-            )
+    def test_exact_and_decimal_prefixes_keep_their_types(self, monkeypatch):
+        """Equal values of another type are another shift: each keeps its
+        output type, whichever is shifted first."""
+        exact = tuple(F((-1) ** n, 2 ** n) for n in range(30))
+        decimal = to_decimals(exact, 30)
+        assert decimal == exact
+        states = [ContinuationState(D(0), c, 30) for c in (exact, decimal)]
+        alone = [recenter_step(s, "0.25", "0.01") for s in states]
+        assert [{type(c) for c in a.coeffs} for a in alone] == [{F}, {D}]
+        for order in ((0, 1), (1, 0)):
+            calls = record_passes(monkeypatch)
+            with shared_first_shift():
+                got = [recenter_step(states[i], "0.25", "0.01") for i in order]
+            assert [state_key(g) for g in got] == [state_key(alone[i]) for i in order]
+            assert calls.count("powers") == 4
+            monkeypatch.undo()
+
+    def test_equal_steps_of_other_spellings_share_a_shift(self, monkeypatch):
+        state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
+        want = recenter_step(state, "0.250", "0.01", carried_only=True)
+        calls = record_passes(monkeypatch)
+        with shared_first_shift():
+            recenter_step(state, "0.25", "0.01", carried_only=True)
+            start = len(calls)
+            got = recenter_step(state, "0.250", "0.01", carried_only=True)
+        assert calls[start:] == []
+        assert state_key(got) == state_key(want)
+        assert str(got.center) == "0.250"
+
+    def test_block_is_cleared_when_it_raises(self, monkeypatch):
+        state = make_state(to_decimals([F(1, n + 1) for n in range(40)], 19))
+        with pytest.raises(ArithmeticError, match="injected"):
+            with shared_first_shift():
+                recenter_step(state, "0.25", "0.01")
+                assert continuation._first_shift.get()
+                raise ArithmeticError("injected")
+        assert continuation._first_shift.get() is None
+        calls = record_passes(monkeypatch)
+        recenter_step(state, "0.25", "0.01")
+        assert calls == ["powers"] * 2 + ["pass"] * 40
 
     @staticmethod
     def assert_shared_equal_unshared(assoc, configs):
-        """Each config's state after the shared step is that of its own run,
-        in value and repr, and its run continues from it unchanged."""
-        for config, start in zip(configs, shared_steps(assoc, configs)):
-            _, states = continue_to_one_with_steps(assoc, config)
-            assert state_key(start) == state_key(states[0])
-            shared = continue_to_one_with_steps(assoc, config, _start=start)
-            assert run_key(*shared) == run_key(*reference_continue(assoc, config))
+        """Runs inside one shared_first_shift() block are the same runs
+        outside it, state for state in value and repr, and those of the
+        step loop of full-length steps."""
+        for config, (state, states) in zip(configs, shared_runs(assoc, configs)):
+            _, alone = continue_to_one_with_steps(assoc, config)
+            assert [state_key(s) for s in states] == [state_key(s) for s in alone]
+            assert run_key(state, states) == run_key(*reference_continue(assoc, config))
 
     @pytest.mark.parametrize("digits", [2, 19, 30])
     @pytest.mark.parametrize("step", ["0.125", "0.25", "0.5", "1"])
@@ -576,10 +647,6 @@ class TestPrefixOnlyContinuation:
             step = rng.choice(["0.125", "0.25", "0.5", "1"])
             alphas = rng.sample(["1e-9", "0.001", "0.1", "10", "1e6"], rng.randint(1, 4))
             configs = [SchemeConfig(m=len(values), step=step, alpha=a) for a in alphas]
-            starts = shared_steps(assoc, configs)
-            for config, start in zip(configs, starts):
-                shared = continue_to_one_with_steps(assoc, config, _start=start)
-                assert run_key(*shared) == run_key(*reference_continue(assoc, config))
             self.assert_shared_equal_unshared(assoc, configs)
 
     @pytest.mark.parametrize("zeros", [0, 1, 2])
@@ -622,31 +689,33 @@ class TestPrefixOnlyContinuation:
                 assert [F(b, d) for b, d in zip(sums, dens)] == want
 
     def test_rounding_error_of_the_shared_step_is_raised(self, arctan_assoc_701, monkeypatch):
-        """An error in the shared first step, which rounds the widest block,
-        is raised for the pair; the other alphas, run alone, still take
-        their clean steps.  An error in a later step is its own alpha's."""
+        """An error in one alpha's rounding of the shared first shift is
+        raised by that alpha's run alone: inside one block the other alphas
+        still take their clean steps, whichever runs first.  An error in a
+        later step is its own alpha's too."""
         configs = [SchemeConfig(m=120, step="0.25", alpha=a) for a in ("0.01", "0.1", "0.5")]
-        clean = shared_steps(arctan_assoc_701, configs)
-        wide = max(range(3), key=lambda i: len(clean[i].coeffs))
-        second = continue_to_one_with_steps(arctan_assoc_701, configs[1])[1][1]
+        clean = [continue_to_one_with_steps(arctan_assoc_701, c) for c in configs]
+        assert len({len(states[0].coeffs) for _, states in clean}) == 3
+        wide = max(range(3), key=lambda i: len(clean[i][1][0].coeffs))
+        spoilt = (clean[wide][1][0].coeffs, clean[1][1][1].coeffs)
         quotients = continuation._quotients
 
         def failing(sums, dens, decimal, digits):
             coeffs = quotients(sums, dens, decimal, digits)
-            if coeffs in (clean[wide].coeffs, second.coeffs):
+            if coeffs in spoilt:
                 raise ArithmeticError("injected")
             return coeffs
 
         monkeypatch.setattr(continuation, "_quotients", failing)
-        with pytest.raises(ArithmeticError, match="injected"):
-            shared_steps(arctan_assoc_701, configs)
-        for i in {0, 2} - {wide}:
-            _, states = continue_to_one_with_steps(arctan_assoc_701, configs[i])
-            assert states[0] == clean[i]
-        with pytest.raises(ArithmeticError, match="injected"):
-            continue_to_one_with_steps(arctan_assoc_701, configs[1])
-        with pytest.raises(ArithmeticError, match="injected"):
-            continue_to_one_with_steps(arctan_assoc_701, configs[1], _start=clean[1])
+        for order in ([0, 1, 2], [2, 1, 0]):
+            with shared_first_shift():
+                for i in order:
+                    if i in (wide, 1):
+                        with pytest.raises(ArithmeticError, match="injected"):
+                            continue_to_one_with_steps(arctan_assoc_701, configs[i])
+                    else:
+                        got = continue_to_one_with_steps(arctan_assoc_701, configs[i])
+                        assert run_key(*got) == run_key(*clean[i])
 
     def test_higher_precision(self, arctan_assoc_701):
         for alpha in ("1e-300", "1e-12"):

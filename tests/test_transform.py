@@ -11,9 +11,16 @@ from decimal import (
     ROUND_HALF_EVEN,
     ROUND_HALF_UP,
     ROUND_UP,
+    Clamped,
     Context,
     Decimal,
+    DivisionByZero,
     Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    Subnormal,
+    Underflow,
     localcontext,
 )
 from fractions import Fraction
@@ -431,6 +438,34 @@ class TestExactQuotient:
                     context = Context(prec=19, Emax=bound, Emin=-bound, clamp=clamp, traps=[])
                     assert_same_as_division(num, den, context, dnum, dden)
         assert integer_route
+
+    def test_long_operands_at_the_ends_of_small_exponent_ranges(self, integer_route):
+        """Long-operand quotients near, at and past Emax and Emin, in every
+        pairing of three Emax and three Emin values, with and without clamp,
+        in every rounding mode, with no trap and with every signal trapped:
+        each takes the integer route and rounds once, as a division does."""
+        rng = random.Random(27)
+        every_signal = [Clamped, DivisionByZero, Inexact, InvalidOperation, Overflow,
+                        Rounded, Subnormal, Underflow]
+        cases = 6000
+        for i in range(cases):
+            prec = (2, 5, 19, 30)[i % 4]
+            emax, emin = rng.choice((50, 200, 999)), -rng.choice((50, 200, 999))
+            # the quotient's adjusted exponent: past, at or near Emax, or down
+            # through the subnormal range to below Etiny
+            t = rng.choice((rng.randint(emax - 3, emax + 3),
+                            rng.randint(emin - prec - 3, emin + 3)))
+            digits = rng.randint(1, prec + 3)
+            quotient = rng.randint(10 ** (digits - 1), 10 ** digits - 1)
+            den = (rng.getrandbits(rng.randint(600, 700)) | 1) * 2 ** rng.randint(0, 8)
+            num = quotient * den + (i % 3 == 0) * rng.randint(1, den - 1)
+            shift = t - digits + 1
+            num, den = (num * 10 ** shift, den) if shift >= 0 else (num, den * 10 ** -shift)
+            context = Context(prec=prec, Emax=emax, Emin=emin, clamp=rng.randint(0, 1),
+                              rounding=rng.choice(ROUNDINGS),
+                              traps=every_signal if i % 2 else [])
+            assert_same_as_division(rng.choice((1, -1)) * num, den, context)
+        assert len(integer_route) == cases
 
     @pytest.mark.parametrize("prec", [1, 19, 60])
     def test_zero_numerator_and_denominator(self, prec):
