@@ -180,10 +180,7 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     once as a Fraction.  The cost is O(count) operations on integers that
     grow linearly, against the O(count**2) additions of the binomial
     transform (van der Hoeven, Fast evaluation of holonomic functions, TCS
-    1999).  When Q is linear, as for every pole:A and for its companion,
-    each r_n past deg P is r_{n-1} * (-q_1/q_0) instead: a Fraction product,
-    whose two gcds each have one small operand, where N_n / q_0**(n+1)
-    would need a gcd of two large ones.
+    1999).
 
     With `integrate`, R is the derivative of the function wanted, and its
     coefficients k = 1 .. count are returned, r_{k-1}/k, each one Fraction;
@@ -196,26 +193,15 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     q0 = q[0]
     if q0 == 0:
         raise ZeroDivisionError(f"Q vanishes at the center {center}")
-    # a linear Q needs the integer recurrence only up to deg P (one term at least)
-    head = min(count, max(len(p), 1)) if len(q) == 2 else count
     weights = [w * q0 ** (j - 1) for j, w in enumerate(q[1:], 1)]
     N, powers = [], [1]  # powers[n] = q0**n
-    for n in range(head):
+    for n in range(count):
         acc = p[n] * powers[n] if n < len(p) else 0
         for j, w in enumerate(weights[:n], 1):
             acc -= w * N[n - j]
         N.append(acc)
         powers.append(powers[n] * q0)
-    if integrate:
-        r = [Fraction(N[k - 1], k * powers[k]) for k in range(1, head + 1)]
-    else:
-        r = [Fraction(N[n], powers[n + 1]) for n in range(head)]
-    if head < count:
-        ratio, last = Fraction(-q[1], q0), Fraction(N[-1], powers[-1])
-        for k in range(head + 1, count + 1):
-            last *= ratio
-            r.append(last / k if integrate else last)
-    return r
+    return [Fraction(N[n], powers[n + 1] * (n + 1 if integrate else 1)) for n in range(count)]
 
 
 # str(n) and int(text) keep to the interpreter's limit on the digits of an
