@@ -23,6 +23,7 @@ from .continuation import (
     SchemeConfig,
     ShiftedExpansion,
     _check_digits,
+    _check_steps,
     _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
@@ -192,11 +193,11 @@ def cmd_continue(args) -> int:
         raise ValueError("count must be >= 0")
     config = SchemeConfig(m=m, step=str(merged["dx"]), alpha=str(merged["alpha"]), digits=digits)
     assoc = build_companion(args.input, m, digits)
+    state, states = continue_to_one_with_steps(assoc, config)
     note = None
     if reaches_singularity(args.input, config.step, config.steps):
         note = (f"step {config.step} passes within {config.step} of the nearest singularity "
                 "of the companion function; instability with growing m is expected")
-    state, states = continue_to_one_with_steps(assoc, config)
     try:
         shifted = extract_shifted(state, count)
     except InsufficientConvergedError as e:
@@ -376,7 +377,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--jobs must be >= 1")
     # every cell's parameters are checked before any work starts
     configs = [
-        SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)
+        _check_steps(SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits))
         for m in m_list for dx in dx_list for alpha in alpha_list
     ]
     assoc = build_companion(args.input, max(m_list), digits)

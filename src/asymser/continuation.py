@@ -148,6 +148,20 @@ def _check_alpha(alpha: Decimal) -> Decimal:
     return alpha
 
 
+def _check_steps(config: SchemeConfig) -> SchemeConfig:
+    """`config` if its path takes at most 1000 steps per input coefficient,
+    else ValueError naming the step count and the bound: a dx such as 1e-30
+    would otherwise run 10**30 steps.  With dx = d.dd * 10**a, 1/dx exceeds
+    10**(-a-1), and when that alone exceeds the bound 1/dx is not formed:
+    10**10000000 takes seconds to build."""
+    bound, a = 1000 * config.m, config.step.adjusted()
+    if 3 * (-a - 1) >= bound.bit_length() or config.steps > bound:
+        shown = config.steps if a >= -100 else f"more than 10**{-a - 1}"
+        raise ValueError(f"dx {config.step} takes {shown} steps; "
+                         f"at most 1000 * m = {bound} are allowed")
+    return config
+
+
 class SchemeConfig(Value):
     """Parameters of one continuation run.
 
@@ -374,8 +388,11 @@ def continue_to_one_with_steps(
     so that exactly representable inputs (polynomials with alpha below every
     term) continue losslessly.  Every step but the last computes only that
     block (`carried_only`).  Each state's center, carried length (its number
-    of coefficients) and converged count are the step's diagnostics.
+    of coefficients) and converged count are the step's diagnostics.  A
+    path of more than 1000 * config.m steps raises ValueError before the
+    first step.
     """
+    _check_steps(config)
     if len(assoc.coeffs) < config.m:
         raise ValueError(f"need at least m={config.m} coefficients, got {len(assoc.coeffs)}")
     coeffs = to_decimals(assoc.coeffs[: config.m], config.digits)

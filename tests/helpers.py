@@ -19,6 +19,8 @@ from asymser import (
     build_series,
     continue_to_one_with_steps,
     direct_trace,
+    functions,
+    rational_taylor,
     to_decimals,
 )
 from asymser.transform import exact_quotient, scale_to_integers
@@ -93,6 +95,30 @@ def arctan_companion_bounds(c: Fraction) -> tuple:
     0 <= c < 1, as :func:`arctan_bounds` gives them: u's value at a center
     of the continuation's path, such as u(j/8) = arctan(j/(8 - j))."""
     return arctan_bounds(Fraction(c) / (1 - Fraction(c)))
+
+
+def companion_taylor(text: str, center, count: int) -> list:
+    """The Taylor coefficients u_0 .. u_{count-1} at an exact `center` in
+    [0, 1] of the companion u of the built-in input `text`, as pairs of
+    Fractions lo <= u_k <= hi.
+
+    Every pair is exact (lo == hi) but arctan's u(center): the coefficients
+    are rational_taylor's on the data of u (functions._companion), those of
+    u' integrated for arctan, whose u(c) = arctan(c/(1 - c)) is enclosed by
+    arctan_companion_bounds, and u(1) = pi/2 by 2 * arctan_bounds(1).  A
+    center at a pole of u raises ZeroDivisionError.
+    """
+    c = Fraction(center)
+    if not 0 <= c <= 1:
+        raise ValueError(f"center {center} is not in [0, 1]")
+    spec = functions._parse_input(text)
+    if isinstance(spec, str):
+        raise ValueError(f"{text!r} is not a built-in input")
+    p, q, ends = functions._companion(*spec)
+    if ends is None:
+        return [(r, r) for r in rational_taylor(p, q, c, count)]
+    head = arctan_companion_bounds(c) if c < 1 else tuple(2 * b for b in arctan_bounds(c))
+    return [head, *((r, r) for r in rational_taylor(p, q, c, count - 1, True))]
 
 
 def direct_partial(taylor, k: int, m: int):

@@ -375,6 +375,13 @@ class TestDirectCommand:
         assert captured.err.strip() == message
         assert captured.out == ""
 
+    def test_schedule_of_four_parts_exits_3(self, capsys):
+        assert main(["direct", "--input", "pole:2", "--k", "0",
+                     "--schedule", "1..2..3..4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad schedule '1..2..3..4'\n"
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     GRID = ["sweep", "--input", "arctan", "--m", "26,22", "--dx", "0.5,0.25",
@@ -532,6 +539,26 @@ class TestSweepPool:
             for m, dx in ((40, "0.25"), (40, "0.5"), (22, "0.25"), (22, "0.5"))
         ]
         assert all(type(c) is continuation.SchemeConfig for task in pool.tasks for c in task)
+
+    def test_spawned_workers_give_the_serial_csv(self, tmp_path):
+        """Under spawn, the default start method on macOS and Windows, each
+        worker imports asymser afresh and gets the prefix, the reference and
+        its pickled configs from the parent: its CSV is the --jobs 1 one."""
+        argv = ["sweep", "--input", "arctan", "--m", "20,98,201", "--dx", "0.125,0.25,0.5",
+                "--alpha", "0.01,0.1"]
+        serial = tmp_path / "serial.csv"
+        assert main(argv + ["--jobs", "1", "--out", str(serial)]) == 0
+        spawned = tmp_path / "spawned.csv"
+        script = ("import multiprocessing, sys\n"
+                  "from asymser.cli import main\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--jobs", "2", "--out", str(spawned)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert spawned.read_text() == serial.read_text()
 
 
 class TestSweepGrouping:
@@ -724,6 +751,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == (
             f"error: --m must be an integer, got {json.dumps(bad)}")
 
+    @pytest.mark.parametrize("command, key", [("continue", "m"), ("continue", "count"),
+                                              ("sweep", "m"), ("sweep", "jobs")])
+    def test_config_integer_that_is_not_a_number_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                         command, key):
+        started = []
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"m": 40, "dx": "0.25", "alpha": "0.1", key: "abc"}))
+        assert main([command, "--input", "arctan", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f'error: --{key} must be an integer, got "abc"\n'
+        assert started == []
+
     def test_config_integers_as_text_or_integral_numbers(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"m": "30", "dx": "0.25", "alpha": "0.1",
@@ -776,6 +815,39 @@ class TestExitCodes:
         else:
             (row,) = csv.DictReader(proc.stdout.splitlines())
             assert (row["alpha"], row["converged_count"]) == ("1E-30000000", "0")
+
+    @pytest.mark.parametrize("dx, shown", [
+        ("1e-30", "1E-30 takes 1000000000000000000000000000000"),
+        ("1e-100000000", "1E-100000000 takes more than 10**99999999")])
+    @pytest.mark.parametrize("csv_input", [False, True])
+    def test_path_of_too_many_steps_exits_3_at_once(self, tmp_path, csv_input, dx, shown):
+        """dx 1e-30 takes 10**30 steps, over 1000 * m: refused before the
+        first, and 1/dx is not formed when its exponent alone refuses it."""
+        text = "arctan"
+        if csv_input:
+            path = tmp_path / "arctan.csv"
+            save_coeffs(build_series("arctan", 5), path)
+            text = f"file:{path}"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        argv = ["continue", "--input", text, "--m", "5", "--dx", dx, "--alpha", "0.1"]
+        proc = subprocess.run([sys.executable, "-m", "asymser", *argv], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: dx {shown} steps; at most 1000 * m = 5000 are allowed\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_path_of_too_many_steps_checked_up_front(self, monkeypatch, capsys, jobs):
+        """Every cell's step count is checked with its other parameters: the
+        m=20 cells of dx 1/16384 may run, the m=5 ones may not."""
+        started = []
+        monkeypatch.setattr(cli, "build_companion", lambda *a: started.append("companion"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda *a, **k: started.append("pool"))
+        assert main(["sweep", "--input", "arctan", "--m", "20,5", "--dx", "0.25,0.00006103515625",
+                     "--alpha", "0.1", "--jobs", jobs]) == 3
+        assert capsys.readouterr().err == (
+            "error: dx 0.00006103515625 takes 16384 steps; at most 1000 * m = 5000 are allowed\n")
+        assert started == []
 
     def test_input_term_of_three_hundred_thousand_digits(self, tmp_path):
         """Each step's sums are exact multiples of their long denominators:

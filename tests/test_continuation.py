@@ -470,6 +470,29 @@ class TestContinueToOne:
         assert [str(s.center) for s in states] == [
             "0.125", "0.250", "0.375", "0.500", "0.625", "0.750", "0.875", "1.000"]
 
+    def test_path_of_at_most_1000_steps_per_coefficient(self):
+        """1000 * m steps run; 1024, the next count past it that 1/dx can be,
+        or 10**30 are refused, naming the step count and the bound."""
+        assoc = AssociatedSeries(coeffs=(F(1, 2),))
+        state, states = continue_to_one_with_steps(
+            assoc, SchemeConfig(m=1, step=F(1, 1000), alpha="0.1"))
+        assert (state.center, len(states), state.coeffs) == (1, 1000, (D("0.5"),))
+        for step, shown in ((F(1, 1024), "1024"),
+                            ("1e-30", "1000000000000000000000000000000"),
+                            ("1e-5000", "more than 10**4999")):
+            config = SchemeConfig(m=1, step=step, alpha="0.1")
+            with pytest.raises(ValueError) as info:
+                continue_to_one_with_steps(assoc, config)
+            assert type(info.value) is ValueError
+            assert str(info.value) == (f"dx {config.step} takes {shown} steps; "
+                                       "at most 1000 * m = 1000 are allowed")
+
+    def test_long_path_refused_before_the_first_step(self, monkeypatch):
+        monkeypatch.setattr(continuation, "recenter_step", lambda *a, **k: pytest.fail("stepped"))
+        assoc = AssociatedSeries(coeffs=tuple(F(1, n + 1) for n in range(5)))
+        with pytest.raises(ValueError, match=r"^dx 1E-30 takes "):
+            continue_to_one_with_steps(assoc, SchemeConfig(m=5, step="1e-30", alpha="0.1"))
+
     def test_determinism_across_runs(self):
         assoc = AssociatedSeries(coeffs=tuple(F((-1) ** n, n + 1) for n in range(50)))
         config = SchemeConfig(m=50, step="0.125", alpha="0.05")
@@ -745,6 +768,13 @@ class TestExtractShifted:
     def test_count_zero(self):
         state = make_state(["2"], center="1", converged=1)
         assert extract_shifted(state, 0).coeffs == ()
+
+    def test_negative_count_rejected(self):
+        state = make_state(["2"], center="1", converged=1)
+        with pytest.raises(ValueError) as info:
+            extract_shifted(state, -1)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "count must be >= 0"
 
     def test_requires_center_one(self):
         state = make_state(["1"], center="0.5")

@@ -110,6 +110,10 @@ class TestPlainToShifted:
     def test_constant(self):
         assert plain_to_shifted(PlainExpansion(coeffs=(F(7),))).coeffs == (F(7),)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^expansion has no coefficients$"):
+            plain_to_shifted(PlainExpansion(()))
+
     @given(fraction_vectors)
     @settings(max_examples=100)
     def test_round_trip(self, vec):
@@ -287,6 +291,12 @@ class TestDirectTrace:
         assert trace.converged and trace.limit_guess == 0
         with pytest.raises(ValueError, match=r"^tol -0.5 is negative$"):
             direct_trace(build_series("pole:1", 25), 0, [5, 10, 20], tol=-0.5)
+
+    @pytest.mark.parametrize("tol, shown", [(float("inf"), "inf"), (float("nan"), "nan"),
+                                            (D("NaN"), "NaN"), (D("-Infinity"), "-Infinity")])
+    def test_non_finite_tolerance_rejected(self, tol, shown):
+        with pytest.raises(ValueError, match=rf"^tol {shown} is not finite$"):
+            direct_trace(build_series("pole:1", 25), 0, [5, 10, 20], tol=tol)
 
     @pytest.mark.parametrize(
         "value, same, other, text",

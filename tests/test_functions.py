@@ -35,6 +35,7 @@ from helpers import (
     arctan_bounds,
     arctan_companion_bounds,
     arctan_taylor_coeff,
+    companion_taylor,
     pole_taylor_coeff,
     quotient_taylor,
 )
@@ -198,6 +199,62 @@ class TestArctanBounds:
         lo239, hi239 = arctan_bounds(F(1, 239))
         lo1, hi1 = arctan_bounds(F(1))
         assert 4 * lo5 - hi239 <= hi1 and lo1 <= 4 * hi5 - lo239
+
+
+class TestCompanionTaylor:
+    """The oracle of u's Taylor coefficients at a center of the path against
+    the library's companion at 0 and at 1, and against the closed form
+    u = (1 - x)/(A + (1 - A)x) of pole:A at every j/8."""
+
+    TEXTS = ["arctan", "altgeom"] + [f"pole:{a}" for a in POLES]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_at_zero_is_the_companion(self, text):
+        got = companion_taylor(text, 0, 120)
+        assert got == [(w, w) for w in build_companion(text, 120).coeffs]
+        assert all(type(lo) is type(hi) is Fraction for lo, hi in got)
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_at_one_is_companion_at_one(self, text):
+        got, want = companion_taylor(text, 1, 120), companion_at_one(text, 120)
+        assert got[1:] == [(w, w) for w in want[1:]]
+        (lo, hi), u1 = got[0], F(want[0])
+        if text == "arctan":  # pi/2 within the enclosure's width, 2e-40 at most
+            assert 0 < hi - lo <= F(2, 10**40)
+            assert lo - (hi - lo) <= u1 <= hi + (hi - lo)
+        else:
+            assert lo == hi == u1 == 0
+
+    @pytest.mark.parametrize("j", range(9))
+    @pytest.mark.parametrize("text", TEXTS[1:])
+    def test_pole_is_the_closed_form(self, text, j):
+        """At c, with d = A + (1 - A)c and rho = (1 - A)/d, u_n is
+        ((1 - c)(-rho)**n - (-rho)**(n-1))/d, without the second term at n = 0."""
+        a, c = pole_parameter(text), F(j, 8)
+        d = a + (1 - a) * c
+        if d == 0:  # pole:-5/3 has u's pole at 5/8
+            with pytest.raises(ZeroDivisionError):
+                companion_taylor(text, c, 60)
+            return
+        rho = (1 - a) / d
+        want = [((1 - c) * (-rho) ** n - ((-rho) ** (n - 1) if n else 0)) / d for n in range(60)]
+        assert companion_taylor(text, c, 60) == [(w, w) for w in want]
+
+    @pytest.mark.parametrize("j", range(8))
+    def test_arctan_value_is_its_enclosure(self, j):
+        c = F(j, 8)
+        (head, *rest) = companion_taylor("arctan", c, 40)
+        assert head == arctan_companion_bounds(c)
+        assert all(lo == hi and type(lo) is Fraction for lo, hi in rest)
+        # u' = 1/(1 - 2x + 2x**2)
+        assert rest[0][0] == 1 / (1 - 2 * c + 2 * c * c)
+
+    @pytest.mark.parametrize("text, center, error", [
+        ("arctan", F(-1, 8), ValueError), ("pole:2", F(9, 8), ValueError),
+        ("file:coeffs.csv", 0, ValueError)])
+    def test_refused(self, text, center, error):
+        with pytest.raises(error):
+            companion_taylor(text, center, 3)
 
 
 class TestReachesSingularity:
@@ -569,8 +626,8 @@ class TestRationalTaylor:
 
     @pytest.mark.parametrize("a", ["3/2", "-5/3", "2", "1", "-3", "7/11"])
     def test_linear_q_is_the_closed_form(self, a):
-        """Past deg P a linear Q gives each coefficient from the last by one
-        Fraction product; the values and types are the closed form's."""
+        """A linear Q runs the same recurrence as every other input; the
+        values and types are the closed form's."""
         got = build_series(f"pole:{a}", 4002).coeffs
         want = [pole_taylor_coeff(F(a), n) for n in range(4002)]
         assert list(got) == want
