@@ -23,7 +23,6 @@ from .continuation import (
     SchemeConfig,
     ShiftedExpansion,
     _check_digits,
-    _check_steps,
     _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
@@ -377,7 +376,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--jobs must be >= 1")
     # every cell's parameters are checked before any work starts
     configs = [
-        _check_steps(SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits))
+        SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)
         for m in m_list for dx in dx_list for alpha in alpha_list
     ]
     assoc = build_companion(args.input, max(m_list), digits)

@@ -148,26 +148,13 @@ def _check_alpha(alpha: Decimal) -> Decimal:
     return alpha
 
 
-def _check_steps(config: SchemeConfig) -> SchemeConfig:
-    """`config` if its path takes at most 1000 steps per input coefficient,
-    else ValueError naming the step count and the bound: a dx such as 1e-30
-    would otherwise run 10**30 steps.  With dx = d.dd * 10**a, 1/dx exceeds
-    10**(-a-1), and when that alone exceeds the bound 1/dx is not formed:
-    10**10000000 takes seconds to build."""
-    bound, a = 1000 * config.m, config.step.adjusted()
-    if 3 * (-a - 1) >= bound.bit_length() or config.steps > bound:
-        shown = config.steps if a >= -100 else f"more than 10**{-a - 1}"
-        raise ValueError(f"dx {config.step} takes {shown} steps; "
-                         f"at most 1000 * m = {bound} are allowed")
-    return config
-
-
 class SchemeConfig(Value):
     """Parameters of one continuation run.
 
     m       -- how many leading companion coefficients to feed in
     step    -- center increment dx; 1/dx must be a whole number so the path
-               lands exactly on 1 (0.125, 0.25 and 0.5 all qualify)
+               lands exactly on 1 (0.125, 0.25 and 0.5 all qualify), and at
+               most 1000 * m, else ValueError: 1e-30 would run 10**30 steps
     alpha   -- convergence threshold for trailing terms, finite and positive
     digits  -- significant decimal digits kept between steps
     """
@@ -189,10 +176,18 @@ class SchemeConfig(Value):
                 if len(step.as_tuple().digits) - e <= 100  # short enough to show exactly
                 else f"1/step is not an integer for step {step}")
         self._set(m=m, step=step, alpha=alpha, digits=digits)
+        # with step = d.dd * 10**a, 1/step > 10**(-a-1): when that alone passes
+        # the bound, 10**-e is not formed (10**10000000 takes seconds to build)
+        bound, a = 1000 * m, step.adjusted()
+        if 3 * (-a - 1) >= bound.bit_length() or self.steps > bound:
+            shown = self.steps if a >= -100 else f"more than 10**{-a - 1}"
+            raise ValueError(f"dx {step} takes {shown} steps; "
+                             f"at most 1000 * m = {bound} are allowed")
 
     @property
     def steps(self) -> int:
-        return int(Fraction(1) / Fraction(self.step))
+        n, _, e = _decimal_ratio(self.step)
+        return 10 ** -e // n
 
 
 class ContinuationState(Value):
@@ -388,19 +383,14 @@ def continue_to_one_with_steps(
     so that exactly representable inputs (polynomials with alpha below every
     term) continue losslessly.  Every step but the last computes only that
     block (`carried_only`).  Each state's center, carried length (its number
-    of coefficients) and converged count are the step's diagnostics.  A
-    path of more than 1000 * config.m steps raises ValueError before the
-    first step.
+    of coefficients) and converged count are the step's diagnostics.
     """
-    _check_steps(config)
     if len(assoc.coeffs) < config.m:
         raise ValueError(f"need at least m={config.m} coefficients, got {len(assoc.coeffs)}")
     coeffs = to_decimals(assoc.coeffs[: config.m], config.digits)
     state, states = ContinuationState(Decimal(0), coeffs, len(coeffs)), []
-    for i in range(config.steps):
-        state = recenter_step(
-            state, config.step, config.alpha, config.digits, carried_only=i < config.steps - 1
-        )
+    for i in reversed(range(config.steps)):  # i steps remain after this one
+        state = recenter_step(state, config.step, config.alpha, config.digits, carried_only=i > 0)
         states.append(state)
     return state, states
 

@@ -49,6 +49,30 @@ def pole_taylor_coeff(a, n: int) -> Fraction:
     return Fraction((-1) ** n) / Fraction(a) ** (n + 1)
 
 
+def log1p_taylor_coeff(n: int) -> Fraction:
+    """Closed form of the n-th Taylor coefficient of log(1 + x) at 0: 0 at
+    n = 0, (-1)**(n-1)/n after.  Its companion u = -log(1 - x) is infinite
+    at 1, so the input fails the paper's condition."""
+    return Fraction((-1) ** (n - 1), n) if n else Fraction(0)
+
+
+def inv_sqrt1p_taylor_coeff(n: int) -> Fraction:
+    """Closed form of the n-th Taylor coefficient of (1 + x)**(-1/2) at 0:
+    C(-1/2, n) = (-1)**n * C(2n, n) / 4**n.  Its companion u = sqrt(1 - x)
+    has an infinite derivative at 1, so the input fails the paper's
+    condition."""
+    return Fraction((-1) ** n * math.comb(2 * n, n), 4**n)
+
+
+def binomial_series(a: Fraction, count: int) -> list:
+    """The first `count` Taylor coefficients of (1 + x)**a at 0, for a
+    rational a: C(a, n) = C(a, n-1) * (a - n + 1)/n, by the running product."""
+    coeffs = [Fraction(1)]
+    for n in range(1, count):
+        coeffs.append(coeffs[-1] * (a - n + 1) / n)
+    return coeffs[:count]
+
+
 def arctan_assoc_coeff(n: int) -> Fraction:
     """Closed form of the n-th companion coefficient for arctan.
 

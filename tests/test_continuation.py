@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from decimal import ROUND_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -48,9 +49,11 @@ def make_state(values, center="0", converged=None):
 
 class TestSchemeConfig:
     def test_valid_steps(self):
-        for dx in ("0.125", "0.25", "0.5", "1"):
-            config = SchemeConfig(m=10, step=dx, alpha="0.1")
-            assert config.steps == int(1 / float(dx))
+        # exactly 1/dx, up to the bound of 1000 * m steps
+        for m, dx, steps in ((10, "0.125", 8), (10, "0.25", 4), (10, "0.5", 2), (10, "1", 1),
+                             (1, "0.001", 1000), (2, "0.0009765625", 1024), (1, "1.0", 1),
+                             (1, "0.50", 2), (1, F(1, 1000), 1000)):
+            assert SchemeConfig(m=m, step=dx, alpha="0.1").steps == steps
 
     def test_non_integral_path(self):
         with pytest.raises(NonIntegralPathError):
@@ -61,10 +64,18 @@ class TestSchemeConfig:
             SchemeConfig(m=10, step=F(1, 3), alpha="0.1")
 
     def test_fraction_step_exact_past_28_digits(self):
-        # 2**-60 has 42 significant digits
-        config = SchemeConfig(m=5, step=F(1, 2**60), alpha="0.1")
+        # 2**-60 has 42 significant digits; m = 2**51 allows its 2**60 steps
+        config = SchemeConfig(m=2**51, step=F(1, 2**60), alpha="0.1")
         assert F(config.step) == F(1, 2**60)
         assert config.steps == 2**60
+
+    def test_ten_million_digit_path_refused_without_forming_it(self):
+        # 1/dx = 10**10000000 takes seconds to build: the exponent alone refuses it
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^dx 1E-10000000 takes more than 10\*\*9999999 "
+                                             r"steps; at most 1000 \* m = 5000 are allowed$"):
+            SchemeConfig(m=5, step="1e-10000000", alpha="0.1")
+        assert time.perf_counter() - start < 2
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -472,19 +483,18 @@ class TestContinueToOne:
 
     def test_path_of_at_most_1000_steps_per_coefficient(self):
         """1000 * m steps run; 1024, the next count past it that 1/dx can be,
-        or 10**30 are refused, naming the step count and the bound."""
+        or 10**30 are refused by SchemeConfig, naming the step count and the bound."""
         assoc = AssociatedSeries(coeffs=(F(1, 2),))
         state, states = continue_to_one_with_steps(
             assoc, SchemeConfig(m=1, step=F(1, 1000), alpha="0.1"))
         assert (state.center, len(states), state.coeffs) == (1, 1000, (D("0.5"),))
-        for step, shown in ((F(1, 1024), "1024"),
-                            ("1e-30", "1000000000000000000000000000000"),
-                            ("1e-5000", "more than 10**4999")):
-            config = SchemeConfig(m=1, step=step, alpha="0.1")
+        for step, shown, steps in ((F(1, 1024), "0.0009765625", "1024"),
+                                   ("1e-30", "1E-30", "1000000000000000000000000000000"),
+                                   ("1e-5000", "1E-5000", "more than 10**4999")):
             with pytest.raises(ValueError) as info:
-                continue_to_one_with_steps(assoc, config)
+                SchemeConfig(m=1, step=step, alpha="0.1")
             assert type(info.value) is ValueError
-            assert str(info.value) == (f"dx {config.step} takes {shown} steps; "
+            assert str(info.value) == (f"dx {shown} takes {steps} steps; "
                                        "at most 1000 * m = 1000 are allowed")
 
     def test_long_path_refused_before_the_first_step(self, monkeypatch):

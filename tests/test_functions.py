@@ -35,7 +35,10 @@ from helpers import (
     arctan_bounds,
     arctan_companion_bounds,
     arctan_taylor_coeff,
+    binomial_series,
     companion_taylor,
+    inv_sqrt1p_taylor_coeff,
+    log1p_taylor_coeff,
     pole_taylor_coeff,
     quotient_taylor,
 )
@@ -343,6 +346,29 @@ class TestArctanAssocClosedForm:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             arctan_assoc_coeff(-1)
+
+
+class TestSingularAtOne:
+    """Exact file: prefixes whose companions are singular at 1, where the
+    paper's condition fails: log(1 + x) gives u = -log(1 - x), and
+    (1 + x)**(-1/2) gives u = sqrt(1 - x)."""
+
+    @pytest.mark.parametrize("taylor, companion", [
+        (log1p_taylor_coeff, lambda m: [F(1, n) if n else F(0) for n in range(m)]),
+        (inv_sqrt1p_taylor_coeff,
+         lambda m: [(-1) ** n * c for n, c in enumerate(binomial_series(F(1, 2), m))]),
+    ])
+    def test_companion_is_exact(self, tmp_path, taylor, companion):
+        m = 701
+        save_coeffs(TaylorSeries(tuple(map(taylor, range(m)))), tmp_path / "f.csv")
+        assert build_companion(f"file:{tmp_path}/f.csv", m).coeffs == tuple(companion(m))
+
+    def test_closed_forms(self):
+        assert [log1p_taylor_coeff(n) for n in range(4)] == [0, 1, F(-1, 2), F(1, 3)]
+        assert [inv_sqrt1p_taylor_coeff(n) for n in range(4)] == [1, F(-1, 2), F(3, 8), F(-5, 16)]
+        assert binomial_series(F(1, 2), 4) == [1, F(1, 2), F(-1, 8), F(1, 16)]
+        assert binomial_series(F(-1, 2), 40) == [inv_sqrt1p_taylor_coeff(n) for n in range(40)]
+        assert binomial_series(F(1, 2), 0) == []
 
 
 class TestPoleCoeffs:

@@ -11,16 +11,20 @@ its err0/err1 columns filled from the companion's coefficients at 1; its
 other columns did not move.
 A change that moves these bytes on purpose updates the pin and says so in
 CHANGES.md; any other change must leave them as they are.
+The 60-cell grid also runs on a saved exact prefix of arctan, the `file:`
+route, which must give the built-in input's rows.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import os
 import sys
 
 import pytest
 
-from asymser import build_companion, cli, companion_at_one, continuation
+from asymser import build_companion, build_series, cli, companion_at_one, continuation, save_coeffs
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -71,3 +75,23 @@ def test_sweep_rounds_its_prefix_once(capsys, monkeypatch):
     assert len(calls) == m + 2
     assert calls[:m] == list(build_companion("arctan", m).coeffs)
     assert calls[m:] == companion_at_one("arctan", 2)
+
+
+def test_file_prefix_sweeps_the_grid_as_the_builtin_input(capsys, tmp_path):
+    """The paper's route, a saved exact Taylor prefix, gives every cell of the
+    60-cell grid the built-in arctan's row, at --jobs 2 against --jobs 1; only
+    the err columns, which need the function itself, stay empty."""
+    save_coeffs(build_series("arctan", max(workloads.SWEEP_M)), tmp_path / "arctan.csv")
+    grids = []
+    for text, jobs in (("arctan", 1), (f"file:{tmp_path}/arctan.csv", 2)):
+        argv = workloads.sweep_argv(jobs)
+        argv[argv.index("--input") + 1] = text
+        assert cli.main(argv) == 0
+        grids.append(list(csv.DictReader(io.StringIO(capsys.readouterr().out))))
+    builtin, saved = grids
+    assert len(builtin) == len(saved) == 60
+    errs = ("err0", "err1")
+    for a, b in zip(builtin, saved):
+        assert (b["err0"], b["err1"]) == ("", "")
+        assert {k: v for k, v in a.items() if k not in errs} == \
+            {k: v for k, v in b.items() if k not in errs}
