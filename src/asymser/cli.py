@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from fractions import Fraction
 
 from .continuation import (
@@ -94,7 +95,8 @@ def _parse_schedule(text: str) -> list[int]:
 
 
 def _merge_config(args, keys):
-    """Fill argparse values that are None from a JSON config file."""
+    """Fill argparse values that are None from a JSON config file.  A key
+    whose fallback is None is required: it is refused when still None."""
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -110,6 +112,9 @@ def _merge_config(args, keys):
             merged[key] = values[key]
         else:
             merged[key] = fallback
+    missing = ", ".join(f"--{key}" for key in keys if keys[key] is None and merged[key] is None)
+    if missing:
+        raise ValueError(f"missing required option(s): {missing}")
     return merged
 
 
@@ -127,23 +132,11 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"--{key} must be an integer, got {json.dumps(value)}")
 
 
-def _digits(value) -> int:
-    """The working precision: DEFAULT_DIGITS when not given, else checked."""
-    return DEFAULT_DIGITS if value is None else _check_digits(value)
-
-
-def _require(merged, names):
-    missing = [n for n in names if merged.get(n) is None]
-    if missing:
-        raise ValueError(f"missing required option(s): {', '.join('--' + m for m in missing)}")
-
-
 # ---------------------------------------------------------------- transform
 
 def cmd_transform(args) -> int:
-    digits = _digits(args.digits)
-    lag = args.lag if args.lag is not None else 4
-    if lag < 1:
+    digits = _check_digits(args.digits)
+    if args.lag < 1:
         raise ValueError("--lag must be >= 1")
     series = build_series(args.input, args.count, digits)
     assoc = build_companion(args.input, args.count, digits, series)
@@ -164,16 +157,16 @@ def cmd_transform(args) -> int:
         rows,
     )
     try:
-        est = estimate_radius(assoc, lag)
+        est = estimate_radius(assoc, args.lag)
     except DegenerateRatiosError:
-        print(f"radius estimate (lag {lag}): degenerate (zero coefficients in every pair)")
+        print(f"radius estimate (lag {args.lag}): degenerate (zero coefficients in every pair)")
     except ValueError as e:
-        print(f"radius estimate (lag {lag}): unavailable ({e})")
+        print(f"radius estimate (lag {args.lag}): unavailable ({e})")
     else:
         if est.limit_guess is not None:
-            print(f"radius estimate (lag {lag}): {est.limit_guess:.9f}")
+            print(f"radius estimate (lag {args.lag}): {est.limit_guess:.9f}")
         else:
-            print(f"radius estimate (lag {lag}): undetermined "
+            print(f"radius estimate (lag {args.lag}): undetermined "
                   f"(last value {est.values[-1]:.9f} over {len(est.values)} comparisons)")
     return EXIT_OK
 
@@ -184,7 +177,6 @@ def cmd_continue(args) -> int:
     merged = _merge_config(
         args, {"m": None, "dx": None, "alpha": None, "digits": DEFAULT_DIGITS, "count": 2}
     )
-    _require(merged, ["m", "dx", "alpha"])
     m = _integer(merged["m"], "m")
     digits = _integer(merged["digits"], "digits")
     count = _integer(merged["count"], "count")
@@ -239,7 +231,7 @@ def cmd_convert(args) -> int:
     direction = _DIRECTIONS.get(args.direction)
     if direction is None:
         raise ValueError(f"direction must be one of {sorted(_DIRECTIONS)}")
-    digits = _digits(args.digits)
+    digits = _check_digits(args.digits)
     series = load_coeffs(args.coeff_file, digits=digits)
     with localcontext() as ctx:
         ctx.prec = digits
@@ -255,7 +247,7 @@ def cmd_convert(args) -> int:
 
 def cmd_direct(args) -> int:
     schedule = _parse_schedule(args.schedule)
-    digits = _digits(args.digits)
+    digits = _check_digits(args.digits)
     if args.k < 0:  # as direct_trace checks it, but before the prefix is built
         raise ValueError("k must be >= 0")
     series = build_series(args.input, max(schedule) + 1, digits)
@@ -343,49 +335,31 @@ def _as_list(value) -> list:
     return [value]
 
 
-def _decimal_list(value, what) -> list[str]:
-    """The distinct numbers of a comma list in ascending order, each in the
-    first spelling given.  A NaN, which cannot be compared, goes last for
-    SchemeConfig to reject."""
-    def nan_last(text):
-        d = Decimal(text)
-        return (True, 0) if d.is_nan() else (False, d)
-
-    first = {}
-    for item in _as_list(value):
-        d = _exact_decimal(str(item), what)
-        # a NaN equals nothing (and a signalling one cannot be hashed): key it by its text
-        first.setdefault(str(d) if d.is_nan() else d, str(d))
-    return sorted(first.values(), key=nan_last)
-
-
 def cmd_sweep(args) -> int:
     merged = _merge_config(
         args, {"m": None, "dx": None, "alpha": None, "digits": DEFAULT_DIGITS, "jobs": 1}
     )
-    _require(merged, ["m", "dx", "alpha"])
-    m_list = sorted({_integer(v, "m") for v in _as_list(merged["m"])})
-    dx_list = _decimal_list(merged["dx"], "step")
-    alpha_list = _decimal_list(merged["alpha"], "alpha")
-    for flag, values in (("m", m_list), ("dx", dx_list), ("alpha", alpha_list)):
+    grid = {"m": [_integer(v, "m") for v in _as_list(merged["m"])],
+            "dx": _as_list(merged["dx"]), "alpha": _as_list(merged["alpha"])}
+    for flag, values in grid.items():
         if not values:
             raise ValueError(f"--{flag} needs at least one value")
     digits = _integer(merged["digits"], "digits")
     jobs = _integer(merged["jobs"], "jobs")
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
-    # every cell's parameters are checked before any work starts
-    configs = [
-        SchemeConfig(m=m, step=dx, alpha=alpha, digits=digits)
-        for m in m_list for dx in dx_list for alpha in alpha_list
-    ]
-    assoc = build_companion(args.input, max(m_list), digits)
+    # every cell's parameters are checked before any work starts, in the order
+    # written; equal cells are one, in the first spelling (dx varies before alpha)
+    configs = sorted(dict.fromkeys(
+        SchemeConfig(m=m, step=str(dx), alpha=str(alpha), digits=digits)
+        for m, dx, alpha in itertools.product(*grid.values())
+    ), key=lambda c: (c.m, c.step, c.alpha))
+    assoc = build_companion(args.input, configs[-1].m, digits)
     coeffs = to_decimals(assoc.coeffs, digits)
     # u's first two coefficients at 1, rounded once for every cell's err columns
     reference = to_decimals(companion_at_one(args.input, 2) or (), digits + 8)
     # one task per (m, dx) pair, its configs alone: its alphas share the first shift
-    per_pair = len(alpha_list)
-    pairs = [configs[i : i + per_pair] for i in range(0, len(configs), per_pair)]
+    pairs = [list(pair) for _, pair in itertools.groupby(configs, lambda c: (c.m, c.step))]
     # the largest pairs first (most coefficients, then most steps), so that no
     # worker starts one late; the rows stay in grid order
     order = sorted(range(len(pairs)), key=lambda i: (-pairs[i][0].m, pairs[i][0].step))
@@ -418,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="companion coefficients and radius estimate")
     p.add_argument("--input", required=True, help="arctan | pole:A | altgeom | file:PATH")
     p.add_argument("--count", type=int, required=True, help="number of coefficients")
-    p.add_argument("--lag", type=int, default=None, help="ratio-test lag (default 4)")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--lag", type=int, default=4, help="ratio-test lag (default 4)")
+    p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     p = sub.add_parser("continue", help="continue the companion series to 1 and extract")
@@ -436,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeff_file", help="coefficient file (.json: decimals, else CSV)")
     p.add_argument("--direction", required=True,
                    help="to-plain | to-shifted (aliases: to-q, to-qprime)")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p.add_argument("--out", default=None, help="format by name (default stdout)")
 
     p = sub.add_parser("direct", help="direct partial sums of a shifted coefficient")
@@ -444,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="coefficient index")
     p.add_argument("--schedule", required=True, help="m values: '5..30' or '5,10,20'")
     p.add_argument("--tol", default="1e-9", help="agreement tolerance (default 1e-9)")
-    p.add_argument("--digits", type=int, default=None)
+    p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sweep", help="grid of continuation runs, CSV report")
