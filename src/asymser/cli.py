@@ -349,7 +349,7 @@ def cmd_sweep(args) -> int:
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
     # every cell's parameters are checked before any work starts, in the order
-    # written; equal cells are one, in the first spelling (dx varies before alpha)
+    # written; equal cells count once, in the first spelling given
     configs = sorted(dict.fromkeys(
         SchemeConfig(m=m, step=str(dx), alpha=str(alpha), digits=digits)
         for m, dx, alpha in itertools.product(*grid.values())

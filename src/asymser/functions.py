@@ -20,7 +20,7 @@ import math
 import os
 import re
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 from .continuation import DEFAULT_DIGITS, _exact_decimal, _rounded, to_decimals
@@ -287,8 +287,11 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
                 raise CoefficientParseError(f"entry {i} is not a string")
             try:
                 value = _rounded(item)
-            except ArithmeticError as e:
+            except InvalidOperation as e:
                 raise CoefficientParseError(f"entry {i} is not a decimal: {_shown(item)}") from e
+            except ArithmeticError as e:  # the rounding passes the context's Emax
+                raise CoefficientParseError(
+                    f"entry {i} overflows the decimal range: {_shown(item)}") from e
             if not value.is_finite():
                 raise CoefficientParseError(f"entry {i} is not finite: {_shown(item)}")
             coeffs.append(value)

@@ -23,6 +23,11 @@ from asymser import cli, functions
 from asymser.cli import main
 from helpers import COEFF_FILE_NAMES, ROUND_TRIP_SERIES, arctan_assoc_coeff
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+
+import workloads  # noqa: E402
+
 F = Fraction
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
@@ -416,6 +421,18 @@ class TestSweepCommand:
                      "--alpha", alpha, "--out", str(out)]) == 0
         assert [(r["dx"], r["alpha"]) for r in read_csv(out)] == want
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_config_lists_of_numbers_and_text(self, tmp_path, jobs):
+        """JSON numbers and their text are one value: each cell once, in the
+        first spelling its list gives, in (m, dx, alpha) order."""
+        path, out = tmp_path / "config.json", tmp_path / "s.csv"
+        path.write_text(json.dumps({"m": [98, "40", 98.0], "dx": [0.25, "0.250", "0.5", 0.5],
+                                    "alpha": ["0.10", 0.1, "0.01"]}))
+        assert main(["sweep", "--input", "arctan", "--config", str(path), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        assert [(r["m"], r["dx"], r["alpha"]) for r in read_csv(out)] == [
+            (m, dx, a) for m in ("40", "98") for dx in ("0.25", "0.5") for a in ("0.01", "0.10")]
+
     def test_equal_values_independent_of_hash_seed(self):
         code = ("import sys; sys.path.insert(0, sys.argv[1]); from asymser.cli import main; "
                 "sys.exit(main(['sweep', '--input', 'arctan', '--m', '20', "
@@ -612,16 +629,32 @@ class TestSweepGrouping:
             else:
                 assert got == want
 
-    def test_each_row_is_the_continue_run_of_its_cell(self, tmp_path):
+    @pytest.mark.parametrize("argv, cells", [
         # 1e-300 converges nothing on the first step; dx 1 is a single step
-        rows = self.sweep(tmp_path, "grid.csv", ["1e-300", "0.01", "0.1"], 1,
-                          m="40,98", dx="0.25,0.5,1")
-        assert len(rows) == 18
+        (["sweep", "--input", "arctan", "--m", "40,98", "--dx", "0.25,0.5,1",
+          "--alpha", "1e-300,0.01,0.1", "--jobs", "1"], 18),
+        (workloads.sweep_argv(2), 60),
+        # on pole:3/2 the alphas' first-step blocks differ by long stretches
+        (["sweep", "--input", "pole:3/2", "--m", "20,98,201", "--dx", "0.125,0.25,0.5,1",
+          "--alpha", "1e-300,0.01,0.1", "--digits", "19", "--jobs", "2"], 36),
+    ], ids=["arctan", "arctan-grid", "pole"])
+    def test_each_row_is_the_continue_run_of_its_cell(self, tmp_path, argv, cells):
+        """A row's c0, c1, converged count and steps are those of its cell's
+        own continue run, whatever its pair's shared first shift did."""
+        out, report = tmp_path / "grid.csv", tmp_path / "c.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == cells
+        text = argv[argv.index("--input") + 1]
         for row in rows:
-            out = tmp_path / "c.json"
-            assert main(["continue", "--input", "arctan", "--m", row["m"], "--dx", row["dx"],
-                         "--alpha", row["alpha"], "--count", "0", "--out", str(out)]) == 0
-            doc = json.loads(out.read_text())
+            code = main(["continue", "--input", text, "--m", row["m"], "--dx", row["dx"],
+                         "--alpha", row["alpha"], "--digits", row["digits"], "--count", "0",
+                         "--out", str(report)])
+            if row["status"].startswith("error:"):  # the run blows up: continue exits 4
+                assert code == 4
+                continue
+            assert code == 0
+            doc = json.loads(report.read_text())
             leading = (doc["coefficients_at_one"] + ["unconverged"] * 2)[:2]
             assert [row["c0_at_1"], row["c1_at_1"]] == leading
             assert int(row["converged_count"]) == doc["converged_count"]
@@ -662,6 +695,7 @@ class TestExitCodes:
             ("0.25", "0.1,nan", 3, "error: alpha must be a number"),
             ("0.25", "0.1,inf", 3, "error: alpha Infinity is not finite"),
             ("0.25,nan", "0.1", 4, "error: step NaN is not finite"),
+            ("0.3,0.25", "0.1", 4, "error: 1/step = 10/3 is not an integer"),
         ],
     )
     def test_sweep_grid_checked_up_front(self, monkeypatch, capsys, jobs, dx, alpha,

@@ -500,6 +500,8 @@ class TestFileRoundTrip:
             ("bad.csv", "n,numerator,denominator\n", "no coefficient rows"),
             ("bad.json", '{"0": "1"}', "JSON must be a non-empty array of decimal strings"),
             ("bad.json", '["1", "one"]', "entry 1 is not a decimal: 'one'"),
+            ("bad.json", '["1", "1e1000000"]',
+             "entry 1 overflows the decimal range: '1e1000000'"),
         ],
     )
     def test_rejected_files(self, tmp_path, name, text, message):
