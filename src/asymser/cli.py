@@ -139,7 +139,7 @@ def cmd_transform(args) -> int:
     if args.lag < 1:
         raise ValueError("--lag must be >= 1")
     series = build_series(args.input, args.count, digits)
-    assoc = build_companion(args.input, args.count, digits, series)
+    assoc = build_companion(args.input, args.count, digits)
     exact = isinstance(series.coeffs[0], (Fraction, int))
     rows = []
     for n, (c, w) in enumerate(zip(series.coeffs, assoc.coeffs)):

@@ -127,23 +127,20 @@ def build_series(text: str, count: int, digits: int = DEFAULT_DIGITS) -> TaylorS
     return TaylorSeries(series.coeffs[:count])
 
 
-def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS,
-                    series: TaylorSeries | None = None) -> AssociatedSeries:
+def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS) -> AssociatedSeries:
     """The first `count` companion coefficients w_n of the input `text` names.
 
     A built-in input's are exact, from :func:`rational_taylor` at 0 on the
     data of u (:func:`_companion`), and equal those of
     associated(build_series(text, count)).  A file: input's are
     associated(build_series(text, count, digits)), with a decimal file's
-    rounded once at `digits` significant digits; `series`, when the caller
-    already holds that prefix, spares reading the file again.  Inputs are
-    rejected with the errors of :func:`build_series`, in the same order.
+    rounded once at `digits` significant digits.  Inputs are rejected with
+    the errors of :func:`build_series`, in the same order.
     """
     spec = _parse_input(text)
     if not isinstance(spec, str):
         return AssociatedSeries(_rational_prefix(*_companion(*spec), count))
-    if series is None:
-        series = build_series(text, count, digits)
+    series = build_series(text, count, digits)
     with localcontext() as ctx:
         ctx.prec = digits
         return associated(series)

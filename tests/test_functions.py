@@ -691,8 +691,6 @@ class TestRationalTaylor:
             ctx.prec = 12
             want = associated(series)
         assert build_companion(f"file:{path}", 8, digits=12) == want
-        # a prefix the caller already holds is transformed, not read again
-        assert build_companion(f"file:{tmp_path}/gone.json", 8, 12, series) == want
 
     @pytest.mark.parametrize("text, count, error, message", PARSE_ERRORS)
     def test_parse_errors_as_build_series(self, tmp_path, text, count, error, message):

@@ -11,8 +11,9 @@ its err0/err1 columns filled from the companion's coefficients at 1; its
 other columns did not move.
 A change that moves these bytes on purpose updates the pin and says so in
 CHANGES.md; any other change must leave them as they are.
-The 60-cell grid also runs on a saved exact prefix of arctan, the `file:`
-route, which must give the built-in input's rows.
+The 60-cell grid and the 200-coefficient `transform` also run on a saved
+exact prefix of arctan, the `file:` route, which must give the built-in
+input's rows and bytes.
 """
 from __future__ import annotations
 
@@ -95,3 +96,13 @@ def test_file_prefix_sweeps_the_grid_as_the_builtin_input(capsys, tmp_path):
         assert (b["err0"], b["err1"]) == ("", "")
         assert {k: v for k, v in a.items() if k not in errs} == \
             {k: v for k, v in b.items() if k not in errs}
+
+
+def test_file_prefix_transforms_as_the_builtin_input(capsys, tmp_path):
+    """`transform` of a saved exact prefix of arctan, the `file:` route,
+    prints the bytes of the built-in input's `transform-200` pin."""
+    argv, digest = PINS["transform-200"]
+    save_coeffs(build_series("arctan", 200), tmp_path / "arctan.csv")
+    argv = [f"file:{tmp_path}/arctan.csv" if a == "arctan" else a for a in argv]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
