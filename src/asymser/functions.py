@@ -20,10 +20,10 @@ import math
 import os
 import re
 import sys
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import ConversionSyntax, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
-from .continuation import DEFAULT_DIGITS, _exact_decimal, _rounded, to_decimals
+from .continuation import DEFAULT_DIGITS, _exact_decimal, to_decimals
 from .transform import (AssociatedSeries, TaylorSeries, _integer_ratios, associated,
                         scale_to_integers)
 
@@ -46,14 +46,35 @@ def _parse_input(text: str):
     if text == "altgeom":
         text = "pole:1"
     if text.startswith("pole:"):
-        try:
-            a = Fraction(text[len("pole:"):])
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"bad pole parameter in {text!r}") from e
-        return (1,), (a, 1), None
+        return (1,), (_pole_parameter(text), 1), None
     if not text.startswith("file:"):
         raise ValueError(f"unknown input spec {text!r}")
     return text[len("file:"):]
+
+
+# The bits of a pole parameter's numerator or denominator.  The companion's
+# exact prefix grows by about that many bits a term: at m=1001, A = 2**32
+# takes 0.8 s, 2**64 - 1 1.9 s and 10**30 4.8 s (2 cores, Python 3.11).
+_POLE_BITS = 64
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _pole_parameter(text: str) -> Fraction:
+    """The A of pole:A, refused when its numerator or denominator passes
+    _POLE_BITS bits.  An exponent e with |e| above the text's length plus
+    _POLE_BITS makes one of them pass 10**_POLE_BITS unless A = 0, so
+    10**e is not formed: the text is read with e's digits zeroed."""
+    param = text[len("pole:"):]
+    exp = _EXPONENT.search(param)
+    try:
+        big = exp is not None and abs(int(exp[1])) > len(param) + _POLE_BITS
+        a = Fraction(param[:exp.start(1)] + re.sub(r"\d", "0", exp[1]) if big else param)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"bad pole parameter in {_shown(text)}") from e
+    if (big and a) or max(a.numerator.bit_length(), a.denominator.bit_length()) > _POLE_BITS:
+        raise ValueError(f"pole parameter in {_shown(text)} has a numerator or denominator "
+                         f"past {_POLE_BITS} bits")
+    return a
 
 
 def _rational_prefix(p, q, ends, count: int, center: int = 0) -> list:
@@ -283,15 +304,18 @@ def load_coeffs(path: str | os.PathLike, digits: int = DEFAULT_DIGITS) -> Taylor
             if not isinstance(item, str):
                 raise CoefficientParseError(f"entry {i} is not a string")
             try:
-                value = _rounded(item)
-            except InvalidOperation as e:
-                raise CoefficientParseError(f"entry {i} is not a decimal: {_shown(item)}") from e
+                value = Decimal(item)
+            except InvalidOperation as e:  # else decimal syntax with an exponent past libmpdec's
+                reason = ("is not a decimal" if ConversionSyntax in e.args[0]
+                          else "is outside the decimal range")
+                raise CoefficientParseError(f"entry {i} {reason}: {_shown(item)}") from e
+            if not value.is_finite():
+                raise CoefficientParseError(f"entry {i} is not finite: {_shown(item)}")
+            try:
+                coeffs.append(+value)
             except ArithmeticError as e:  # the rounding passes the context's Emax
                 raise CoefficientParseError(
                     f"entry {i} overflows the decimal range: {_shown(item)}") from e
-            if not value.is_finite():
-                raise CoefficientParseError(f"entry {i} is not finite: {_shown(item)}")
-            coeffs.append(value)
     return TaylorSeries(coeffs)
 
 

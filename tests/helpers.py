@@ -86,7 +86,10 @@ def arctan_assoc_coeff(n: int) -> Fraction:
     return Fraction((-1) ** (n // 4) * 2 ** (n // 2), n)
 
 
-def arctan_bounds(x: Fraction, width: Fraction = Fraction(1, 10**40)) -> tuple:
+WIDTH = Fraction(1, 10**40)  # the default width of an enclosure of arctan
+
+
+def arctan_bounds(x: Fraction, width: Fraction = WIDTH) -> tuple:
     """Fractions lo <= arctan(x) <= hi, hi - lo <= width, for a rational x.
 
     Euler's series arctan(x) = x/(1 + x**2) * sum_n t_n, with y = x**2/(1 + x**2),
@@ -114,14 +117,15 @@ def arctan_bounds(x: Fraction, width: Fraction = Fraction(1, 10**40)) -> tuple:
         term *= y * 2 * n / (2 * n + 1)
 
 
-def arctan_companion_bounds(c: Fraction) -> tuple:
+def arctan_companion_bounds(c: Fraction, width: Fraction = WIDTH) -> tuple:
     """Bounds on arctan's companion u(c) = arctan(c/(1 - c)) at a rational
-    0 <= c < 1, as :func:`arctan_bounds` gives them: u's value at a center
-    of the continuation's path, such as u(j/8) = arctan(j/(8 - j))."""
-    return arctan_bounds(Fraction(c) / (1 - Fraction(c)))
+    0 <= c < 1, at most `width` apart, as :func:`arctan_bounds` gives them:
+    u's value at a center of the continuation's path, such as
+    u(j/8) = arctan(j/(8 - j))."""
+    return arctan_bounds(Fraction(c) / (1 - Fraction(c)), width)
 
 
-def companion_taylor(text: str, center, count: int) -> list:
+def companion_taylor(text: str, center, count: int, width: Fraction = WIDTH) -> list:
     """The Taylor coefficients u_0 .. u_{count-1} at an exact `center` in
     [0, 1] of the companion u of the built-in input `text`, as pairs of
     Fractions lo <= u_k <= hi.
@@ -129,8 +133,8 @@ def companion_taylor(text: str, center, count: int) -> list:
     Every pair is exact (lo == hi) but arctan's u(center): the coefficients
     are rational_taylor's on the data of u (functions._companion), those of
     u' integrated for arctan, whose u(c) = arctan(c/(1 - c)) is enclosed by
-    arctan_companion_bounds, and u(1) = pi/2 by 2 * arctan_bounds(1).  A
-    center at a pole of u raises ZeroDivisionError.
+    arctan_companion_bounds, and u(1) = pi/2 by 2 * arctan_bounds(1), each
+    at most `width` wide.  A center at a pole of u raises ZeroDivisionError.
     """
     c = Fraction(center)
     if not 0 <= c <= 1:
@@ -141,7 +145,8 @@ def companion_taylor(text: str, center, count: int) -> list:
     p, q, ends = functions._companion(*spec)
     if ends is None:
         return [(r, r) for r in rational_taylor(p, q, c, count)]
-    head = arctan_companion_bounds(c) if c < 1 else tuple(2 * b for b in arctan_bounds(c))
+    head = (arctan_companion_bounds(c, width) if c < 1
+            else tuple(2 * b for b in arctan_bounds(c, width / 2)))
     return [head, *((r, r) for r in rational_taylor(p, q, c, count - 1, True))]
 
 

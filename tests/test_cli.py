@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
@@ -870,6 +871,17 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == f"error: dx {shown} steps; at most 1000 * m = 5000 are allowed\n"
 
+    @pytest.mark.parametrize("a", ["1e100000", "1e1000000", "1e-1000000"])
+    def test_pole_parameter_past_64_bits_exits_3_at_once(self, capsys, a):
+        """A pole parameter of 332,193 bits took seconds to build a companion
+        of 5 terms; past 64 bits it is refused before 10**e is formed."""
+        start = time.perf_counter()
+        assert main(["continue", "--input", f"pole:{a}", "--m", "5", "--dx", "0.5",
+                     "--alpha", "0.1"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: pole parameter in 'pole:{a}' has a numerator or denominator past 64 bits\n")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_path_of_too_many_steps_checked_up_front(self, monkeypatch, capsys, jobs):
         """Every cell's step count is checked with its other parameters: the
@@ -1134,6 +1146,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.csv")]) == 3
         assert main(["continue", "--input", f"file:{src}", "--m", "4", "--dx", "0.25",
                      "--alpha", "0.1", "--out", str(tmp_path / "c.json")]) == 3
+
+    @pytest.mark.parametrize("entry, reason", [
+        ("1e99999999999999999999", "is outside the decimal range"),
+        ("1e-99999999999999999999", "is outside the decimal range"),
+        ("abc", "is not a decimal")])
+    def test_undecimal_entry_exits_3(self, tmp_path, capsys, entry, reason):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(["0", "1", entry]))
+        assert main(["transform", "--input", f"file:{src}", "--count", "3"]) == 3
+        assert capsys.readouterr().err == f"error: entry 2 {reason}: {entry!r}\n"
 
 
 class TestOutFile:

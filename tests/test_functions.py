@@ -57,11 +57,17 @@ PARSE_ERRORS = [
     ("pole", 3, ValueError, "unknown input spec 'pole'"),
     ("pole:abc", 0, ValueError, "bad pole parameter in 'pole:abc'"),
     ("pole:1/0", 3, ValueError, "bad pole parameter in 'pole:1/0'"),
+    ("pole:1e100000", 0, ValueError,
+     "pole parameter in 'pole:1e100000' has a numerator or denominator past 64 bits"),
+    ("pole:18446744073709551616", 3, ValueError, "pole parameter in "
+     "'pole:18446744073709551616' has a numerator or denominator past 64 bits"),
+    ("pole:3/2e99999", 3, ValueError, "bad pole parameter in 'pole:3/2e99999'"),
     ("arctan", 0, ValueError, "count must be >= 1"),
     ("pole:0", 0, ValueError, "count must be >= 1"),
     ("pole:2", -1, ValueError, "count must be >= 1"),
     ("file:{dir}/missing.csv", 0, ValueError, "count must be >= 1"),
     ("pole:0", 3, DegeneratePoleError, "pole parameter must be nonzero"),
+    ("pole:0e99999999", 3, DegeneratePoleError, "pole parameter must be nonzero"),
     ("file:{dir}/six.csv", 9, CoefficientParseError, "file provides 6 coefficients, need 9"),
 ]
 POLES = ["2", "3/2", "1/3", "-2", "7/5", "-5/3"]
@@ -109,6 +115,26 @@ class TestBuiltinsAgainstClosedForms:
     def test_integer_pole_parameter(self):
         assert build_series("pole:-2", 40) == build_series("pole:-2/1", 40)
         assert build_series("pole:-2", 40) == build_series("pole:-4/2", 40)
+
+    @pytest.mark.parametrize("a", ["18446744073709551615", "1/18446744073709551615", "1e19",
+                                   "-1e-19", "0." + "0" * 80 + "1e80"])
+    def test_pole_parameter_within_64_bits(self, a):
+        assert list(build_series(f"pole:{a}", 5).coeffs) == [
+            pole_taylor_coeff(F(a), n) for n in range(5)]
+
+    @pytest.mark.parametrize("a", ["18446744073709551616", "1/18446744073709551616", "1e20",
+                                   "-1e-20", "1" + "0" * 84, "1e84", "-1e-1000000",
+                                   "1e99999999999999999999"])
+    def test_pole_parameter_past_64_bits(self, a):
+        with pytest.raises(ValueError, match="past 64 bits$"):
+            build_series(f"pole:{a}", 5)
+
+    def test_pole_exponent_with_underscores(self):
+        """Fraction reads underscores from Python 3.11 on, and a long
+        exponent read apart keeps to the same syntax."""
+        shown = "has a numerator" if sys.version_info >= (3, 11) else "bad pole parameter"
+        with pytest.raises(ValueError, match=shown):
+            build_series("pole:1e1_000_000", 5)
 
     @pytest.mark.parametrize("text", [text for text, _ in BUILT_INS])
     def test_companion_data_is_the_hand_derived_pair(self, text):
@@ -251,6 +277,20 @@ class TestCompanionTaylor:
         assert all(lo == hi and type(lo) is Fraction for lo, hi in rest)
         # u' = 1/(1 - 2x + 2x**2)
         assert rest[0][0] == 1 / (1 - 2 * c + 2 * c * c)
+
+    @pytest.mark.parametrize("j", range(9))
+    def test_arctan_value_at_a_narrower_width(self, j):
+        """A width past the default 1e-40 narrows u(j/8) inside the default
+        enclosure, and at 1 still holds pi/2 from Machin's formula."""
+        c, width = F(j, 8), F(1, 10**80)
+        (lo, hi), *rest = companion_taylor("arctan", c, 3, width)
+        (lo40, hi40), *rest40 = companion_taylor("arctan", c, 3)
+        assert 0 <= hi - lo <= width
+        assert lo40 <= lo <= hi <= hi40
+        assert rest == rest40
+        if j == 8:  # machin_pi(90) is within 10**-89 of pi
+            half_pi = F(refs.machin_pi(90)) / 2
+            assert lo - F(1, 10**89) <= half_pi <= hi + F(1, 10**89)
 
     @pytest.mark.parametrize("text, center, error", [
         ("arctan", F(-1, 8), ValueError), ("pole:2", F(9, 8), ValueError),
@@ -502,6 +542,11 @@ class TestFileRoundTrip:
             ("bad.json", '["1", "one"]', "entry 1 is not a decimal: 'one'"),
             ("bad.json", '["1", "1e1000000"]',
              "entry 1 overflows the decimal range: '1e1000000'"),
+            ("bad.json", '["1", "1e99999999999999999999"]',
+             "entry 1 is outside the decimal range: '1e99999999999999999999'"),
+            ("bad.json", '["1", "1e-99999999999999999999"]',
+             "entry 1 is outside the decimal range: '1e-99999999999999999999'"),
+            ("bad.json", '["1", "sNaN"]', "entry 1 is not finite: 'sNaN'"),
         ],
     )
     def test_rejected_files(self, tmp_path, name, text, message):
