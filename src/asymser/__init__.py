@@ -9,21 +9,17 @@ sums provide an independent route when the companion series converges beyond
 radius 1.
 """
 from .continuation import (
-    DEFAULT_DIGITS,
     ContinuationState,
     EmptyStateError,
     InsufficientConvergedError,
     NonIntegralPathError,
     SchemeConfig,
-    ShiftedExpansion,
     continue_to_one_with_steps,
     extract_shifted,
     recenter_step,
-    to_decimals,
 )
 from .conversion import (
     DirectSumTrace,
-    PlainExpansion,
     direct_trace,
     plain_to_shifted,
     shifted_to_plain,
@@ -42,13 +38,17 @@ from .functions import (
     save_coeffs,
 )
 from .transform import (
+    DEFAULT_DIGITS,
     AssociatedSeries,
     DegenerateRatiosError,
+    PlainExpansion,
     RadiusEstimate,
+    ShiftedExpansion,
     TaylorSeries,
     associated,
     associated_inverse,
     estimate_radius,
+    to_decimals,
 )
 
 __version__ = "0.1.0"

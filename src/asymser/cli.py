@@ -17,26 +17,15 @@ from decimal import localcontext
 from fractions import Fraction
 
 from .continuation import (
-    DEFAULT_DIGITS,
     EmptyStateError,
     InsufficientConvergedError,
     NonIntegralPathError,
     SchemeConfig,
-    ShiftedExpansion,
-    _check_digits,
-    _exact_decimal,
     continue_to_one_with_steps,
     extract_shifted,
     shared_first_shift,
-    to_decimals,
 )
-from .conversion import (
-    PlainExpansion,
-    direct_trace,
-    plain_to_shifted,
-    shifted_to_plain,
-    tail_agreement,
-)
+from .conversion import direct_trace, plain_to_shifted, shifted_to_plain, tail_agreement
 from .functions import (
     DegeneratePoleError,
     _int_text,
@@ -49,7 +38,18 @@ from .functions import (
     reaches_singularity,
     save_coeffs,
 )
-from .transform import AssociatedSeries, DegenerateRatiosError, TaylorSeries, estimate_radius
+from .transform import (
+    DEFAULT_DIGITS,
+    AssociatedSeries,
+    DegenerateRatiosError,
+    PlainExpansion,
+    ShiftedExpansion,
+    TaylorSeries,
+    _check_digits,
+    _exact_decimal,
+    estimate_radius,
+    to_decimals,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,13 +122,11 @@ def _integer(value, key: str) -> int:
     """An integer option from a flag or a JSON config file: an int, an
     integral float or the decimal text of an int.  Anything else, a JSON
     true, list, object or null among them, is rejected by the option's name."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
+    try:  # int() cuts a float's fraction off: only a float equal to it is integral
+        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
             return int(value)
-        except ValueError:
-            pass
+    except (TypeError, ValueError, OverflowError):  # not a number, nan or infinite
+        pass
     raise ValueError(f"--{key} must be an integer, got {json.dumps(value)}")
 
 

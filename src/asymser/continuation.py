@@ -23,12 +23,13 @@ are trustworthy.
 
 Each recentering is the exact shift of the given coefficients, done in
 integer arithmetic.  Decimal coefficients are rounded once per output
-coefficient to a configurable number of significant digits (19 by default),
-so rounding enters only between steps, and in the input prefix itself;
-exact coefficients (Fractions, ints) stay exact.  The convergence flags
-depend only on a step's input, so they are decided first, each by an exact
-integer comparison of one trailing term with alpha, and a step that is not
-the last computes only the block it carries.
+coefficient, by the rules of :mod:`asymser.transform`, to a configurable
+number of significant digits (19 by default), so rounding enters only
+between steps, and in the input prefix itself; exact coefficients
+(Fractions, ints) stay exact.  The convergence flags depend only on a
+step's input, so they are decided first, each by an exact integer
+comparison of one trailing term with alpha, and a step that is not the
+last computes only the block it carries.
 
 Every step is one :func:`recenter_step` from one state, and a numerical
 blow-up, an ArithmeticError of the rounding, is raised by the step that
@@ -43,18 +44,15 @@ import contextlib
 import math
 import operator
 from contextvars import ContextVar
-from decimal import MAX_PREC, Decimal, Inexact, InvalidOperation, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
 
-from .transform import (AssociatedSeries, Expansion, Value, _power_of_ten, exact_quotient,
-                        scale_to_integers)
-
-DEFAULT_DIGITS = 19
+from .transform import (DEFAULT_DIGITS, AssociatedSeries, CoeffLike, ShiftedExpansion, Value,
+                        _check_digits, _exact_decimal, _power_of_ten, exact_quotient,
+                        scale_to_integers, to_decimals)
 
 _LOG2_10 = math.log2(10)
-
-CoeffLike = int | str | Fraction | Decimal
 
 
 class EmptyStateError(ValueError):
@@ -67,65 +65,6 @@ class NonIntegralPathError(ValueError):
 
 class InsufficientConvergedError(ValueError):
     """Requested more expansion coefficients than converged ones exist."""
-
-
-def to_decimals(values, digits: int = DEFAULT_DIGITS) -> tuple:
-    """Exact values (int, str, Fraction, Decimal) as Decimals, each rounded
-    once to `digits` significant digits, half-even.
-
-    Floats are rejected: binary artifacts must not enter the decimal pipeline.
-    Decimals alone, such as a prefix rounded before, are each rounded by
-    one call of the context's plus.
-    """
-    values = tuple(values)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        if all(type(v) is Decimal for v in values):
-            return tuple(map(ctx.plus, values))
-        return tuple(_rounded(v) for v in values)
-
-
-def _rounded(value: CoeffLike) -> Decimal:
-    if isinstance(value, float):
-        raise TypeError("pass exact values (int, str, Fraction, Decimal), not float")
-    if isinstance(value, Fraction):
-        return exact_quotient(value.numerator, value.denominator, True)
-    return +Decimal(value)
-
-
-def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
-    """Convert a step/threshold parameter, requiring exact representability.
-
-    A Fraction is divided out in a context that traps Inexact.  Its
-    precision, num.bit_length() // 3 + 1 (at least the numerator's digits,
-    counted without text) plus the denominator's bit length, holds every
-    terminating quotient: with den = 2**a * 5**b the quotient has at most
-    digits(num) + max(a, b) significant digits.
-    """
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (str, Decimal, Fraction, int), not float")
-    if isinstance(value, Fraction):
-        num, den = value.numerator, value.denominator
-        with localcontext() as ctx:
-            ctx.prec = num.bit_length() // 3 + 1 + den.bit_length()
-            ctx.traps[Inexact] = True
-            try:
-                return exact_quotient(num, den, True)
-            except Inexact:
-                raise exc(f"{what} {value} has no terminating decimal representation") from None
-    try:
-        return Decimal(value)
-    except InvalidOperation:
-        raise ValueError(f"{what} {value!r} is not a number") from None
-
-
-def _check_digits(digits: int) -> int:
-    """`digits` when decimal can work at that many significant digits."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if digits > MAX_PREC:
-        raise ValueError(f"digits must be <= {MAX_PREC}")
-    return digits
 
 
 def _check_step(step: Decimal, exc=ValueError) -> Decimal:
@@ -203,10 +142,6 @@ class ContinuationState(Value):
         if not 0 <= converged_count <= len(coeffs):
             raise ValueError("converged_count out of range")
         self._set(center=center, coeffs=coeffs, converged_count=converged_count)
-
-
-class ShiftedExpansion(Expansion):
-    """Coefficients of the expansion of f in powers of 1/(x - x0 + 1)."""
 
 
 def recenter_step(

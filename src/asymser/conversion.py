@@ -30,20 +30,17 @@ from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
 
-from .continuation import ShiftedExpansion
 from .transform import (
-    Expansion,
+    PlainExpansion,
+    ShiftedExpansion,
     TaylorSeries,
     Value,
+    _exact,
     _integer_ratios,
     binomial_transform,
     exact_quotient,
     scale_to_integers,
 )
-
-
-class PlainExpansion(Expansion):
-    """Coefficients of the expansion of f in powers of 1/(x - x0)."""
 
 
 class DirectSumTrace(Value):
@@ -84,13 +81,13 @@ def tail_agreement(values: Sequence, tol: float | Decimal) -> bool:
     tol * max(1, |last|).  The unit floor lets sequences decaying to zero
     register as converged.  Fewer than three values never agree.
 
-    The test is exact, in rationals, for values of every type, with tol
-    read as the decimal it prints as (0.3 is 3/10): a verdict does not
-    depend on the ambient decimal context.  A Decimal tol is compared as it
-    is, which is exact too and keeps a tol of any exponent cheap."""
+    The test is exact, in rationals, for exact values of every type (a
+    float raises TypeError), with tol read as the decimal it prints as (0.3
+    is 3/10): a verdict does not depend on the ambient decimal context.  A
+    Decimal tol is compared as it is, exact too and cheap at any exponent."""
     if len(values) < 3:
         return False
-    last3 = [Fraction(v) for v in values[-3:]]
+    last3 = [Fraction(_exact(v)) for v in values[-3:]]
     last = last3[-1]
     bound = tol if isinstance(tol, Decimal) else Fraction(str(tol))
     scale = max(abs(last), 1)

@@ -8,9 +8,9 @@ companion u(x) = f(x/(1 - x)) or u', with u(0) = f(0) and u(1) = f(oo), and
 its Taylor prefixes at 0 and 1 follow a short linear recurrence, at O(m)
 cost against the O(m**2) of the binomial transform.  A file's name decides
 its format: a ``.json`` name holds a JSON array of decimal strings, any
-other name CSV rows ``n,numerator,denominator`` of exact rationals.
-Decimal strings rather than binary floats keep the significant-digit
-contract intact.  All decimal rendering rounds half-even.
+other name CSV rows ``n,numerator,denominator`` of exact rationals.  Decimal
+strings, not binary floats, keep the significant-digit contract intact.  All
+decimal rendering rounds half-even, by the rules of :mod:`asymser.transform`.
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ import sys
 from decimal import ConversionSyntax, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
-from .continuation import DEFAULT_DIGITS, _exact_decimal, to_decimals
-from .transform import (AssociatedSeries, TaylorSeries, _integer_ratios, associated,
-                        scale_to_integers)
+from .transform import (DEFAULT_DIGITS, AssociatedSeries, TaylorSeries, _exact, _exact_decimal,
+                        associated, scale_to_integers, to_decimals)
 
 
 class DegeneratePoleError(ValueError):
@@ -116,7 +115,7 @@ def reaches_singularity(text: str, step, steps: int) -> bool:
     |Q_u(c)| <= |q_d| step**d is |c - z| <= step.  Along the real line |c - z|
     grows with |c - Re z|, Re z = -q_{d-1}/(d q_d), so only the centers next to
     Re z are tested, whatever `steps` is.  A file: input has no data."""
-    h = _exact_fraction(step)
+    h = Fraction(_exact(step, "step"))
     spec = _parse_input(text)
     if isinstance(spec, str):
         return False
@@ -167,14 +166,6 @@ def build_companion(text: str, count: int, digits: int = DEFAULT_DIGITS) -> Asso
         return associated(series)
 
 
-def _exact_fraction(value) -> Fraction:
-    """An exact value (an int, a Fraction, a Decimal or their text) as a
-    Fraction; a float raises TypeError."""
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(*_integer_ratios((value,))[0][0])
-
-
 def _taylor_shift(coeffs, c: Fraction) -> list:
     """Ascending coefficients of p(c + t), for those of p(x)."""
     return [sum(math.comb(n, k) * a * c ** (n - k) for n, a in enumerate(coeffs) if n >= k)
@@ -204,7 +195,7 @@ def rational_taylor(P, Q, center, count: int, integrate: bool = False) -> list:
     coefficients k = 1 .. count are returned, r_{k-1}/k, each one Fraction;
     the constant term is the caller's.
     """
-    c = _exact_fraction(center)
+    c = Fraction(_exact(center, "center"))
     p, q = _taylor_shift(P, c), _taylor_shift(Q, c)
     nums, _, _ = scale_to_integers(p + q)
     p, q = nums[:len(p)], nums[len(p):]
@@ -337,7 +328,7 @@ def save_coeffs(series: TaylorSeries, path: str | os.PathLike | None) -> None:
         entries = [str(_exact_decimal(c, f"coefficient {n}:")) for n, c in enumerate(coeffs)]
         text = json.dumps(entries, indent=0) + "\n"
     else:
-        fractions = enumerate(map(Fraction, coeffs))
+        fractions = ((n, Fraction(_exact(c, f"coefficient {n}:"))) for n, c in enumerate(coeffs))
         text = "n,numerator,denominator\n" + "".join(
             f"{n},{_int_text(f.numerator)},{_int_text(f.denominator)}\n" for n, f in fractions)
     _write_text(text, path)

@@ -1,5 +1,8 @@
-"""Binomial coefficient transform between a Taylor series and the series of
-its companion function u, plus ratio-test radius estimation for u.
+"""The number layer, which imports no other module of the package: exact
+values (the one float check, :func:`_exact`) and their rounding
+(:func:`to_decimals`, :func:`_exact_decimal`), the series and expansion
+types, the binomial transform between a Taylor series and the series of its
+companion function u, and ratio-test radius estimation for u.
 
 Given f(x) = sum c_n (x - x0)**n, the companion function is
 
@@ -45,8 +48,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, getcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, InvalidOperation,
+                     getcontext, localcontext)
 from fractions import Fraction
+
+DEFAULT_DIGITS = 19
+CoeffLike = int | str | Fraction | Decimal
 
 
 class DegenerateRatiosError(ValueError):
@@ -112,6 +119,14 @@ class Expansion(Value):
 
     def __init__(self, coeffs):
         self._set(coeffs=tuple(coeffs))
+
+
+class ShiftedExpansion(Expansion):
+    """Coefficients of the expansion of f in powers of 1/(x - x0 + 1)."""
+
+
+class PlainExpansion(Expansion):
+    """Coefficients of the expansion of f in powers of 1/(x - x0)."""
 
 
 class RadiusEstimate(Value):
@@ -213,6 +228,69 @@ def exact_quotient(num: int, den: int, decimal: bool):
             y, e = y // 10, e - 1
         return ctx.plus(Decimal(y if num > 0 else -y).scaleb(-e, _WIDE))
     return Decimal(num) / den
+
+
+def _exact(value: CoeffLike, what: str = "value") -> CoeffLike:
+    """`value`, unless it is a float: the package's one float check, so that
+    no binary artifact (the float 0.1 is 3602879701896397/2**55) enters it."""
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact (int, str, Fraction, Decimal), not float")
+    return value
+
+
+def to_decimals(values, digits: int = DEFAULT_DIGITS) -> tuple:
+    """Exact values (int, str, Fraction, Decimal) as Decimals, each rounded
+    once to `digits` significant digits, half-even.
+
+    Floats are rejected: binary artifacts must not enter the decimal pipeline.
+    Decimals alone, such as a prefix rounded before, are each rounded by
+    one call of the context's plus.
+    """
+    values = tuple(values)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        if all(type(v) is Decimal for v in values):
+            return tuple(map(ctx.plus, values))
+        return tuple(_rounded(v) for v in values)
+
+
+def _rounded(value: CoeffLike) -> Decimal:
+    if isinstance(_exact(value), Fraction):
+        return exact_quotient(value.numerator, value.denominator, True)
+    return +Decimal(value)
+
+
+def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
+    """Convert a step/threshold parameter, requiring exact representability.
+
+    A Fraction is divided out in a context that traps Inexact.  Its
+    precision, num.bit_length() // 3 + 1 (at least the numerator's digits,
+    counted without text) plus the denominator's bit length, holds every
+    terminating quotient: with den = 2**a * 5**b the quotient has at most
+    digits(num) + max(a, b) significant digits.
+    """
+    if isinstance(_exact(value, what), Fraction):
+        num, den = value.numerator, value.denominator
+        with localcontext() as ctx:
+            ctx.prec = num.bit_length() // 3 + 1 + den.bit_length()
+            ctx.traps[Inexact] = True
+            try:
+                return exact_quotient(num, den, True)
+            except Inexact:
+                raise exc(f"{what} {value} has no terminating decimal representation") from None
+    try:
+        return Decimal(value)
+    except InvalidOperation:
+        raise ValueError(f"{what} {value!r} is not a number") from None
+
+
+def _check_digits(digits: int) -> int:
+    """`digits` when decimal can work at that many significant digits."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > MAX_PREC:
+        raise ValueError(f"digits must be <= {MAX_PREC}")
+    return digits
 
 
 # Passes of the Pascal triangle between two repackings of its packed row (a

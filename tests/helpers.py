@@ -150,6 +150,35 @@ def companion_taylor(text: str, center, count: int, width: Fraction = WIDTH) -> 
     return [head, *((r, r) for r in rational_taylor(p, q, c, count - 1, True))]
 
 
+def pole_companion_coeff(a, center, n: int) -> Fraction:
+    """u_n(center), n >= 1, of the companion u of pole:A, A != 1, from its
+    partial fractions u = 1/(A - 1) + R/(x - z), z = A/(A - 1) and
+    R = 1/(A - 1)**2: u_n(c) = -R/(z - c)**(n+1)."""
+    a, c = Fraction(a), Fraction(center)
+    z, r = a / (a - 1), 1 / (a - 1) ** 2
+    return -r / (z - c) ** (n + 1)
+
+
+def companion_majorant(text: str, center, n: int) -> Fraction:
+    """An exact bound on u_n(center)**2, n >= 1, for the companion u of the
+    built-in input `text`, from the poles of u by closed forms.
+
+    arctan's u' = 1/(1 - 2x + 2x**2) has the poles (1 +- i)/2, each of
+    residue 1/2 in absolute value, at the squared distance
+    rho = (c - 1/2)**2 + 1/4 from c, so |u_n(c)| <= rho**(-n/2)/n; the bound
+    is squared, 1/(n**2 * rho**n), as rho**(-n/2) is irrational at odd n.
+    pole:A's is u_n(c)**2 itself (:func:`pole_companion_coeff`), and
+    altgeom's u = 1 - x has u_1 = -1 and no term past it.
+    """
+    c = Fraction(center)
+    if text == "arctan":
+        rho = (c - Fraction(1, 2)) ** 2 + Fraction(1, 4)
+        return 1 / (n * n * rho ** n)
+    if text == "altgeom":
+        return Fraction(n == 1)
+    return pole_companion_coeff(text[len("pole:"):], c, n) ** 2
+
+
 def direct_partial(taylor, k: int, m: int):
     """m-th partial sum of the k-th shifted coefficient, by the library:
     direct_trace over the one-entry schedule [m]."""

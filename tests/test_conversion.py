@@ -345,6 +345,13 @@ class TestTailAgreement:
         if gap.denominator % 3:
             assert tail_agreement([D(1) + D(gap.numerator) / gap.denominator, D(1), D(1)], tol)
 
+    @pytest.mark.parametrize("values", [[0.1, 0.1, 0.1], [F(1), F(1), 1.0],
+                                        [D(1), D(1), 0.5, D(1)]])
+    def test_float_values_refused(self, values):
+        # three equal binary 0.1s agree, but none of them is 1/10
+        with pytest.raises(TypeError, match="not float"):
+            tail_agreement(values, 1e-9)
+
     def test_decimal_and_fraction_inputs_agree(self):
         # gaps at, just inside and just outside tol * max(1, |last|), with
         # values of up to 90 significant digits

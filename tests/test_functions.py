@@ -36,9 +36,11 @@ from helpers import (
     arctan_companion_bounds,
     arctan_taylor_coeff,
     binomial_series,
+    companion_majorant,
     companion_taylor,
     inv_sqrt1p_taylor_coeff,
     log1p_taylor_coeff,
+    pole_companion_coeff,
     pole_taylor_coeff,
     quotient_taylor,
 )
@@ -277,6 +279,36 @@ class TestCompanionTaylor:
         assert all(lo == hi and type(lo) is Fraction for lo, hi in rest)
         # u' = 1/(1 - 2x + 2x**2)
         assert rest[0][0] == 1 / (1 - 2 * c + 2 * c * c)
+
+    def test_arctan_majorant(self):
+        """n**2 * u_n(c)**2 * rho**n <= 1 for 1 <= n <= 100 at every j/8, and
+        the bound is reached: where (p - c)**-n is imaginary, p = (1 + i)/2."""
+        reached = 0
+        for c in (F(j, 8) for j in range(9)):
+            coeffs = companion_taylor("arctan", c, 101)
+            for n in range(1, 101):
+                u, bound = coeffs[n][0], companion_majorant("arctan", c, n)
+                assert u * u <= bound, (c, n)
+                reached += u * u == bound
+        assert reached == 100
+
+    @pytest.mark.parametrize("a", ["3/2", "2", "11", "101", "-3"])
+    def test_pole_majorant_is_the_coefficient(self, a):
+        """u_n(c) = -R/(z - c)**(n+1) for 1 <= n <= 100 at every j/8 but the
+        pole z = 3/4 of pole:-3."""
+        z = F(a) / (F(a) - 1)
+        for c in (F(j, 8) for j in range(9) if F(j, 8) != z):
+            coeffs = companion_taylor(f"pole:{a}", c, 101)
+            for n in range(1, 101):
+                u = pole_companion_coeff(a, c, n)
+                assert coeffs[n] == (u, u), (c, n)
+                assert u * u == companion_majorant(f"pole:{a}", c, n)
+
+    def test_altgeom_majorant(self):
+        for c in (F(j, 8) for j in range(9)):
+            coeffs = companion_taylor("altgeom", c, 101)
+            assert [lo for lo, _ in coeffs[1:]] == [-1] + [0] * 99
+            assert [companion_majorant("altgeom", c, n) for n in range(1, 101)] == [1] + [0] * 99
 
     @pytest.mark.parametrize("j", range(9))
     def test_arctan_value_at_a_narrower_width(self, j):
@@ -589,6 +621,15 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError) as info:
             save_coeffs(TaylorSeries((D(1), D(value))), tmp_path / name)
         assert str(info.value) == "coefficients must be finite"
+        assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("name", ["c.json", "c.csv"])
+    def test_float_coefficient_refused(self, tmp_path, name):
+        # the binary 0.1 is 3602879701896397/36028797018963968, not 1/10
+        with pytest.raises(TypeError) as info:
+            save_coeffs(TaylorSeries([F(1), 0.1]), tmp_path / name)
+        assert str(info.value) == (
+            "coefficient 1: must be exact (int, str, Fraction, Decimal), not float")
         assert not (tmp_path / name).exists()
 
 

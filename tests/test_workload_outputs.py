@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from asymser import build_companion, build_series, cli, companion_at_one, continuation, save_coeffs
+from asymser import build_companion, build_series, cli, companion_at_one, save_coeffs, transform
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -67,8 +67,8 @@ def test_sweep_rounds_its_prefix_once(capsys, monkeypatch):
     two reference values at 1 of its err columns; each (m, dx) pair starts
     from that rounded prefix without rounding a value again."""
     calls = []
-    rounded = continuation._rounded
-    monkeypatch.setattr(continuation, "_rounded", lambda value: calls.append(value)
+    rounded = transform._rounded
+    monkeypatch.setattr(transform, "_rounded", lambda value: calls.append(value)
                         or rounded(value))
     assert cli.main(workloads.sweep_argv(1)) == 0
     capsys.readouterr()
