@@ -316,8 +316,8 @@ def save_coeffs(series: TaylorSeries, path: str | os.PathLike | None) -> None:
     A file gets the format its name names (see :func:`_holds_json`).
     Standard output, `path` None or "-", gets JSON when a coefficient is a
     Decimal and CSV otherwise.  JSON entries are exact decimal strings: a
-    value with no terminating decimal, such as 1/3, raises ValueError
-    before anything is written.
+    value with no terminating decimal, such as 1/3, raises ValueError, and
+    a float TypeError in either format, before anything is written.
     """
     coeffs = series.coeffs
     if any(isinstance(c, Decimal) and not c.is_finite() for c in coeffs):
