@@ -90,17 +90,19 @@ def _check_alpha(alpha: Decimal) -> Decimal:
 class SchemeConfig(Value):
     """Parameters of one continuation run.
 
-    m       -- how many leading companion coefficients to feed in
+    m       -- how many leading companion coefficients to feed in, an int
     step    -- center increment dx; 1/dx must be a whole number so the path
                lands exactly on 1 (0.125, 0.25 and 0.5 all qualify), and at
                most 1000 * m, else ValueError: 1e-30 would run 10**30 steps
     alpha   -- convergence threshold for trailing terms, finite and positive
-    digits  -- significant decimal digits kept between steps
+    digits  -- significant decimal digits kept between steps, an int
     """
 
     def __init__(self, m: int, step: CoeffLike, alpha: CoeffLike, digits: int = DEFAULT_DIGITS):
         step = _exact_decimal(step, "step", NonIntegralPathError)
         alpha = _exact_decimal(alpha, "alpha")
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise TypeError(f"m must be an int, not {type(m).__name__}")
         if m < 1:
             raise ValueError("m must be >= 1")
         _check_digits(digits)
@@ -165,13 +167,15 @@ def recenter_step(
     step costs sum_{k<K} (m-k) additions for K kept outputs instead of about
     m**2/2.  Every kept coefficient is the same either way.
 
-    The arguments are checked here, a step that is not finite and positive
-    raising ValueError; an ArithmeticError of the rounding propagates.
+    The arguments are checked here: a step that is not finite and positive
+    raises ValueError, and the digits are those :func:`_check_digits` takes.
+    An ArithmeticError of the rounding propagates.
     """
     if not state.coeffs:
         raise EmptyStateError("state has no coefficients")
     dx = _check_step(_exact_decimal(step, "step"))
     thr = _check_alpha(_exact_decimal(alpha, "alpha"))
+    _check_digits(digits)
     count = _converged_prefix(state.coeffs, dx, thr)
     length = count if carried_only and count >= 1 else len(state.coeffs)
     sums, dens, decimal = _shift_sums(state.coeffs, dx, length)

@@ -1,7 +1,7 @@
 """Built-in inputs as rational data, the CLI input syntax that names them
-(:func:`build_series`, :func:`build_companion`) and no other module does,
-their companions at 1 (:func:`companion_at_one`, :func:`reaches_singularity`),
-the exact kernel (:func:`rational_taylor`), file formats, decimal rendering.
+(:func:`build_series`, :func:`build_companion`) and no other module does, the
+companions' poles (:func:`singular_data`, :func:`reaches_singularity`) and values
+at 1 (:func:`companion_at_one`), :func:`rational_taylor`, files, decimal rendering.
 
 A built-in input f is P/Q, or has f(0), f(oo) and f' = P/Q.  So are its
 companion u(x) = f(x/(1 - x)) or u', with u(0) = f(0) and u(1) = f(oo), and
@@ -107,22 +107,37 @@ def companion_at_one(text: str, count: int) -> list | None:
     return None if isinstance(spec, str) else _rational_prefix(*_companion(*spec), count, 1)
 
 
-def reaches_singularity(text: str, step, steps: int) -> bool:
-    """Whether a continuation of the companion u of `text` starts a step, at a
-    center c = k*step with k < `steps`, within the exact `step` of a singularity
-    of u or u' = P_u/Q_u.  Every built-in Q_u of degree d has one real zero z or a
-    conjugate pair z, z*, or none (altgeom's 1 + 0x, q_d = 0), so the exact test
-    |Q_u(c)| <= |q_d| step**d is |c - z| <= step.  Along the real line |c - z|
-    grows with |c - Re z|, Re z = -q_{d-1}/(d q_d), so only the centers next to
-    Re z are tested, whatever `steps` is.  A file: input has no data."""
-    h = Fraction(_exact(step, "step"))
+def singular_data(text: str) -> tuple | None:
+    """The poles of the companion u of `text` as (Q_u, |R|**2, u'): u, or u' when u'
+    is True, is P_u/Q_u (:func:`_companion`), Q_u ascending with one zero z or a pair
+    z, z*, |R|**2 = |P_u(z)|**2/|Q_u'(z)|**2 or None at a double zero.  None for altgeom
+    and a file: input; a Q_u of degree above 2, or with two real zeros, raises ValueError."""
     spec = _parse_input(text)
     if isinstance(spec, str):
-        return False
-    _, q, _ = _companion(*spec)
+        return None
+    p, q, ends = _companion(*spec)
     d = len(q) - 1
-    if not q[-1] or steps < 1:
+    gap = 4 * q[0] * q[2] - q[1] ** 2 if d == 2 else q[1] ** 2  # |Q_u'(z)|**2
+    if d > 2 or gap < 0:
+        raise ValueError(f"Q_u of {_shown(text)} has degree {d}, not one zero or a pair z, z*")
+    if not q[d]:  # altgeom
+        return None
+    x, w = Fraction(-q[d - 1], d * q[d]), Fraction(gap, 4 * q[d] ** 2) if d == 2 else 0
+    a = b = 0
+    for c in reversed(p):  # P_u(z) = a + b i sqrt(w) at z = x + i sqrt(w), by Horner
+        a, b = a * x - b * w + c, a + b * x
+    return q, (a * a + b * b * w) / gap if gap else None, ends is not None
+
+
+def reaches_singularity(text: str, step, steps: int) -> bool:
+    """Whether a continuation of the companion u of `text` starts a step, at a center
+    c = k*step with k < `steps`, within `step` of a pole z (:func:`singular_data`):
+    |Q_u(c)| = |q_d| |c - z|**d <= |q_d| step**d at the two centers next to Re z, nearest z."""
+    h = Fraction(_exact(step, "step"))
+    data = singular_data(text)
+    if data is None or steps < 1:
         return False
+    q, d = data[0], len(data[0]) - 1
     k = math.floor(Fraction(-q[-2]) / (d * q[-1] * h))
     return any(abs(sum(a * (c * h) ** i for i, a in enumerate(q))) <= abs(q[-1]) * h ** d
                for c in {min(max(j, 0), steps - 1) for j in (k, k + 1)})

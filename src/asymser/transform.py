@@ -285,7 +285,10 @@ def _exact_decimal(value: CoeffLike, what: str, exc=ValueError) -> Decimal:
 
 
 def _check_digits(digits: int) -> int:
-    """`digits` when decimal can work at that many significant digits."""
+    """`digits` when it is an int, not a bool, and decimal can work at that
+    many significant digits."""
+    if not isinstance(digits, int) or isinstance(digits, bool):
+        raise TypeError(f"digits must be an int, not {type(digits).__name__}")
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if digits > MAX_PREC:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from decimal import ROUND_UP, Decimal, localcontext
+from decimal import MAX_PREC, ROUND_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -97,6 +97,15 @@ class TestSchemeConfig:
 
     def test_default_digits(self):
         assert SchemeConfig(m=10, step="0.25", alpha="0.1").digits == 19
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 2.5), ("m", True), ("m", "10"), ("m", D(10)), ("m", F(10)),
+        ("digits", 2.5), ("digits", True), ("digits", False), ("digits", "19"), ("digits", F(19))])
+    def test_non_integer_m_or_digits_refused(self, field, value):
+        """A bool is refused too, though it is an int: True would read as 1."""
+        with pytest.raises(TypeError) as info:
+            SchemeConfig(**{"m": 10, "step": "0.5", "alpha": "0.1", field: value})
+        assert str(info.value) == f"{field} must be an int, not {type(value).__name__}"
 
 
 class TestExactDecimal:
@@ -406,6 +415,22 @@ class TestExactFlags:
         state = ContinuationState(D(0), (D(1), D(0), D(0)), 3)
         with pytest.raises(ValueError, match="alpha must be positive"):
             recenter_step(state, "0.5", alpha)
+
+    @pytest.mark.parametrize("digits, error, message", [
+        (0, ValueError, "digits must be >= 1"),
+        (MAX_PREC + 1, ValueError, f"digits must be <= {MAX_PREC}"),
+        (2.5, TypeError, "digits must be an int, not float"),
+        (True, TypeError, "digits must be an int, not bool"),
+    ])
+    def test_digits_refused_as_schemeconfig_refuses_them(self, digits, error, message):
+        for state in (ContinuationState(D(0), (D(1), D(-2), D(3)), 3),
+                      ContinuationState(D(0), (F(1), F(-2), F(3)), 3)):
+            with pytest.raises(error) as info:
+                recenter_step(state, "0.5", "0.1", digits)
+            assert (type(info.value), str(info.value)) == (error, message)
+        with pytest.raises(error) as info:
+            SchemeConfig(m=10, step="0.5", alpha="0.1", digits=digits)
+        assert str(info.value) == message
 
     def test_step_is_not_rounded_to_digits(self):
         # 0.41 * 0.125 = 0.05125 is not below 0.05; a step rounded to two

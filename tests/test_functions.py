@@ -123,6 +123,9 @@ class TestBuiltinsAgainstClosedForms:
     def test_pole_parameter_within_64_bits(self, a):
         assert list(build_series(f"pole:{a}", 5).coeffs) == [
             pole_taylor_coeff(F(a), n) for n in range(5)]
+        assert list(build_companion(f"pole:{a}", 40).coeffs) == [
+            1 / F(a), *(pole_companion_coeff(a, 0, n) for n in range(1, 40))]
+        assert functions.singular_data(f"pole:{a}")[1] == 1 / (F(a) - 1) ** 4
 
     @pytest.mark.parametrize("a", ["18446744073709551616", "1/18446744073709551616", "1e20",
                                    "-1e-20", "1" + "0" * 84, "1e84", "-1e-1000000",
@@ -402,6 +405,81 @@ class TestReachesSingularity:
         for h in self.STEPS:
             assert not reaches_singularity("altgeom", h, int(1 / h))  # u = 1 - x
             assert not reaches_singularity(f"file:{tmp_path}/six.csv", h, int(1 / h))
+
+
+class TestSingularData:
+    """The poles of u or u' against the closed forms of tests/helpers.py: the
+    majorant built from the data, B_n(c)**2 = 4 |R|**2/(n**2 rho**n) with
+    rho = Q_u(c)/q_2 for the pair of arctan's u', and |R|**2/((c - z)**2)**(n+1)
+    for the pole z of pole:A's u, is companion_majorant at every j/8."""
+
+    @staticmethod
+    def squared_majorant(data, c, n):
+        q, r2, derivative = data
+        if derivative:
+            rho = sum(a * c ** i for i, a in enumerate(q)) / q[2]
+            return 4 * r2 / (n * n * rho ** n)
+        return r2 / ((c - F(-q[0], q[1])) ** 2) ** (n + 1)
+
+    @pytest.mark.parametrize("text", ["arctan"] + [
+        f"pole:{a}" for a in ["3/2", "2", "11", "101", "-3", "1/2", "-5/3", str(2**64 - 1)]])
+    def test_majorant_is_the_closed_form(self, text):
+        data = functions.singular_data(text)
+        q = data[0]
+        for c in (F(j, 8) for j in range(9)):
+            if sum(a * c ** i for i, a in enumerate(q)) == 0:  # the center is the pole
+                continue
+            for n in range(1, 101):
+                assert self.squared_majorant(data, c, n) == companion_majorant(text, c, n), (c, n)
+
+    def test_closed_forms(self):
+        """arctan's u' has the pair (1 +- i)/2 and |R|**2 = 1/4; pole:A's u has
+        z = A/(A - 1) and |R|**2 = 1/(A - 1)**4."""
+        assert functions.singular_data("arctan") == ([1, -2, 2], F(1, 4), True)
+        for a in map(F, POLES + ["-3", "101"]):
+            q, r2, derivative = functions.singular_data(f"pole:{a}")
+            assert (F(-q[0], q[1]), r2, derivative) == (a / (a - 1), 1 / (a - 1) ** 4, False)
+
+    def test_no_data(self, tmp_path):
+        save_coeffs(build_series("arctan", 6), tmp_path / "six.csv")
+        assert functions.singular_data("altgeom") is None  # u = 1 - x
+        assert functions.singular_data(f"file:{tmp_path}/six.csv") is None
+
+    @pytest.mark.parametrize("q, degree", [((1, 0, 0, 1), 3), ((2, -1, 3, 0, 1), 4),
+                                           ((1, -3, 1), 2)])
+    def test_more_than_one_zero_or_pair_is_refused(self, monkeypatch, q, degree):
+        monkeypatch.setattr(functions, "_companion", lambda *_: ((1,), q, None))
+        with pytest.raises(ValueError, match=f"has degree {degree}, not one zero or a pair"):
+            functions.singular_data("pole:2")
+        with pytest.raises(ValueError, match=f"has degree {degree}"):
+            reaches_singularity("pole:2", F(1, 4), 4)
+
+    def test_residues_of_any_p_and_q(self, monkeypatch):
+        """|R|**2 = |P_u(z)|**2/|Q_u'(z)|**2 for random P_u of degree up to 3 and
+        one rational zero z or a pair re +- i im, each evaluated apart in
+        Gaussian rationals; a double zero gives None."""
+        def at(coeffs, z):  # a polynomial at z = (re, im), by Horner
+            value = (F(0), F(0))
+            for c in reversed(coeffs):
+                value = (value[0] * z[0] - value[1] * z[1] + c, value[0] * z[1] + value[1] * z[0])
+            return value[0] ** 2 + value[1] ** 2
+
+        rng = random.Random(36)
+        for _ in range(300):
+            p = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+            re, im = F(rng.randint(-40, 80), 64), F(rng.randint(0, 20), 64)
+            scale = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5))
+            pair = rng.random() < 0.7
+            q = ((scale * (re * re + im * im), -2 * re * scale, scale) if pair
+                 else (-re * scale, scale))
+            monkeypatch.setattr(functions, "_companion", lambda *_: (p, q, None))
+            _, r2, _ = functions.singular_data("pole:2")
+            if pair and im == 0:
+                assert r2 is None
+                continue
+            z = (re, im if pair else 0)
+            dq = [i * c for i, c in enumerate(q)][1:]
+            assert r2 == at(p, z) / at(dq, z), (p, q)
 
 
 class TestArctanAssocClosedForm:
