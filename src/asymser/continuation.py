@@ -41,7 +41,6 @@ reuse its integer sums, each rounding its own block.
 from __future__ import annotations
 
 import contextlib
-import math
 import operator
 from contextvars import ContextVar
 from decimal import MAX_PREC, Decimal, localcontext
@@ -49,10 +48,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .transform import (DEFAULT_DIGITS, AssociatedSeries, CoeffLike, ShiftedExpansion, Value,
-                        _check_digits, _exact_decimal, _power_of_ten, exact_quotient,
+                        _check_digits, _exact_decimal, exact_quotient,
                         scale_to_integers, to_decimals)
-
-_LOG2_10 = math.log2(10)
 
 
 class EmptyStateError(ValueError):
@@ -268,10 +265,11 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
 
     With a_L = n/d * 10**e, dx = p/q and thr = t/u * 10**f (e and f the
     exponents of Decimals, else 0) the test is the integer inequality
-    |n| * u * C(L, k) * p**(L-k) * 10**(e-f) < t * d * q**(L-k).  The bit
-    lengths of the two sides, with (e - f) * log2(10), decide it when they
-    are more than a margin apart; only near a tie is 10**|e-f| formed, so an
-    alpha such as 1e-30000000 costs no more than 0.1.
+    |n| * u * C(L, k) * p**(L-k) * 10**(e-f) < t * d * q**(L-k), made as one
+    running product from k = 0.  Both sides start at least 1 and the left one
+    stays below 2**L times its start, so when 8**|e-f| alone outweighs the
+    other side every flag is settled at once; else 10**|e-f| is no longer
+    than the operands, and an alpha such as 1e-30000000 costs what 0.1 does.
     """
     m = len(coeffs)
     last = next((n for n in reversed(range(m)) if coeffs[n]), -1)
@@ -281,22 +279,18 @@ def _converged_prefix(coeffs: tuple, dx: Decimal, thr: Decimal) -> int:
     t, u, f = _decimal_ratio(thr)
     p, q = dx.as_integer_ratio()
     e -= f
-    # log2(10**e), and a margin for its rounding and for the bit lengths,
-    # which place comb * lhs in [2**(a-2), 2**a) and rhs in [2**(b-1), 2**b)
-    tens = e * _LOG2_10
-    margin = 2 + abs(tens) * 2.0**-40
-    # C(L, k), |n| * u * p**(L-k) and t * d * q**(L-k), from k = 0
-    comb, lhs, rhs = 1, abs(num) * u * p**last, t * den * q**last
-    for k in range(last + 1 if last == m - 1 else last):
-        gap = comb.bit_length() + lhs.bit_length() + tens - rhs.bit_length()
-        if gap > -margin and (
-            gap >= margin
-            or (comb * lhs * _power_of_ten(e) >= rhs if e >= 0
-                else comb * lhs >= rhs * _power_of_ten(-e))
-        ):
+    flags = last + 1 if last == m - 1 else last
+    lhs, rhs = abs(num) * u * p**last, t * den * q**last
+    if 3 * e >= rhs.bit_length():
+        return 0 if flags else m
+    if -3 * e >= last + lhs.bit_length():
+        return m
+    lhs, rhs = lhs * 10**max(e, 0), rhs * 10**max(-e, 0)
+    for k in range(flags):
+        if lhs >= rhs:
             return k
-        comb = comb * (last - k) // (k + 1)
-        lhs //= p
+        # C(L, k+1) * (k+1) = C(L, k) * (L-k): the quotient is exact
+        lhs = lhs * (last - k) // ((k + 1) * p)
         rhs //= q
     return m
 

@@ -835,21 +835,24 @@ class TestExitCodes:
                      "--alpha", "0.1"]) == 4
         assert capsys.readouterr().err == "error: 1/step is not an integer for step 3E-5000\n"
 
+    @pytest.mark.parametrize("alpha, shown, converged", [
+        ("1e-30000000", "1E-30000000", 0), ("1e30000000", "1E+30000000", 5)])
     @pytest.mark.parametrize("command", ["continue", "sweep"])
-    def test_alpha_of_thirty_million_decades(self, command):
-        """The flags compare magnitudes before they form 10**30000000."""
+    def test_alpha_of_thirty_million_decades(self, command, alpha, shown, converged):
+        """The flags are settled by the exponents alone, before 10**30000000
+        is formed: every flag fails at 1e-30000000 and holds at 1e30000000."""
         env = {**os.environ, "PYTHONPATH": SRC}
-        argv = [command, "--input", "arctan", "--m", "5", "--dx", "0.5", "--alpha", "1e-30000000"]
+        argv = [command, "--input", "arctan", "--m", "5", "--dx", "0.5", "--alpha", alpha]
         if command == "continue":
             argv += ["--count", "0"]
         proc = subprocess.run([sys.executable, "-m", "asymser", *argv], capture_output=True,
                               text=True, env=env, timeout=30)
         assert proc.returncode == 0, proc.stderr
         if command == "continue":
-            assert json.loads(proc.stdout)["converged_count"] == 0
+            assert json.loads(proc.stdout)["converged_count"] == converged
         else:
             (row,) = csv.DictReader(proc.stdout.splitlines())
-            assert (row["alpha"], row["converged_count"]) == ("1E-30000000", "0")
+            assert (row["alpha"], row["converged_count"]) == (shown, str(converged))
 
     @pytest.mark.parametrize("dx, shown", [
         ("1e-30", "1E-30 takes 1000000000000000000000000000000"),

@@ -356,20 +356,32 @@ class TestExactFlags:
     @pytest.mark.parametrize("exact", [False, True])
     def test_alphas_across_eight_hundred_decades(self, exact):
         """Alphas c * 10**e with e in [-400, 400], most of them far from every
-        trailing term, where the bit lengths decide; and alphas at a trailing
-        term and a hair either side of it, where only the exact comparison can."""
+        trailing term, where a shortcut settles every flag at once; alphas
+        that put 3 * |e - f| one bit below, at and one bit above each
+        shortcut's threshold; and alphas at a trailing term and a hair either
+        side of it, where only the exact comparison can decide.  The vectors
+        of one coefficient 2**j - 1, alone or before a zero (whose flag loop
+        is empty), meet the thresholds with the smallest operands."""
         rng = random.Random(11 + exact)
-        for _ in range(80):
-            if exact:
-                coeffs = [F(0) if rng.random() < 0.25
-                          else F(rng.randint(-10**6, 10**6), rng.choice([1, 3, 4, 25, 80]))
-                          for _ in range(rng.randint(1, 30))]
-            else:
-                coeffs = list(to_decimals(
-                    ["0" if rng.random() < 0.25
-                     else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-400, 400)}"
-                     for _ in range(rng.randint(1, 30))], 19))
-            coeffs += [F(0) if exact else D(0)] * rng.randint(0, 1)
+
+        def vectors():
+            for _ in range(80):
+                if exact:
+                    coeffs = [F(0) if rng.random() < 0.25
+                              else F(rng.randint(-10**6, 10**6), rng.choice([1, 3, 4, 25, 80]))
+                              for _ in range(rng.randint(1, 30))]
+                else:
+                    coeffs = list(to_decimals(
+                        ["0" if rng.random() < 0.25
+                         else f"{rng.randint(-10**19 + 1, 10**19 - 1)}E{rng.randint(-400, 400)}"
+                         for _ in range(rng.randint(1, 30))], 19))
+                yield coeffs + [F(0) if exact else D(0)] * rng.randint(0, 1)
+            for j in range(1, 12):
+                for zeros in (0, 1):
+                    yield [F(2**j - 1) if exact else D(f"{1 - 2**j}E{37 * j - 200}"),
+                           *[F(0) if exact else D(0)] * zeros]
+
+        for coeffs in vectors():
             step = rng.choice(["0.125", "0.25", "0.375", "0.5", "0.75", "1"])
             alphas = [f"{rng.randint(1, 10**6)}E{rng.randint(-400, 400)}" for _ in range(6)]
             nonzero = [n for n, c in enumerate(coeffs) if c]
@@ -380,6 +392,19 @@ class TestExactFlags:
                 if term.denominator % 3:  # a terminating decimal
                     alphas += [_exact_decimal(a, "alpha") for a in
                                (term, term * (1 + F(1, 10**30)), term * (1 - F(1, 10**30)))]
+                # with a_L = n/d * 10**e, step = p/q and alpha = t * 10**(e - E),
+                # the first shortcut weighs 8**E against t * d * q**L, given
+                # `bits` bits by the largest such t, and the second 8**-E
+                # against 2**L * |n| * p**L, for alpha = 10**(e - E)
+                n, d, e = continuation._decimal_ratio(coeffs[last])
+                p, q = F(step).as_integer_ratio()
+                rhs = d * q**last
+                top = (rhs.bit_length() + 3) // 3
+                alphas += [f"{(2**bits - 1) // rhs}E{e - E}"
+                           for E in (1, 2, 3, top, top + 1)
+                           for bits in (3 * E - 1, 3 * E, 3 * E + 1) if rhs < 2**bits]
+                bits = last + (abs(n) * p**last).bit_length()
+                alphas += [f"1E{e + b // 3}" for b in (bits - 1, bits, bits + 1) if b % 3 == 0]
             for alpha in alphas:
                 self.assert_flags(coeffs, step, alpha)
 
